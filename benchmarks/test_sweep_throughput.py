@@ -129,15 +129,15 @@ def test_sweep_throughput(tmp_path):
 
 
 def test_backend_comparison(tmp_path):
-    """Executor backends head-to-head on a reduced grid: serial vs
-    local-pool vs cache work-stealing, identity asserted, timings merged
-    into ``BENCH_sweep.json`` under ``backends`` (informational — on the
-    1-core CI box the distributed backends pay pure overhead)."""
-    from repro.sweep import CacheWorkStealingBackend, ResultCache, SweepRunner
+    """The two executors head-to-head on a reduced grid: inline serial vs
+    lease workers over the result cache, identity asserted, timings merged
+    into ``BENCH_sweep.json`` under ``backends`` (informational — on a
+    1-core box the lease workers pay pure overhead)."""
+    from repro.sweep import SweepRunner
 
     max_gates = int(os.environ.get("REPRO_BENCH_MAX_GATES", "0"))
     seed = int(os.environ.get("REPRO_BENCH_SEED", "2016"))
-    workers = min(os.cpu_count() or 1, 4)
+    workers = max(2, min(os.cpu_count() or 1, 4))
     circuits = suite_circuits(max_gates)[:2]
     spec = SweepSpec(
         circuits=circuits,
@@ -149,36 +149,22 @@ def test_backend_comparison(tmp_path):
     for name in circuits:
         load_circuit(name, seed)
 
-    results = {}
-    timings = {}
-    serial = run_sweep(spec, workers=1, backend="serial")
-    results["serial"] = serial
-    timings["serial_s"] = serial.stats.wall_seconds
-    pool = run_sweep(spec, workers=workers, backend="local-pool")
-    results["local-pool"] = pool
-    timings["local_pool_s"] = pool.stats.wall_seconds
-    steal_backend = CacheWorkStealingBackend(
-        cache=ResultCache(tmp_path / "steal"), workers=workers
-    )
-    steal = SweepRunner(
-        workers=workers, cache_dir=tmp_path / "steal", backend=steal_backend
-    ).run(spec)
-    results["work-stealing"] = steal
-    timings["work_stealing_s"] = steal.stats.wall_seconds
-
-    for label, result in results.items():
+    serial = run_sweep(spec, workers=1)
+    runner = SweepRunner(workers=workers, cache_dir=tmp_path / "lease")
+    leased = runner.run(spec)
+    for label, result in (("serial", serial), ("lease-workers", leased)):
         print(
-            f"[sweep-bench] backend {label}: {result.stats.summary()}",
+            f"[sweep-bench] {label}: {result.stats.summary()}",
             file=sys.stderr,
             flush=True,
         )
         assert not result.failed_rows(), label
-        assert (
-            result.canonical_rows() == serial.canonical_rows()
-        ), f"{label} rows diverge from serial"
+    assert (
+        leased.canonical_rows() == serial.canonical_rows()
+    ), "lease-worker rows diverge from serial"
 
-    claims = steal_backend.last_job.claims()
-    assert len(claims) == steal.stats.total
+    claims = runner.last_job.claims()
+    assert len(claims) == leased.stats.total
     assert len({c["key"] for c in claims}) == len(claims)
 
     document = (
@@ -191,7 +177,8 @@ def test_backend_comparison(tmp_path):
         "workers": workers,
         "identical_rows": True,
         "work_stealing_claims": len(claims),
-        **{k: round(v, 4) for k, v in timings.items()},
+        "serial_s": round(serial.stats.wall_seconds, 4),
+        "work_stealing_s": round(leased.stats.wall_seconds, 4),
     }
     _RESULT_PATH.write_text(json.dumps(document, indent=2) + "\n")
     print(

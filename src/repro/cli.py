@@ -376,8 +376,7 @@ def _parse_name_list(text: str) -> List[str]:
 
 
 def _sweep_progress_printer():
-    """Progress sink rendering runner/backend events to stderr; shared by
-    ``sweep`` and the ``submit --stream`` event replay."""
+    """Progress sink rendering the runner's events to stderr."""
 
     def progress(event: dict) -> None:
         kind = event.get("event")
@@ -392,24 +391,10 @@ def _sweep_progress_printer():
                     flush=True,
                 )
             return
-        if kind == "fallback":
-            print(
-                f"[sweep] {event.get('reason', 'executor fallback')}",
-                file=sys.stderr,
-                flush=True,
-            )
-            return
         if kind == "job":
             print(
-                f"[sweep] work-stealing job {event.get('job_id')} "
+                f"[sweep] lease job {event.get('job_id')} "
                 f"({event.get('trials')} trials) at {event.get('job_dir')}",
-                file=sys.stderr,
-                flush=True,
-            )
-            return
-        if kind == "end":
-            print(
-                f"[sweep] job finished: {event.get('state')}",
                 file=sys.stderr,
                 flush=True,
             )
@@ -468,21 +453,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not spec.circuits:
             raise SystemExit("error: --max-gates filtered out every circuit")
 
-    workers = args.workers if args.workers > 0 else default_workers()
-    backend = None if args.backend == "auto" else args.backend
-    if backend == "work-stealing" and args.no_cache:
-        raise SystemExit(
-            "error: --backend work-stealing needs the result store "
-            "(drop --no-cache)"
-        )
-
     result = run_sweep(
         spec,
-        workers=workers,
+        workers=args.workers if args.workers > 0 else default_workers(),
         cache_dir=None if args.no_cache else args.cache_dir,
         resume=args.resume,
         progress=None if args.quiet else _sweep_progress_printer(),
-        backend=backend,
     )
 
     if args.format == "json":
@@ -510,90 +486,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 1 if result.stats.failed else 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    from .sweep.service import SweepService
-
-    service = SweepService(
-        args.root,
-        workers=args.workers,
-        backend=None if args.backend == "auto" else args.backend,
-    )
-    print(
-        f"[serve] sweep service at {args.root} "
-        f"({args.workers} workers, backend {args.backend})",
-        file=sys.stderr,
-        flush=True,
-    )
-    if args.once:
-        handled = service.serve(once=True, timeout=args.timeout)
-        failed = 0
-        for job_id in handled:
-            status = service.status(job_id)
-            state = status.get("state")
-            print(
-                f"[serve] job {job_id}: {state} "
-                f"({status.get('failed', 0)} failed trials)",
-                file=sys.stderr,
-                flush=True,
-            )
-            if state != "done" or status.get("failed"):
-                failed += 1
-        return 1 if failed else 0
-    service.serve(poll=args.poll)
-    return 0  # pragma: no cover - loop above never returns
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    from .sweep.service import SweepService
-
-    if args.job:
-        job_id = args.job
-    else:
-        if not args.spec:
-            raise SystemExit("error: submit needs --spec FILE or --job ID")
-        spec = _load_spec_file(args.spec)
-        job_id = SweepService.enqueue(
-            args.root,
-            spec,
-            workers=args.workers or None,
-            backend=None if args.backend == "auto" else args.backend,
-        )
-        print(f"[submit] queued job {job_id}", file=sys.stderr, flush=True)
-    if args.no_wait:
-        print(job_id)
-        return 0
-
-    service = SweepService(args.root)
-    printer = _sweep_progress_printer()
-    final_state = None
-    if args.stream:
-        try:
-            for event in service.stream(job_id, timeout=args.timeout):
-                printer(event)
-                if event.get("event") == "end":
-                    final_state = event.get("state")
-        except TimeoutError as exc:
-            raise SystemExit(f"error: {exc}")
-    else:
-        try:
-            final_state = service.wait(job_id, timeout=args.timeout).get(
-                "state"
-            )
-        except TimeoutError as exc:
-            raise SystemExit(f"error: {exc}")
-    status = service.status(job_id)
-    print(
-        f"[submit] job {job_id}: {status.get('state')} — "
-        f"{status.get('executed', 0)} executed, "
-        f"{status.get('cached', 0)} cached, "
-        f"{status.get('failed', 0)} failed",
-        file=sys.stderr,
-        flush=True,
-    )
-    print(job_id)
-    return 0 if final_state == "done" and not status.get("failed") else 1
-
-
 def cmd_sweep_worker(args: argparse.Namespace) -> int:
     from .sweep.backends import default_owner, work_stealing_worker
     from .sweep.cache import ResultCache
@@ -608,7 +500,7 @@ def cmd_sweep_worker(args: argparse.Namespace) -> int:
             else []
         )
         if not candidates:
-            raise SystemExit(f"error: no work-stealing jobs under {jobs_root}")
+            raise SystemExit(f"error: no lease jobs under {jobs_root}")
         job_id = max(
             candidates, key=lambda p: (p / "manifest.json").stat().st_mtime
         ).name
@@ -877,7 +769,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="process count (0 = one per CPU, capped at 8; 1 = serial)",
+        help="lease-worker process count (0 = one per CPU, capped at 8; "
+        "1 = run inline, no worker processes)",
     )
     p_sweep.add_argument(
         "--cache-dir",
@@ -887,7 +780,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--no-cache",
         action="store_true",
-        help="run without reading or writing the result store",
+        help="run without reading or writing the result store (lease "
+        "workers coordinate through a temporary one)",
     )
     p_sweep.add_argument(
         "--resume",
@@ -895,14 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="serve completed trials from the cache (--no-resume re-runs "
         "everything but still records results)",
-    )
-    p_sweep.add_argument(
-        "--backend",
-        default="auto",
-        choices=["auto", "serial", "local-pool", "work-stealing"],
-        help="executor backend (auto = serial for --workers 1, else the "
-        "local process pool; work-stealing claims trials from the shared "
-        "result store via leases)",
     )
     p_sweep.add_argument(
         "--format", default="table", choices=["table", "json", "csv"]
@@ -913,85 +799,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_serve = sub.add_parser(
-        "serve",
-        parents=[common],
-        help="run the async sweep job service over a service root",
-    )
-    p_serve.add_argument(
-        "--root",
-        default=".sweep-service",
-        help="service root (jobs/, queue/, shared cache/)",
-    )
-    p_serve.add_argument(
-        "--workers", type=int, default=1, help="default workers per job"
-    )
-    p_serve.add_argument(
-        "--backend",
-        default="auto",
-        choices=["auto", "serial", "local-pool", "work-stealing"],
-        help="default executor backend for jobs",
-    )
-    p_serve.add_argument(
-        "--once",
-        action="store_true",
-        help="recover + drain the queue once, wait for those jobs, exit "
-        "(CI mode)",
-    )
-    p_serve.add_argument(
-        "--poll", type=float, default=0.2, help="queue poll interval seconds"
-    )
-    p_serve.add_argument(
-        "--timeout",
-        type=float,
-        default=3600.0,
-        help="with --once: per-job wait timeout seconds",
-    )
-    p_serve.set_defaults(func=cmd_serve)
-
-    p_submit = sub.add_parser(
-        "submit",
-        parents=[common],
-        help="submit a sweep spec to a service root (or attach to a job)",
-    )
-    p_submit.add_argument(
-        "--root", default=".sweep-service", help="service root to submit to"
-    )
-    p_submit.add_argument(
-        "--spec", default=None, help="JSON SweepSpec file to submit"
-    )
-    p_submit.add_argument(
-        "--job",
-        default=None,
-        help="attach to an existing job id instead of submitting a spec",
-    )
-    p_submit.add_argument(
-        "--workers", type=int, default=0, help="workers for this job"
-    )
-    p_submit.add_argument(
-        "--backend",
-        default="auto",
-        choices=["auto", "serial", "local-pool", "work-stealing"],
-    )
-    p_submit.add_argument(
-        "--no-wait",
-        action="store_true",
-        help="print the job id and return without waiting",
-    )
-    p_submit.add_argument(
-        "--stream",
-        action="store_true",
-        help="replay + follow the job's progress events while waiting",
-    )
-    p_submit.add_argument(
-        "--timeout", type=float, default=3600.0, help="wait timeout seconds"
-    )
-    p_submit.set_defaults(func=cmd_submit)
-
     p_worker = sub.add_parser(
         "sweep-worker",
         parents=[common],
-        help="join a work-stealing sweep job as an extra worker "
+        help="join a lease-worker sweep job as an extra worker "
         "(runs on any host sharing the cache directory)",
     )
     p_worker.add_argument(

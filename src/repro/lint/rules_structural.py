@@ -1,8 +1,7 @@
 """Structural rules (``NL1xx``): is the netlist a well-formed design?
 
-These migrate and extend the historical ``repro.netlist.validate`` checks;
-:func:`repro.netlist.validate.validate_netlist` is now a thin shim that runs
-exactly this category and converts findings back to legacy ``Issue`` objects.
+These migrate and extend the historical ``repro.netlist.validate`` checks,
+whose deprecated shim has since been removed.
 """
 
 from __future__ import annotations

@@ -177,8 +177,8 @@ class Netlist:
     ) -> Node:
         """Add a combinational gate, LUT, or DFF driving net *name*.
 
-        Fan-in nets may be declared later; :meth:`validate` (and
-        :mod:`repro.netlist.validate`) check for dangling references.
+        Fan-in nets may be declared later; :meth:`validate` (and the
+        structural lint rules) check for dangling references.
         """
         if gate_type is GateType.INPUT:
             raise NetlistError("use add_input() for primary inputs")

@@ -6,22 +6,22 @@ grid into a first-class object:
 
 * :class:`SweepSpec` declares the grid; it expands into independent,
   deterministically seeded :class:`Trial` cells.
-* :class:`SweepRunner` / :func:`run_sweep` execute trials through a
-  pluggable executor backend (:mod:`repro.sweep.backends`): in-process
-  serial, a chunked local process pool, or cache work-stealing workers
-  that may run on other hosts — identical canonical rows either way.
+* :class:`SweepRunner` / :func:`run_sweep` execute trials inline
+  (``workers=1``) or on N lease workers (:mod:`repro.sweep.backends`)
+  that claim trials from the result cache and may also join from other
+  hosts — identical canonical rows either way.
   :meth:`SweepRunner.stream` yields rows as they complete, feeding
   :class:`StreamSummary` incremental aggregates.
 * :class:`ResultCache` is a content-addressed on-disk row store keyed by
   (netlist content hash, algorithm + params, seed, attack, code version):
   interrupted sweeps resume, unchanged trials are served from cache.  It
-  doubles as the work-stealing coordination store (atomic lock-file
+  doubles as the lease workers' coordination store (atomic lock-file
   leases).
-* :class:`SweepService` (:mod:`repro.sweep.service`) is the async job
-  front end: ``submit(spec) -> job_id``, ``status``, ``stream``, with
-  persisted job manifests so a restarted service resumes via the cache.
 * :mod:`repro.sweep.aggregate` folds rows back into the
   :mod:`repro.reporting` tables and the analysis report dataclasses.
+
+See ``docs/SWEEP.md`` for the executors, the lease protocol and the
+``sweep-worker`` recipe.
 
 Quickstart::
 
@@ -42,15 +42,7 @@ from .aggregate import (
     security_report,
     summarize,
 )
-from .backends import (
-    BACKEND_NAMES,
-    CacheWorkStealingBackend,
-    LocalPoolBackend,
-    SerialBackend,
-    WorkStealingJob,
-    make_backend,
-    work_stealing_worker,
-)
+from .backends import WorkStealingJob, work_stealing_worker
 from .cache import RESULT_SCHEMA, ResultCache, netlist_sha, trial_key
 from .runner import (
     SweepResult,
@@ -59,7 +51,6 @@ from .runner import (
     default_workers,
     run_sweep,
 )
-from .service import SweepService, new_job_id
 from .spec import (
     KNOWN_ANALYSES,
     KNOWN_ATTACKS,
@@ -70,19 +61,14 @@ from .spec import (
 from .trial import canonical_row, circuit_sha, load_circuit, run_trial
 
 __all__ = [
-    "BACKEND_NAMES",
-    "CacheWorkStealingBackend",
     "KNOWN_ANALYSES",
     "KNOWN_ATTACKS",
-    "LocalPoolBackend",
     "RESULT_SCHEMA",
     "ResultCache",
     "RunningStat",
-    "SerialBackend",
     "StreamSummary",
     "SweepResult",
     "SweepRunner",
-    "SweepService",
     "SweepSpec",
     "SweepStats",
     "Trial",
@@ -93,9 +79,7 @@ __all__ = [
     "derive_seed",
     "group_rows",
     "load_circuit",
-    "make_backend",
     "netlist_sha",
-    "new_job_id",
     "overhead_report",
     "render_csv",
     "render_table",

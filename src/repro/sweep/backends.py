@@ -1,38 +1,22 @@
-"""Pluggable sweep executor backends.
+"""Lease workers: the sweep's one parallel executor.
 
-The runner (:mod:`repro.sweep.runner`) decides *what* to execute — the
-pending ``(index, trial)`` pairs left after cache resolution — and a
-backend decides *how*.  Every backend is a generator with one contract:
+The runner (:mod:`repro.sweep.runner`) runs trials inline when
+``workers == 1``; with more workers it hands the pending trials to this
+module.  N independent worker *processes* claim trials directly from the
+shared :class:`ResultCache` via atomic lock-file leases
+(:meth:`ResultCache.try_lease`).  Workers may also run on other hosts
+pointed at the same directory (``repro-lock sweep-worker``); the
+coordinator only writes the job manifest, polls the store for completed
+rows, and streams them out.  A worker that dies mid-trial simply stops —
+its lease *expires* and a surviving worker re-claims the trial, which is
+what makes the sweep crash-proof without any worker-to-coordinator
+channel beyond the filesystem.
 
-    ``execute(pending, notify) -> iterator of (index, trial, row)``
+Job layout, under ``<cache>/jobs/<job_id>/``:
 
-yielding completed rows **in completion order, as they finish**, so the
-runner can stream them into incremental aggregates instead of holding a
-whole sweep in memory.  ``notify`` is an optional callback for
-backend-level progress events (pool fallback, job announcements).
-
-Three implementations:
-
-* :class:`SerialBackend` — trials run in the calling process, one at a
-  time.  The reference semantics every other backend must reproduce
-  bit-identically (the ``sweep-backends-identical`` check enforces it).
-* :class:`LocalPoolBackend` — the chunked ``ProcessPoolExecutor``
-  strategy: circuit-major chunks amortise warm per-worker caches, a
-  broken pool (a worker SIGKILLed / OOM-killed) falls back to finishing
-  the unfinished trials serially in the parent.
-* :class:`CacheWorkStealingBackend` — N independent worker *processes*
-  claim trials directly from the shared :class:`ResultCache` via atomic
-  lock-file leases (:meth:`ResultCache.try_lease`).  Workers may run on
-  other hosts pointed at the same directory (``repro-lock sweep-worker``);
-  the coordinator only writes the job manifest, polls the store for
-  completed rows, and streams them out.  A worker that dies mid-trial
-  simply stops renewing nothing — its lease *expires* and a surviving
-  worker re-claims the trial, which is what makes the sweep crash-proof
-  without any worker-to-coordinator channel beyond the filesystem.
-
-Work-stealing job layout, under ``<cache>/jobs/<job_id>/``:
-
-* ``manifest.json`` — the trial list (index, content key, identity);
+* ``manifest.json`` — the trial list (index, content key, identity) and
+  whether the job resumes (see :meth:`WorkStealingJob.is_complete`);
+* ``done/<key>`` — an empty marker per trial this job completed;
 * ``failed/<key>.json`` — failed rows (kept out of the result cache so a
   later resume retries them, but still visible to the coordinator);
 * ``claims/<owner>.jsonl`` — one line per trial an owner *executed*, the
@@ -46,34 +30,21 @@ import multiprocessing
 import os
 import socket
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs import add_counter, span
-from .cache import RESULT_SCHEMA, ResultCache, atomic_write_json, trial_key
+from .cache import RESULT_SCHEMA, ResultCache, atomic_write_json
 from .spec import Trial, derive_seed
-from .trial import circuit_sha, run_trial
+from .trial import run_trial
 
-#: Backend-level progress events (``{"event": "fallback", ...}``).
-NotifyFn = Callable[[Dict[str, Any]], None]
+#: Seconds a lease stays valid; a worker killed mid-trial blocks its
+#: trial for at most this long before a survivor re-claims it.
+LEASE_TTL = 60.0
 
-#: What every backend yields: completed trials, in completion order.
-CompletedTrial = Tuple[int, Trial, Dict[str, Any]]
-
-#: Registry of construction-by-name backends (the CLI ``--backend`` flag).
-BACKEND_NAMES = ("serial", "local-pool", "work-stealing")
+#: Seconds between rescans of the store (workers and coordinator).
+POLL_INTERVAL = 0.05
 
 
 def failed_row(trial: Trial, exc: BaseException) -> Dict[str, Any]:
@@ -89,149 +60,18 @@ def failed_row(trial: Trial, exc: BaseException) -> Dict[str, Any]:
     }
 
 
-# ----------------------------------------------------------------------
-# serial
-# ----------------------------------------------------------------------
-class SerialBackend:
-    """Run every pending trial in the calling process."""
-
-    name = "serial"
-    #: Whether the backend already persisted ok-rows to the result cache
-    #: (the runner writes them itself when False).
-    writes_cache = False
-
-    def execute(
-        self,
-        pending: Sequence[Tuple[int, Trial]],
-        notify: Optional[NotifyFn] = None,
-    ) -> Iterator[CompletedTrial]:
-        for index, trial in pending:
-            yield index, trial, run_trial(trial)
-
-
-# ----------------------------------------------------------------------
-# local process pool
-# ----------------------------------------------------------------------
-def _run_chunk(trials: Sequence[Trial]) -> List[Dict[str, Any]]:
-    """Pool task: execute a chunk of trials in one worker."""
-    return [run_trial(t) for t in trials]
-
-
-def _chunked(
-    pending: Sequence[Tuple[int, Trial]],
-    workers: int,
-    chunksize: Optional[int],
-) -> List[List[Tuple[int, Trial]]]:
-    """Split pending trials into pool tasks, circuit-major for warm-cache
-    locality, sized so every worker gets several chunks (load balance)."""
-    ordered = sorted(
-        pending, key=lambda item: (item[1].circuit, item[1].algorithm, item[0])
-    )
-    if chunksize is None:
-        chunksize = max(1, min(len(ordered) // (workers * 4) or 1, 32))
-    return [
-        ordered[i : i + chunksize] for i in range(0, len(ordered), chunksize)
-    ]
-
-
-class LocalPoolBackend:
-    """Chunked ``ProcessPoolExecutor`` execution with serial fallback.
-
-    A trial that *raises* is captured as a failed row inside the worker;
-    a worker that *dies* (OOM kill, segfault, ``os._exit``) breaks the
-    pool, and the backend finishes every still-unfinished trial serially
-    in the parent — recorded in :attr:`fallback_serial` and announced
-    through ``notify`` as an ``{"event": "fallback"}`` so nothing about
-    the degraded run is silent.
-    """
-
-    name = "local-pool"
-    writes_cache = False
-
-    def __init__(self, workers: int = 2, chunksize: Optional[int] = None):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
-        self.chunksize = chunksize
-        #: True once a run degraded to the in-parent serial path.
-        self.fallback_serial = False
-
-    def execute(
-        self,
-        pending: Sequence[Tuple[int, Trial]],
-        notify: Optional[NotifyFn] = None,
-    ) -> Iterator[CompletedTrial]:
-        self.fallback_serial = False
-        chunks = _chunked(pending, self.workers, self.chunksize)
-        done: set = set()
-        broken = False
-        try:
-            with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                futures = {
-                    pool.submit(_run_chunk, [t for _, t in chunk]): chunk
-                    for chunk in chunks
-                }
-                outstanding = set(futures)
-                while outstanding:
-                    finished, outstanding = wait(
-                        outstanding, return_when=FIRST_COMPLETED
-                    )
-                    for future in finished:
-                        chunk = futures[future]
-                        exc = future.exception()
-                        if exc is None:
-                            for (index, trial), row in zip(
-                                chunk, future.result()
-                            ):
-                                done.add(index)
-                                yield index, trial, row
-                        elif isinstance(exc, BrokenProcessPool):
-                            broken = True
-                        else:
-                            # The chunk failed as a unit (e.g. a result
-                            # that would not pickle): fail its trials.
-                            for index, trial in chunk:
-                                done.add(index)
-                                yield index, trial, failed_row(trial, exc)
-                    if broken:
-                        break
-        except BrokenProcessPool:
-            broken = True
-        if broken:
-            # A worker died hard and took the pool with it.  Whatever has
-            # no row yet — the crashed chunk and everything still queued —
-            # runs serially in the parent, where a per-trial failure is
-            # captured as data instead of killing the sweep.
-            self.fallback_serial = True
-            if notify is not None:
-                notify(
-                    {
-                        "event": "fallback",
-                        "backend": self.name,
-                        "reason": "broken process pool: a worker died; "
-                        "finishing the remaining trials serially",
-                        "remaining": sum(
-                            1 for index, _ in pending if index not in done
-                        ),
-                    }
-                )
-            for index, trial in pending:
-                if index in done:
-                    continue
-                yield index, trial, run_trial(trial)
-
-
-# ----------------------------------------------------------------------
-# cache work-stealing
-# ----------------------------------------------------------------------
 @dataclass
 class WorkStealingJob:
-    """One work-stealing job's on-disk state under the shared cache."""
+    """One lease job's on-disk state under the shared cache."""
 
     cache: ResultCache
     job_id: str
     lease_ttl: float
     entries: List[Dict[str, Any]]
+    #: False for a ``resume=False`` run: rows already cached before the
+    #: job started must be recomputed, so only this job's own ``done/``
+    #: markers count as completion.
+    resume: bool = True
 
     @property
     def root(self) -> Path:
@@ -245,13 +85,18 @@ class WorkStealingJob:
         pending: Sequence[Tuple[int, Trial]],
         keys: Dict[int, str],
         lease_ttl: float,
+        resume: bool = True,
     ) -> "WorkStealingJob":
         entries = [
             {"index": index, "key": keys[index], "trial": trial.identity()}
             for index, trial in pending
         ]
         job = cls(
-            cache=cache, job_id=job_id, lease_ttl=lease_ttl, entries=entries
+            cache=cache,
+            job_id=job_id,
+            lease_ttl=lease_ttl,
+            entries=entries,
+            resume=resume,
         )
         atomic_write_json(
             job.root / "manifest.json",
@@ -259,6 +104,7 @@ class WorkStealingJob:
                 "job_id": job_id,
                 "created": time.time(),
                 "lease_ttl": lease_ttl,
+                "resume": resume,
                 "trials": entries,
             },
         )
@@ -274,6 +120,7 @@ class WorkStealingJob:
             job_id=job_id,
             lease_ttl=float(manifest["lease_ttl"]),
             entries=list(manifest["trials"]),
+            resume=bool(manifest.get("resume", True)),
         )
 
     # -- failed rows (never cached: a later resume retries them) --------
@@ -289,8 +136,31 @@ class WorkStealingJob:
         except (OSError, ValueError):
             return None
 
+    # -- completion -----------------------------------------------------
+    def done_path(self, key: str) -> Path:
+        return self.root / "done" / key
+
+    def mark_done(self, key: str) -> None:
+        path = self.done_path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.touch()
+
     def is_complete(self, key: str) -> bool:
-        return key in self.cache or self.failed_path(key).exists()
+        """Whether *key* needs no more work: its row is cached — by this
+        job, or by any run when resuming — or this job recorded it as
+        failed.  A cached row later quarantined as corrupt is incomplete
+        again, so a worker re-runs it."""
+        if self.failed_path(key).exists():
+            return True
+        return (self.resume or self.done_path(key).exists()) and (
+            key in self.cache
+        )
+
+    def read_row(self, key: str) -> Optional[Dict[str, Any]]:
+        """The completed row for *key*, or ``None`` while it is pending."""
+        if not self.is_complete(key):
+            return None
+        return self.read_failed(key) or self.cache.get(key)
 
     # -- lease accounting ------------------------------------------------
     def record_claim(
@@ -326,6 +196,12 @@ class WorkStealingJob:
         return out
 
 
+def new_job_id(pending: Sequence[Tuple[int, Trial]]) -> str:
+    """A job id: digest of the pending trials plus a random nonce."""
+    seed = derive_seed("job", [t.identity() for _, t in pending])
+    return f"job-{seed % (1 << 32):08x}-{os.urandom(4).hex()}"
+
+
 def default_owner(tag: str = "w0") -> str:
     """A globally distinguishable worker identity: host + pid + tag."""
     return f"{socket.gethostname()}-{os.getpid()}-{tag}"
@@ -335,17 +211,18 @@ def work_stealing_worker(
     cache_root: Path,
     job_id: str,
     owner: str,
-    poll_interval: float = 0.05,
+    poll_interval: float = POLL_INTERVAL,
 ) -> int:
-    """Claim-and-execute loop of one work-stealing worker; returns the
-    number of trials this owner executed.
+    """Claim-and-execute loop of one lease worker; returns the number of
+    trials this owner executed.
 
     The loop scans the manifest for incomplete trials, leases one, runs
     it, persists the row (ok → result cache, failed → the job's failed
-    area), records the claim, and releases the lease.  When every trial
-    is complete it exits; while the only incomplete trials are leased by
-    *other* live owners it sleeps and rescans — if one of those owners
-    died, its lease expires and the rescan re-claims the trial.
+    area), marks it done, records the claim, and releases the lease.
+    When every trial is complete it exits; while the only incomplete
+    trials are leased by *other* live owners it sleeps and rescans — if
+    one of those owners died, its lease expires and the rescan re-claims
+    the trial.
     """
     cache = ResultCache(cache_root, reap_tmp_ttl=None)
     job = WorkStealingJob.open(cache, job_id)
@@ -367,6 +244,7 @@ def work_stealing_worker(
                 row = run_trial(trial)
                 if row.get("status") == "ok":
                     cache.put(key, row)
+                    job.mark_done(key)
                 else:
                     job.write_failed(key, row)
                 job.record_claim(owner, entry, str(row.get("status")))
@@ -380,165 +258,63 @@ def work_stealing_worker(
             time.sleep(poll_interval)
 
 
-def _worker_entry(
-    cache_root: str, job_id: str, owner: str, poll_interval: float
-) -> None:
-    work_stealing_worker(
-        Path(cache_root), job_id, owner, poll_interval=poll_interval
-    )
+def _worker_entry(cache_root: str, job_id: str, owner: str) -> None:
+    work_stealing_worker(Path(cache_root), job_id, owner)
 
 
-class CacheWorkStealingBackend:
-    """Trials claimed by independent workers over the shared result cache.
-
-    The coordinator writes the job manifest, spawns ``workers`` local
-    worker processes (unless ``spawn_workers=False`` — the multi-host
-    mode, where external ``repro-lock sweep-worker`` processes do the
-    work), and polls the store, streaming rows out as they land.  If
-    every spawned worker exits while trials are still incomplete (all
-    workers crashed), the coordinator runs the worker loop itself so the
-    sweep always completes.
-    """
-
-    name = "work-stealing"
-    writes_cache = True
-
-    def __init__(
-        self,
-        cache: Optional[ResultCache] = None,
-        workers: int = 2,
-        lease_ttl: float = 60.0,
-        poll_interval: float = 0.05,
-        job_id: Optional[str] = None,
-        spawn_workers: bool = True,
-    ):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.cache = cache
-        self.workers = workers
-        self.lease_ttl = lease_ttl
-        self.poll_interval = poll_interval
-        self.job_id = job_id
-        self.spawn_workers = spawn_workers
-        #: The most recent run's job (claims/manifest live under it).
-        self.last_job: Optional[WorkStealingJob] = None
-
-    def _new_job_id(self, pending: Sequence[Tuple[int, Trial]]) -> str:
-        seed = derive_seed(
-            "job", [t.identity() for _, t in pending]
-        )
-        nonce = os.urandom(4).hex()
-        return f"job-{seed % (1 << 32):08x}-{nonce}"
-
-    def execute(
-        self,
-        pending: Sequence[Tuple[int, Trial]],
-        notify: Optional[NotifyFn] = None,
-    ) -> Iterator[CompletedTrial]:
-        if self.cache is None:
-            raise ValueError(
-                "the work-stealing backend needs a shared ResultCache "
-                "(run the sweep with a cache_dir)"
-            )
-        keys = {
-            index: trial_key(trial, circuit_sha(trial.circuit, trial.gen_seed))
-            for index, trial in pending
-        }
-        job_id = self.job_id or self._new_job_id(pending)
-        job = WorkStealingJob.create(
-            self.cache, job_id, pending, keys, self.lease_ttl
-        )
-        self.last_job = job
-        if notify is not None:
-            notify(
-                {
-                    "event": "job",
-                    "backend": self.name,
-                    "job_id": job_id,
-                    "job_dir": str(job.root),
-                    "trials": len(pending),
-                }
-            )
-        procs: List[multiprocessing.Process] = []
-        if self.spawn_workers:
-            for n in range(self.workers):
-                proc = multiprocessing.Process(
-                    target=_worker_entry,
-                    args=(
-                        str(self.cache.root),
-                        job_id,
-                        default_owner(f"w{n}"),
-                        self.poll_interval,
-                    ),
-                    daemon=True,
-                    name=f"sweep-steal-{job_id}-w{n}",
-                )
-                proc.start()
-                procs.append(proc)
-        try:
-            with span(
-                "sweep.steal", job=job_id, workers=len(procs)
-            ) as steal_span:
-                remaining: Dict[int, Trial] = dict(pending)
-                while remaining:
-                    progressed = False
-                    for index in sorted(remaining):
-                        key = keys[index]
-                        row = self.cache.get(key)
-                        if row is None:
-                            row = job.read_failed(key)
-                        if row is None:
-                            continue
-                        trial = remaining.pop(index)
-                        progressed = True
-                        yield index, trial, row
-                    if not remaining:
-                        break
-                    if progressed:
-                        continue
-                    if procs and not any(p.is_alive() for p in procs):
-                        # Every spawned worker is gone but trials are
-                        # incomplete: finish them in the coordinator via
-                        # the very same claim loop (leases of the dead
-                        # workers expire and get broken here).
-                        add_counter("sweep.steal.coordinator_fallbacks")
-                        work_stealing_worker(
-                            self.cache.root,
-                            job_id,
-                            default_owner("coordinator"),
-                            poll_interval=self.poll_interval,
-                        )
-                        continue
-                    time.sleep(self.poll_interval)
-                steal_span.set(claims=len(job.claims()))
-        finally:
-            for proc in procs:
-                proc.join(timeout=10.0)
-            for proc in procs:
-                if proc.is_alive():  # pragma: no cover - defensive
-                    proc.terminate()
-                    proc.join(timeout=5.0)
-
-
-# ----------------------------------------------------------------------
-# construction by name
-# ----------------------------------------------------------------------
-def make_backend(
-    name: str,
+def run_lease_workers(
+    job: WorkStealingJob,
+    pending: Sequence[Tuple[int, Trial]],
     workers: int,
-    cache: Optional[ResultCache] = None,
-    chunksize: Optional[int] = None,
-    lease_ttl: float = 60.0,
-) -> Any:
-    """Build a backend from its CLI name (see :data:`BACKEND_NAMES`)."""
-    if name == "serial":
-        return SerialBackend()
-    if name == "local-pool":
-        return LocalPoolBackend(workers=max(workers, 1), chunksize=chunksize)
-    if name == "work-stealing":
-        return CacheWorkStealingBackend(
-            cache=cache, workers=max(workers, 1), lease_ttl=lease_ttl
+) -> Iterator[Tuple[int, Trial, Dict[str, Any]]]:
+    """Spawn *workers* local lease workers on *job* and yield
+    ``(index, trial, row)`` as rows land in the store.
+
+    If every spawned worker exits while trials are still incomplete (all
+    of them crashed), the coordinator runs the worker loop itself, so
+    the sweep always completes.
+    """
+    procs: List[multiprocessing.Process] = []
+    for n in range(workers):
+        proc = multiprocessing.Process(
+            target=_worker_entry,
+            args=(str(job.cache.root), job.job_id, default_owner(f"w{n}")),
+            daemon=True,
+            name=f"sweep-lease-{job.job_id}-w{n}",
         )
-    raise ValueError(
-        f"unknown backend {name!r}; choose from {BACKEND_NAMES}"
-    )
+        proc.start()
+        procs.append(proc)
+    keys = {entry["index"]: entry["key"] for entry in job.entries}
+    remaining: Dict[int, Trial] = dict(pending)
+    try:
+        with span("sweep.steal", job=job.job_id, workers=workers) as steal_span:
+            while remaining:
+                progressed = False
+                for index in sorted(remaining):
+                    row = job.read_row(keys[index])
+                    if row is None:
+                        continue
+                    progressed = True
+                    yield index, remaining.pop(index), row
+                if not remaining or progressed:
+                    continue
+                if not any(p.is_alive() for p in procs):
+                    # Every spawned worker is gone but trials are
+                    # incomplete: finish them here via the very same
+                    # claim loop (the dead workers' leases expire and
+                    # get broken).
+                    add_counter("sweep.steal.coordinator_fallbacks")
+                    work_stealing_worker(
+                        job.cache.root, job.job_id, default_owner("coordinator")
+                    )
+                    continue
+                time.sleep(POLL_INTERVAL)
+            steal_span.set(claims=len(job.claims()))
+    finally:
+        for proc in procs:
+            if remaining:  # abandoned or failed run: stop the workers now
+                proc.terminate()
+            proc.join(timeout=10.0)
+            if proc.is_alive():  # pragma: no cover - defensive
+                proc.terminate()
+                proc.join(timeout=5.0)

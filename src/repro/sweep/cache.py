@@ -22,8 +22,8 @@ to be provably dead (:data:`TMP_REAP_TTL_SECONDS`).
 
 Failed trials are deliberately **not** cached — a resume retries them.
 
-The cache doubles as the **shared coordination store** for the
-work-stealing executor backend (:mod:`repro.sweep.backends`): workers on
+The cache doubles as the **shared coordination store** for the sweep's
+lease workers (:mod:`repro.sweep.backends`): workers on
 any host pointed at the same directory claim trials through atomic
 lock-file *leases* (``leases/<key>.lock``, created with
 ``O_CREAT | O_EXCL`` so exactly one claimant wins) that carry an owner
@@ -56,7 +56,7 @@ RESULT_SCHEMA = 1
 #: milliseconds between ``mkstemp`` and ``os.replace``, never for an hour.
 TMP_REAP_TTL_SECONDS = 3600.0
 
-#: Subdirectory of the cache root holding work-stealing lease files.
+#: Subdirectory of the cache root holding lease files.
 LEASE_DIRNAME = "leases"
 
 #: Subdirectory of the cache root holding per-job manifests/claims.

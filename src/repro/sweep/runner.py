@@ -1,39 +1,39 @@
-"""The sweep engine: cache resolution + pluggable executor backends.
+"""The sweep engine: cache resolution, then inline or lease-worker execution.
 
 Design:
 
-* **Backends** — the runner decides *what* runs (cache resolution, row
-  accounting, progress, tracing) and an :mod:`repro.sweep.backends`
-  executor decides *how*: in-process serial, a chunked local process
-  pool, or cache work-stealing workers that may live on other hosts.
-  ``workers=1`` (or a single pending trial) selects the serial backend;
-  otherwise the local pool is the default.
+* **One knob** — ``workers``.  With ``workers == 1`` (or a single pending
+  trial) trials run inline in the calling process, one per step of the
+  stream.  With more, the runner spawns that many lease workers
+  (:mod:`repro.sweep.backends`) that claim trials from the result cache;
+  a run without a ``cache_dir`` gives them a temporary store that is
+  deleted afterwards, so nothing persists.
 * **Streaming** — :meth:`SweepRunner.stream` yields ``(index, row)``
   pairs in completion order as trials finish, feeding incremental
   aggregates (:class:`repro.sweep.aggregate.StreamSummary`) so a 100x
   trial count never has to hold every row in memory at once.
   :meth:`SweepRunner.run` consumes the stream and reassembles spec
   order for callers that want the classic :class:`SweepResult`.
-* **Graceful failure** — a trial that raises becomes a ``failed`` row
-  (handled inside the worker); a pool worker that *dies* (OOM-killed,
-  segfault in a native wheel, ``os._exit``) breaks the pool and the
-  local-pool backend finishes the unfinished trials serially in the
-  parent — recorded in ``SweepStats.fallback_serial`` and announced as
-  an ``{"event": "fallback"}`` progress event.  A sweep always yields
-  one row per trial.
+* **Graceful failure** — a trial that raises becomes a ``failed`` row;
+  a lease worker that *dies* leaves its lease to expire, and a survivor
+  (or, if none is left, the coordinator) re-claims the trial.  A sweep
+  always yields one row per trial.
 * **Resume** — with a :class:`~repro.sweep.cache.ResultCache`, completed
-  trials are served from disk and only the missing ones execute.  Cached
-  and fresh rows are bit-identical in their canonical view (timing is
-  the only non-deterministic field, and it is excluded — see
+  trials are served from disk and only the missing ones execute;
+  re-running an interrupted sweep against the same cache resumes it.
+  Cached and fresh rows are bit-identical in their canonical view
+  (timing is the only non-deterministic field, and it is excluded — see
   :func:`repro.sweep.trial.canonical_row`).
 * **Determinism** — each trial seeds its own RNG streams from its
-  identity, so every backend and worker count produces identical
-  canonical rows (the ``sweep-backends-identical`` check proves it).
+  identity, so every worker count produces identical canonical rows
+  (the ``sweep-modes-identical`` check proves it).
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -57,17 +57,18 @@ from ..obs import (
     span,
 )
 from .backends import (
-    LocalPoolBackend,
-    SerialBackend,
+    LEASE_TTL,
+    WorkStealingJob,
     failed_row,
-    make_backend,
+    new_job_id,
+    run_lease_workers,
 )
 from .cache import ResultCache, trial_key
 from .spec import SweepSpec, Trial
-from .trial import canonical_row, circuit_sha
+from .trial import canonical_row, circuit_sha, run_trial
 
 #: Progress callbacks receive one event dict per completed trial (plus
-#: the initial ``resume`` event and backend events such as ``fallback``).
+#: the initial ``resume`` event and, for lease workers, a ``job`` event).
 ProgressFn = Callable[[Dict[str, Any]], None]
 
 
@@ -84,22 +85,13 @@ class SweepStats:
     done: int = 0
     wall_seconds: float = 0.0
     workers: int = 1
-    #: Which executor backend ran the pending trials.
-    backend: str = "serial"
-    #: True when the process pool died mid-run and the remaining trials
-    #: were finished serially in the parent.
-    fallback_serial: bool = False
 
     def summary(self) -> str:
-        text = (
+        return (
             f"sweep: {self.total} trials: {self.executed} executed, "
             f"{self.cached} cached, {self.failed} failed "
-            f"in {self.wall_seconds:.1f}s "
-            f"({self.workers} workers, {self.backend})"
+            f"in {self.wall_seconds:.1f}s ({self.workers} workers)"
         )
-        if self.fallback_serial:
-            text += " [pool died; finished serially]"
-        return text
 
 
 @dataclass
@@ -117,18 +109,12 @@ class SweepResult:
         return [r for r in self.rows if r.get("status") != "ok"]
 
     def canonical_rows(self) -> List[Dict[str, Any]]:
-        """The deterministic view used for backend equivalence."""
+        """The deterministic view used for execution-mode equivalence."""
         return [canonical_row(r) for r in self.rows]
 
 
 class SweepRunner:
-    """Executes a :class:`SweepSpec`; see the module docstring.
-
-    ``backend`` may be ``None`` (pick serial or local-pool from
-    ``workers``/pending count, the historical behavior), a backend name
-    from :data:`repro.sweep.backends.BACKEND_NAMES`, or a constructed
-    backend instance.
-    """
+    """Executes a :class:`SweepSpec`; see the module docstring."""
 
     def __init__(
         self,
@@ -136,8 +122,6 @@ class SweepRunner:
         cache_dir: Optional[Union[str, Path]] = None,
         resume: bool = True,
         progress: Optional[ProgressFn] = None,
-        chunksize: Optional[int] = None,
-        backend: Optional[Union[str, Any]] = None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -145,10 +129,13 @@ class SweepRunner:
         self.cache = ResultCache(cache_dir) if cache_dir else None
         self.resume = resume
         self.progress = progress
-        self.chunksize = chunksize
-        self.backend = backend
         #: Stats of the in-flight (or most recent) run.
         self.stats = SweepStats()
+        #: The lease job of the most recent lease-worker run (its claims
+        #: record which owner executed each trial); ``None`` until one
+        #: runs.  Without a ``cache_dir`` the job's directory is deleted
+        #: with the temporary store when the run ends.
+        self.last_job: Optional[WorkStealingJob] = None
         #: Root span of the in-flight run; worker span trees are merged
         #: under it (None while no traced run is active).
         self._run_span: Optional[SpanRecord] = None
@@ -169,7 +156,7 @@ class SweepRunner:
         """Execute *spec*, yielding ``(index, row)`` in completion order.
 
         Cached rows and resolve-stage failures are yielded first (resolve
-        order), then executed trials as their backend completes them.
+        order), then executed trials as they complete.
         ``self.stats`` is updated incrementally and is final once the
         iterator is exhausted.
         """
@@ -180,8 +167,8 @@ class SweepRunner:
         keys: List[Optional[str]] = [None] * len(trials)
 
         # ``wall_seconds`` is accounted in a ``finally`` so every exit —
-        # the happy path, the serial fallback, an abandoned iterator,
-        # even an exception propagating out of a stage — leaves the
+        # the happy path, an abandoned iterator, even an exception
+        # propagating out of a stage — leaves the
         # stats with real wall time instead of the 0.0 default.
         try:
             with span(
@@ -234,36 +221,23 @@ class SweepRunner:
                         self._emit(trial, row, stats, clock)
                     yield index, row
 
-                if pending:
-                    executor = self._resolve_executor(len(pending))
-                    stats.backend = executor.name
-                    for index, trial, row in executor.execute(
-                        pending, notify=self._notify
-                    ):
-                        stats.executed += 1
-                        stats.done += 1
-                        if row.get("status") != "ok":
-                            stats.failed += 1
-                        self._merge_trial_trace(row)
-                        if (
-                            self.cache is not None
-                            and not executor.writes_cache
-                            and keys[index] is not None
-                            and row.get("status") == "ok"
-                        ):
-                            # Failures are not cached: a resume retries
-                            # them.
-                            self.cache.put(keys[index], row)
-                        self._emit(trial, row, stats, clock)
-                        yield index, row
-                    if getattr(executor, "fallback_serial", False):
-                        stats.fallback_serial = True
+                if self.workers == 1 or len(pending) <= 1:
+                    completed = self._run_inline(pending, keys)
+                else:
+                    completed = self._run_leased(pending, keys)
+                for index, trial, row in completed:
+                    stats.executed += 1
+                    stats.done += 1
+                    if row.get("status") != "ok":
+                        stats.failed += 1
+                    self._merge_trial_trace(row)
+                    self._emit(trial, row, stats, clock)
+                    yield index, row
 
                 run_span.set(
                     executed=stats.executed,
                     cached=stats.cached,
                     failed=stats.failed,
-                    backend=stats.backend,
                 )
         finally:
             stats.wall_seconds = clock.elapsed()
@@ -271,32 +245,48 @@ class SweepRunner:
             set_gauge("sweep.wall_seconds", stats.wall_seconds)
 
     # ------------------------------------------------------------------
-    def _resolve_executor(self, pending_count: int) -> Any:
-        if self.backend is None:
-            if self.workers == 1 or pending_count == 1:
-                return SerialBackend()
-            return LocalPoolBackend(
-                workers=self.workers, chunksize=self.chunksize
-            )
-        if isinstance(self.backend, str):
-            return make_backend(
-                self.backend,
-                self.workers,
-                cache=self.cache,
-                chunksize=self.chunksize,
-            )
-        return self.backend
+    def _run_inline(
+        self, pending: List[Tuple[int, Trial]], keys: List[Optional[str]]
+    ) -> Iterator[Tuple[int, Trial, Dict[str, Any]]]:
+        """Run each pending trial in this process, one per step."""
+        for index, trial in pending:
+            row = run_trial(trial)
+            if self.cache is not None and row.get("status") == "ok":
+                # Failures are not cached: a resume retries them.
+                self.cache.put(str(keys[index]), row)
+            yield index, trial, row
 
-    def _notify(self, event: Dict[str, Any]) -> None:
-        """Forward a backend-level event into stats and progress."""
-        if event.get("event") == "fallback":
-            self.stats.fallback_serial = True
-            add_counter("sweep.pool_fallbacks")
-        if self.progress is not None:
-            self.progress(dict(event))
-
-    def _failed_row(self, trial: Trial, exc: BaseException) -> Dict[str, Any]:
-        return failed_row(trial, exc)
+    def _run_leased(
+        self, pending: List[Tuple[int, Trial]], keys: List[Optional[str]]
+    ) -> Iterator[Tuple[int, Trial, Dict[str, Any]]]:
+        """Run the pending trials on ``self.workers`` lease workers over
+        the result cache (a temporary one when the runner has none)."""
+        scratch = (
+            tempfile.TemporaryDirectory(prefix="repro-sweep-")
+            if self.cache is None
+            else contextlib.nullcontext(None)
+        )
+        with scratch as tmp:
+            cache = self.cache if self.cache is not None else ResultCache(tmp)
+            job = WorkStealingJob.create(
+                cache,
+                new_job_id(pending),
+                pending,
+                {index: str(keys[index]) for index, _ in pending},
+                LEASE_TTL,
+                resume=self.resume,
+            )
+            self.last_job = job
+            if self.progress is not None:
+                self.progress(
+                    {
+                        "event": "job",
+                        "job_id": job.job_id,
+                        "job_dir": str(job.root),
+                        "trials": len(pending),
+                    }
+                )
+            yield from run_lease_workers(job, pending, self.workers)
 
     def _merge_trial_trace(self, row: Dict[str, Any]) -> None:
         """Fold an *executed* trial's span tree (recorded in the worker,
@@ -379,8 +369,6 @@ def run_sweep(
     cache_dir: Optional[Union[str, Path]] = None,
     resume: bool = True,
     progress: Optional[ProgressFn] = None,
-    chunksize: Optional[int] = None,
-    backend: Optional[Union[str, Any]] = None,
 ) -> SweepResult:
     """Convenience wrapper: build a :class:`SweepRunner` and run *spec*."""
     runner = SweepRunner(
@@ -388,8 +376,6 @@ def run_sweep(
         cache_dir=cache_dir,
         resume=resume,
         progress=progress,
-        chunksize=chunksize,
-        backend=backend,
     )
     return runner.run(spec)
 

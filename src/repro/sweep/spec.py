@@ -8,7 +8,7 @@ and ablation studies) is the same experiment shape: a grid of
 where each cell is an independent *trial*.  :class:`SweepSpec` is the
 declarative form of that grid; :meth:`SweepSpec.trials` expands it into a
 deterministic, ordered list of :class:`Trial` records that the runner
-executes (serially or across a process pool) and the result cache
+executes (inline or on lease workers) and the result cache
 addresses by content.
 
 Determinism contract

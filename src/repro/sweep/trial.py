@@ -2,7 +2,7 @@
 
 A trial is: load the circuit → run the selection algorithm → run the
 requested analyses → optionally run an attack against the provisioned
-oracle → emit one JSON row.  This module is what a pool worker imports;
+oracle → emit one JSON row.  This module is what a lease worker imports;
 all of its state is module-level so that a worker executing many trials
 pays the expensive setup once:
 

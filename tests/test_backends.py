@@ -1,5 +1,6 @@
-"""Executor backends: the lease protocol, work-stealing execution and
-accounting, multi-host workers, and crash-resume after SIGKILL."""
+"""Lease workers: the lease protocol, lease-worker execution and
+accounting, multi-host workers, crash-resume after SIGKILL, and
+``resume=False`` under lease workers."""
 
 from __future__ import annotations
 
@@ -7,22 +8,18 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from collections import Counter
 
-import pytest
-
 from repro.sweep import (
-    CacheWorkStealingBackend,
-    LocalPoolBackend,
     ResultCache,
-    SerialBackend,
     SweepRunner,
     SweepSpec,
     WorkStealingJob,
+    canonical_row,
     circuit_sha,
-    make_backend,
     run_sweep,
     trial_key,
     work_stealing_worker,
@@ -127,41 +124,35 @@ def test_job_manifest_round_trip_and_claims(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# backend selection
+# lease-worker execution
 # ----------------------------------------------------------------------
-def test_make_backend_resolves_names(tmp_path):
-    assert isinstance(make_backend("serial", 1), SerialBackend)
-    pool = make_backend("local-pool", 3)
-    assert isinstance(pool, LocalPoolBackend) and pool.workers == 3
-    steal = make_backend("work-stealing", 2, cache=ResultCache(tmp_path))
-    assert isinstance(steal, CacheWorkStealingBackend)
-    with pytest.raises(ValueError):
-        make_backend("quantum", 2)
+def test_lease_workers_without_cache_dir_use_a_temporary_store(
+    tmp_path, monkeypatch
+):
+    """``workers > 1`` with no ``cache_dir`` still runs on lease workers,
+    over a temporary store that is gone once the run ends."""
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", None)
+    runner = SweepRunner(workers=2)
+    result = runner.run(SPEC)
+    assert result.stats.executed == result.stats.total == 4
+    assert not result.failed_rows()
+    assert result.canonical_rows() == run_sweep(SPEC).canonical_rows()
+    assert runner.last_job is not None
+    assert not runner.last_job.cache.root.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_work_stealing_without_cache_is_an_error():
-    runner = SweepRunner(workers=2, backend="work-stealing")
-    with pytest.raises(ValueError, match="cache"):
-        runner.run(SPEC)
-
-
-# ----------------------------------------------------------------------
-# work-stealing execution
-# ----------------------------------------------------------------------
 def test_work_stealing_rows_identical_to_serial_no_double_execution(
     tmp_path,
 ):
     serial = run_sweep(SPEC, workers=1)
-    backend = CacheWorkStealingBackend(
-        cache=ResultCache(tmp_path), workers=2, lease_ttl=60.0
-    )
-    runner = SweepRunner(workers=2, cache_dir=tmp_path, backend=backend)
+    runner = SweepRunner(workers=2, cache_dir=tmp_path)
     result = runner.run(SPEC)
-    assert result.stats.backend == "work-stealing"
     assert result.canonical_rows() == serial.canonical_rows()
     assert result.stats.executed == result.stats.total == 4
 
-    claims = backend.last_job.claims()
+    claims = runner.last_job.claims()
     counts = Counter(c["key"] for c in claims)
     assert len(claims) == 4  # one execution per trial...
     assert all(n == 1 for n in counts.values())  # ...never two
@@ -173,64 +164,63 @@ def test_work_stealing_rows_identical_to_serial_no_double_execution(
 
 
 def test_work_stealing_failed_trials_not_cached_and_retried(tmp_path):
-    spec = SweepSpec(circuits=("s27",), algorithms=("made_up_algo",))
-    backend = CacheWorkStealingBackend(
-        cache=ResultCache(tmp_path), workers=1, lease_ttl=60.0
+    spec = SweepSpec(
+        circuits=("s27",), algorithms=("made_up_algo",), seeds=(0, 1)
     )
-    result = SweepRunner(
-        workers=1, cache_dir=tmp_path, backend=backend
-    ).run(spec)
-    (row,) = result.rows
-    assert row["status"] == "failed" and "made_up_algo" in row["error"]
+    runner = SweepRunner(workers=2, cache_dir=tmp_path)
+    result = runner.run(spec)
+    assert len(result.rows) == 2
+    for row in result.rows:
+        assert row["status"] == "failed" and "made_up_algo" in row["error"]
     assert len(ResultCache(tmp_path)) == 0  # failures never enter the cache
-    failed_files = list((backend.last_job.root / "failed").glob("*.json"))
-    assert len(failed_files) == 1
+    failed_files = list((runner.last_job.root / "failed").glob("*.json"))
+    assert len(failed_files) == 2
 
-    # A later job retries the failure (its failed/ area is per-job).
-    retry_backend = CacheWorkStealingBackend(
-        cache=ResultCache(tmp_path), workers=1, lease_ttl=60.0
-    )
-    retry = SweepRunner(
-        workers=1, cache_dir=tmp_path, backend=retry_backend
-    ).run(spec)
-    assert retry.stats.executed == 1
-    assert len(retry_backend.last_job.claims()) == 1
+    # A later job retries the failures (its failed/ area is per-job).
+    retry_runner = SweepRunner(workers=2, cache_dir=tmp_path)
+    retry = retry_runner.run(spec)
+    assert retry.stats.executed == 2
+    assert len(retry_runner.last_job.claims()) == 2
+    assert retry_runner.last_job.job_id != runner.last_job.job_id
+
+
+def test_no_resume_under_lease_workers_recomputes_every_trial(tmp_path):
+    """Regression: with ``resume=False`` the workers took the warm rows
+    already in the cache for completed trials, so the run reported every
+    trial executed while no worker claimed any of them."""
+    warm = run_sweep(SPEC, workers=2, cache_dir=tmp_path)
+    assert warm.stats.executed == 4
+
+    runner = SweepRunner(workers=2, cache_dir=tmp_path, resume=False)
+    rerun = runner.run(SPEC)
+    claims = runner.last_job.claims()
+    assert rerun.stats.cached == 0
+    assert rerun.stats.executed == len(claims) == rerun.stats.total == 4
+    assert len({c["key"] for c in claims}) == 4
+    assert rerun.canonical_rows() == warm.canonical_rows()
 
 
 def test_external_worker_joins_via_shared_directory(tmp_path):
-    """Multi-host mode: ``spawn_workers=False`` leaves execution entirely
-    to workers started elsewhere and pointed at the shared directory
-    (here: a thread running the same loop the CLI's ``sweep-worker``
-    runs)."""
+    """Multi-host mode: a worker started elsewhere and pointed at the
+    shared directory (here: the loop the CLI's ``sweep-worker`` runs)
+    executes a job from its manifest alone, with no runner-spawned
+    workers."""
     cache = ResultCache(tmp_path)
-    backend = CacheWorkStealingBackend(
-        cache=cache,
-        workers=1,
-        lease_ttl=60.0,
-        job_id="job-ext",
-        spawn_workers=False,
-    )
-
-    def external_worker():
-        manifest = tmp_path / "jobs" / "job-ext" / "manifest.json"
-        deadline = time.time() + 30
-        while not manifest.exists():
-            assert time.time() < deadline, "manifest never appeared"
-            time.sleep(0.01)
-        work_stealing_worker(tmp_path, "job-ext", "other-host-w0")
-
-    thread = threading.Thread(target=external_worker, daemon=True)
-    thread.start()
-    result = SweepRunner(
-        workers=1, cache_dir=tmp_path, backend=backend
-    ).run(SPEC)
-    thread.join(timeout=30)
-    assert not thread.is_alive()
-    assert result.stats.executed == 4 and not result.failed_rows()
-    assert {c["owner"] for c in backend.last_job.claims()} == {
-        "other-host-w0"
+    pending = list(enumerate(SPEC.trials()))
+    keys = {
+        i: trial_key(t, circuit_sha(t.circuit, t.gen_seed))
+        for i, t in pending
     }
-    assert result.canonical_rows() == run_sweep(SPEC).canonical_rows()
+    job = WorkStealingJob.create(cache, "job-ext", pending, keys, 60.0)
+    executed = work_stealing_worker(tmp_path, "job-ext", "other-host-w0")
+    assert executed == 4
+    assert {c["owner"] for c in job.claims()} == {"other-host-w0"}
+    assert len(job.claims()) == 4
+    rows = [job.read_row(keys[i]) for i, _ in pending]
+    assert all(row is not None and row["status"] == "ok" for row in rows)
+    assert [canonical_row(row) for row in rows] == (
+        run_sweep(SPEC).canonical_rows()
+    )
 
 
 def test_sigkilled_worker_lease_expires_and_trial_is_reclaimed(tmp_path):
@@ -272,15 +262,11 @@ def test_sigkilled_worker_lease_expires_and_trial_is_reclaimed(tmp_path):
 
     # The dead worker's lease is still on disk; the sweep must break it
     # once expired (ttl 1.0s) and execute every trial anyway.
-    backend = CacheWorkStealingBackend(
-        cache=cache, workers=2, lease_ttl=60.0, poll_interval=0.02
-    )
-    result = SweepRunner(
-        workers=2, cache_dir=tmp_path, backend=backend
-    ).run(SPEC)
+    runner = SweepRunner(workers=2, cache_dir=tmp_path)
+    result = runner.run(SPEC)
     assert result.stats.executed == 4 and not result.failed_rows()
 
-    claims = backend.last_job.claims()
+    claims = runner.last_job.claims()
     counts = Counter(c["key"] for c in claims)
     assert counts[victim_key] == 1  # re-claimed exactly once
     assert all(n == 1 for n in counts.values())

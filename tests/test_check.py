@@ -74,6 +74,13 @@ class TestRegistry:
         mixed = resolve_checks(["sim", "sim-backend-parity"])
         assert len(mixed) == len(by_family)
 
+    def test_sweep_family_is_one_merged_check(self):
+        # Serial, lease-worker and warm-cache equivalence plus lease
+        # accounting all live in one check.
+        assert [c.name for c in resolve_checks(["sweep"])] == [
+            "sweep-modes-identical"
+        ]
+
     def test_unknown_name_is_a_typed_error(self):
         with pytest.raises(CheckError, match="unknown check"):
             resolve_checks(["no-such-check"])

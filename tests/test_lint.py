@@ -35,7 +35,7 @@ from repro.locking import (
     SecurityLevel,
     SecurityRequirement,
 )
-from repro.netlist import GateType, Netlist, NetlistError, validate_netlist
+from repro.netlist import GateType, Netlist, NetlistError
 
 pytestmark = pytest.mark.lint
 
@@ -811,28 +811,8 @@ class TestRealLocks:
 
 
 # ---------------------------------------------------------------------------
-# validate shim and flow gates
+# flow gates
 # ---------------------------------------------------------------------------
-
-
-class TestValidateShim:
-    def test_issue_codes_are_lint_slugs(self):
-        subject, _ = bad_nl101()
-        with pytest.warns(DeprecationWarning, match="validate_netlist"):
-            issues = validate_netlist(subject)
-        assert issues and issues[0].code == "undriven-net"
-
-    def test_assert_valid_aggregates_all_errors(self):
-        from repro.netlist import assert_valid
-
-        n = Netlist("bad")
-        n.add_input("a")
-        n.add_gate("y", GateType.AND, ["a", "ghost"])
-        n.add_output("y")
-        n.add_output("phantom")
-        with pytest.warns(DeprecationWarning, match="assert_valid"):
-            with pytest.raises(NetlistError, match="2 structural error"):
-                assert_valid(n)
 
 
 class TestFlowGates:

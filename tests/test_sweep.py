@@ -4,7 +4,6 @@ handling, aggregation, and the ``repro-lock sweep`` CLI."""
 from __future__ import annotations
 
 import json
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -25,7 +24,6 @@ from repro.sweep import (
     summarize,
     trial_key,
 )
-from repro.sweep import backends as backends_mod
 from repro.sweep import runner as runner_mod
 
 SMALL_SPEC = SweepSpec(
@@ -297,49 +295,6 @@ def test_algorithm_error_inside_worker_is_captured():
     assert "made_up_algo" in row["error"]
 
 
-class ExplodingPool:
-    """Stand-in for ProcessPoolExecutor whose workers all died."""
-
-    def __init__(self, max_workers=None):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args, **kwargs):
-        from concurrent.futures import Future
-
-        future = Future()
-        future.set_exception(BrokenProcessPool("worker died"))
-        return future
-
-
-def test_broken_pool_falls_back_to_serial(monkeypatch, tmp_path):
-    """A worker that dies hard breaks the pool; the runner must still
-    return one row per trial by finishing serially in the parent — and
-    the degraded run must be *recorded*: ``stats.fallback_serial`` plus
-    a ``fallback`` progress event, not a silently wrong worker count."""
-    monkeypatch.setattr(backends_mod, "ProcessPoolExecutor", ExplodingPool)
-    events = []
-    result = run_sweep(
-        SMALL_SPEC, workers=3, cache_dir=tmp_path / "c",
-        progress=events.append,
-    )
-    assert result.stats.total == 12
-    assert not result.failed_rows()
-    assert result.stats.fallback_serial is True
-    (fallback,) = [e for e in events if e["event"] == "fallback"]
-    assert fallback["remaining"] == 12
-    assert "worker died" in fallback["reason"] or "pool" in fallback["reason"]
-    assert "[pool died" in result.stats.summary()
-    fresh = run_sweep(SMALL_SPEC, workers=1, cache_dir=tmp_path / "d")
-    assert fresh.stats.fallback_serial is False
-    assert result.canonical_rows() == fresh.canonical_rows()
-
-
 # ----------------------------------------------------------------------
 # aggregation
 # ----------------------------------------------------------------------
@@ -513,19 +468,6 @@ def test_eta_is_boundary_safe():
     assert eta(-0.001, 1, 5) == 0.0  # clock skew never goes negative
     assert eta(2.0, 4, 6) == pytest.approx(3.0)
     assert eta(0.0, 3, 7) == 0.0  # instant trials: finite, not inf/nan
-
-
-def test_broken_pool_fallback_still_accounts_wall_time(
-    monkeypatch, tmp_path
-):
-    """Regression: the serial-fallback path returned with
-    ``stats.wall_seconds`` still at its 0.0 default."""
-    monkeypatch.setattr(backends_mod, "ProcessPoolExecutor", ExplodingPool)
-    spec = SweepSpec(circuits=("s27",), seeds=(0, 1))
-    result = run_sweep(spec, workers=2, cache_dir=tmp_path / "c")
-    assert not result.failed_rows()
-    assert result.stats.wall_seconds > 0.0
-    assert result.stats.fallback_serial is True
 
 
 # ----------------------------------------------------------------------
