@@ -14,7 +14,7 @@ never on the configuration — so timing does not leak the secret function).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..netlist.csr import csr_view
 from ..netlist.gates import GateType
@@ -86,8 +86,14 @@ class TimingAnalyzer:
         self,
         netlist: Netlist,
         clock_period_ns: Optional[float] = None,
+        as_lut: Iterable[str] = (),
     ) -> TimingReport:
         """Run STA; returns arrivals, longest-path delay, and critical path.
+
+        Nodes named in *as_lut* are timed as STT LUTs of their arity, as if
+        :meth:`~repro.netlist.netlist.Netlist.replace_with_lut` had been
+        applied to them, without mutating the netlist: the candidate timing
+        of parametric selection costs no revision bump and no view rebuild.
 
         The propagation runs over the CSR view: arrival times and worst
         predecessors live in flat arrays indexed by node id, and per-node
@@ -102,6 +108,10 @@ class TimingAnalyzer:
         prev = [-1] * n
         clk_to_q = self.tech.dff.clk_to_q_ns
         gate_types = view.gate_types
+        if as_lut:
+            gate_types = list(gate_types)
+            for name in as_lut:
+                gate_types[view.index[name]] = GateType.LUT
         is_input, is_seq = view.is_input, view.is_seq
         fi_ptr, fi_idx = view.fanin_ptr, view.fanin_idx
         delay_cache: Dict[Tuple[GateType, int], float] = {}
@@ -182,9 +192,10 @@ class TimingAnalyzer:
             clock_period_ns=clock_period_ns,
         )
 
-    def max_delay(self, netlist: Netlist) -> float:
-        """Shortcut: just the longest-path delay."""
-        return self.analyze(netlist).max_delay_ns
+    def max_delay(self, netlist: Netlist, as_lut: Iterable[str] = ()) -> float:
+        """Shortcut: just the longest-path delay (see :meth:`analyze` for
+        *as_lut*)."""
+        return self.analyze(netlist, as_lut=as_lut).max_delay_ns
 
     def path_delay(self, netlist: Netlist, path: List[str]) -> float:
         """Sum of gate delays along an explicit node sequence."""

@@ -78,11 +78,10 @@ class ConfiguredOracle:
         self._memo_epoch = self._epoch()
 
     def _epoch(self) -> tuple:
-        """Memo validity epoch: any structural or functional netlist
-        mutation invalidates it — including direct ``lut_config``
-        rewrites, which deliberately do not bump ``function_revision``
-        (the hypothesis-sweep idiom), so the configs themselves are part
-        of the epoch."""
+        """Memo validity epoch: any structural netlist mutation (gate-type
+        rewrites included) invalidates it, and so do direct ``lut_config``
+        rewrites, which deliberately bump no revision (the hypothesis-sweep
+        idiom), so the configs themselves are part of the epoch."""
         if self._lut_revision != self.netlist.structure_revision:
             self._lut_nodes = [
                 self.netlist.node(name) for name in self.netlist.luts
@@ -90,7 +89,6 @@ class ConfiguredOracle:
             self._lut_revision = self.netlist.structure_revision
         return (
             self.netlist.structure_revision,
-            self.netlist.function_revision,
             tuple(node.lut_config for node in self._lut_nodes),
         )
 

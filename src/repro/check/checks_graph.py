@@ -261,6 +261,55 @@ def graph_sta_path_parity(ctx: CheckContext) -> None:
 
 
 @register(
+    name="graph-warm-view-freshness",
+    family="graph",
+    description="after LUT insertion on a netlist whose views are "
+    "already warm, STA and the CSR kernels must agree with the same "
+    "queries on a fresh copy() of the locked netlist",
+    trial_divisor=4,
+)
+def graph_warm_view_freshness(ctx: CheckContext) -> None:
+    from ..analysis.sta import TimingAnalyzer
+
+    analyzer = TimingAnalyzer()
+
+    def facts(netlist: Netlist) -> dict:
+        view = csr_view(netlist)
+        report = analyzer.analyze(netlist)
+        return {
+            "STA max delay": report.max_delay_ns,
+            "STA critical path": report.critical_path,
+            "STA per-net arrivals": report.arrival_ns,
+            "CSR LUT column": sorted(
+                view.names[i] for i in range(view.n) if view.is_lut[i]
+            ),
+            "topological order": list(topological_order(netlist)),
+            "logic levels": dict(levelize(netlist)),
+        }
+
+    for round_no in range(ctx.trials):
+        for label, netlist in _circuits(ctx, round_no):
+            facts(netlist)  # warm every view before locking
+            candidates = [
+                g
+                for g in netlist.gates
+                if 2 <= netlist.node(g).n_inputs <= 8
+                and not netlist.node(g).is_lut
+            ]
+            for name in ctx.rng.sample(candidates, min(5, len(candidates))):
+                netlist.replace_with_lut(name)
+            warm, fresh = facts(netlist), facts(netlist.copy())
+            for fact, value in warm.items():
+                ctx.compare(
+                    f"{fact} after LUT insertion (warm view vs copy())",
+                    value,
+                    fresh[fact],
+                    round=round_no,
+                    circuit=label,
+                )
+
+
+@register(
     name="graph-lint-dataflow-parity",
     family="graph",
     description="the CSR-backed lint structural walks (NL105/NL106/NL112) "

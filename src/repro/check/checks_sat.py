@@ -70,7 +70,7 @@ def _mutate_one_gate(netlist: Netlist, rng: random.Random) -> Optional[str]:
         return None
     node = netlist.node(rng.choice(flippable))
     node.gate_type = _FLIPPED_TYPE[node.gate_type]
-    netlist.touch_function()
+    netlist.touch_structure()
     return node.name
 
 

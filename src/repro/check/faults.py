@@ -2,12 +2,12 @@
 
 A differential check that never fires is worse than no check — it
 launders confidence.  Each :class:`Fault` here deliberately breaks one
-layer the checks guard (a stale compiled kernel, a lying SAT solver, a
-tampered sweep-cache row, an oracle that forgets to bill memoized
-replays, a simplify pass that miswires a gate), runs the corresponding
-check family, and demands at least one divergence.  The faults are
-installed by monkeypatching the real code paths — the checks themselves
-are byte-for-byte the ones the normal run uses.
+layer the checks guard (a stale compiled kernel, a stale netlist view,
+a lying SAT solver, a tampered sweep-cache row, an oracle that forgets to
+bill memoized replays, a simplify pass that miswires a gate), runs the
+corresponding check family, and demands at least one divergence.  The
+faults are installed by monkeypatching the real code paths — the checks
+themselves are byte-for-byte the ones the normal run uses.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def _inject_broken_simplify() -> Callable[[], None]:
             node = netlist.node(name)
             if node.gate_type in flipped:
                 node.gate_type = flipped[node.gate_type]
-                netlist.touch_function()
+                netlist.touch_structure()
                 break
         return stats
 
@@ -235,6 +235,28 @@ def _inject_csr_edge_corruption() -> Callable[[], None]:
     return undo
 
 
+def _inject_stale_view() -> Callable[[], None]:
+    """``replace_with_lut`` skips the revision bump, so views built before
+    LUT insertion keep the old gate types and STA times a hybrid as if it
+    were the original design (Table I's performance column reads 0 %)."""
+    from ..netlist.netlist import Netlist
+
+    original = Netlist.replace_with_lut
+
+    def unbumped(self, name, program=True):
+        revision = self._structure_revision
+        node = original(self, name, program)
+        self._structure_revision = revision
+        return node
+
+    Netlist.replace_with_lut = unbumped  # type: ignore[method-assign]
+
+    def undo() -> None:
+        Netlist.replace_with_lut = original  # type: ignore[method-assign]
+
+    return undo
+
+
 FAULTS: List[Fault] = [
     Fault(
         name="stale-compiled-kernel",
@@ -285,6 +307,13 @@ FAULTS: List[Fault] = [
         description="CSR views are built with one fan-in edge redirected "
         "onto a startpoint",
         inject=_inject_csr_edge_corruption,
+    ),
+    Fault(
+        name="stale-view",
+        family="graph",
+        description="replace_with_lut skips the revision bump, so warm "
+        "views keep the pre-lock gate types",
+        inject=_inject_stale_view,
     ),
 ]
 

@@ -268,7 +268,6 @@ class KeyLeakAnalyzer:
             foundry = netlist.copy(netlist.name)
             for name in foundry.luts:
                 foundry.node(name).lut_config = None
-            foundry.touch_function()
             for name in sorted(luts):
                 with span("dataflow.lut", lut=name) as lut_span:
                     cone = extract_key_cone(foundry, name)

@@ -172,7 +172,6 @@ class DontCareProver:
         flipped = self._base.copy(f"{self._base.name}:flipped")
         node = flipped.node(bit.lut)
         node.lut_config ^= 1 << bit.row
-        flipped.touch_function()
         try:
             if self._session is None:
                 self._session = EquivalenceSession(self._base)

@@ -180,25 +180,9 @@ class ParametricSelection(SelectionAlgorithm):
         return []
 
     def _trial_delay(self, netlist: Netlist, names: List[str]) -> float:
-        """Longest-path delay with *names* temporarily turned into LUTs."""
-        undo: List[Tuple[str, GateType]] = []
-        try:
-            for name in names:
-                node = netlist.node(name)
-                if node.is_lut or not node.is_combinational:
-                    continue
-                original_type = node.gate_type
-                netlist.replace_with_lut(name, program=True)
-                undo.append((name, original_type))
-            return self.timing.max_delay(netlist)
-        finally:
-            for name, original_type in undo:
-                node = netlist.node(name)
-                node.gate_type = original_type
-                node.lut_config = None
-                node.attrs.pop("locked_from", None)
-            if undo:
-                netlist.touch_function()
+        """Longest-path delay with *names* timed as LUTs (the netlist is
+        left untouched)."""
+        return self.timing.max_delay(netlist, as_lut=names)
 
     def describe_params(self) -> Dict[str, object]:
         params = super().describe_params()

@@ -18,8 +18,8 @@ both build on it).
 
 Cached values are **shared**: callers must treat them as read-only
 snapshots.  Mutating the netlist through its mutators (or calling
-``touch_structure()`` after editing ``node.fanin`` directly) bumps the
-revision, and the next query recomputes; lists handed out earlier keep
+``touch_structure()`` after editing ``node.fanin`` or ``node.gate_type``
+directly) bumps the revision, and the next query recomputes; lists handed out earlier keep
 their pre-mutation snapshot semantics, which is exactly what the in-place
 rewrite passes (e.g. :func:`repro.netlist.simplify.propagate_constants`)
 rely on.

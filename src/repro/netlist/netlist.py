@@ -125,41 +125,28 @@ class Netlist:
         self.outputs: List[str] = []
         self._fanout: Dict[str, Set[str]] = {}
         self._structure_revision = 0
-        self._function_revision = 0
 
     # ------------------------------------------------------------------
     # mutation tracking
     # ------------------------------------------------------------------
     @property
     def structure_revision(self) -> int:
-        """Counter bumped whenever the graph structure (node set, fan-in
-        wiring, outputs) changes.  :mod:`repro.netlist.cache` keys its
-        memoized topological order / levelization / networkx views on it."""
-        return self._structure_revision
+        """The netlist's one revision counter, bumped whenever the node set,
+        fan-in wiring, outputs or gate types change.  Every memoized view
+        (:mod:`repro.netlist.cache`, the CSR arrays, compiled simulation
+        programs) is keyed on it.
 
-    @property
-    def function_revision(self) -> int:
-        """Counter bumped whenever the *boolean function* of the design may
-        have changed: every structural change, plus in-place gate-type
-        rewrites.  The compiled simulation backend
-        (:mod:`repro.sim.compiled`) keys its code cache on it.
-
-        Note: ``lut_config`` assignments deliberately do **not** bump this —
-        LUT configurations are runtime data to the compiled backend, so
-        attacks that sweep hypothesis configs never trigger recompilation.
+        ``lut_config`` assignments deliberately do **not** bump it: LUT
+        configurations are runtime data, so attacks that sweep hypothesis
+        configs never invalidate a view or trigger recompilation.
         """
-        return self._function_revision
+        return self._structure_revision
 
     def touch_structure(self) -> None:
         """Record an out-of-band structural mutation (callers that edit
-        ``node.fanin`` / ``_fanout`` directly must call this)."""
+        ``node.fanin`` / ``node.gate_type`` / ``_fanout`` directly must
+        call this)."""
         self._structure_revision += 1
-        self._function_revision += 1
-
-    def touch_function(self) -> None:
-        """Record an out-of-band gate-function mutation (e.g. rewriting
-        ``node.gate_type`` in place without touching the wiring)."""
-        self._function_revision += 1
 
     # ------------------------------------------------------------------
     # construction
@@ -291,7 +278,7 @@ class Netlist:
         node.attrs["locked_from"] = node.gate_type.value
         node.gate_type = GateType.LUT
         node.lut_config = mask if program else None
-        self.touch_function()
+        self.touch_structure()
         return node
 
     def rewire_fanin(self, name: str, pin: int, new_src: str) -> None:

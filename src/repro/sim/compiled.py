@@ -22,11 +22,14 @@ Design points:
   time have their configuration fetched from the node at call time, so
   the attacks' hypothesis sweeps (which rewrite ``lut_config`` thousands
   of times) never trigger a recompile.
-* **Safety under mutation** — a program is keyed on the netlist's
-  ``function_revision`` plus a snapshot of the folded configurations.  If
-  a folded configuration is rewritten after compilation, the program is
-  rebuilt once with *every* LUT demoted to dynamic, after which it stays
-  stable no matter how configurations churn.
+* **Safety under mutation** — a program is keyed on the netlist's one
+  revision counter, ``structure_revision``, which every change to the
+  node set, wiring, outputs or gate types bumps (``replace_with_lut``
+  included), plus a snapshot of the folded configurations.
+  ``lut_config`` writes bump nothing, so if a folded configuration is
+  rewritten after compilation, the program is rebuilt once with *every*
+  LUT demoted to dynamic, after which it stays stable no matter how
+  configurations churn.
 * **Bit-identical results** — masking mirrors the interpreter exactly
   (inverting ops are ``x ^ mask``), and the word-parallel LUT fallback is
   the interpreter's own helper, so ``compiled == interpreted`` bit for
@@ -259,7 +262,7 @@ class CompiledProgram:
     """One netlist's generated evaluation kernel(s) plus validity metadata."""
 
     def __init__(self, netlist: Netlist, force_dynamic: bool = False):
-        self.function_revision = netlist.function_revision
+        self.structure_revision = netlist.structure_revision
         self.force_dynamic = force_dynamic
         view = csr_view(netlist)
         self._order = combinational_order(netlist)
@@ -381,7 +384,7 @@ class CompiledProgram:
     # execution
     # ------------------------------------------------------------------
     def is_valid_for(self, netlist: Netlist) -> bool:
-        if netlist.function_revision != self.function_revision:
+        if netlist.structure_revision != self.structure_revision:
             return False
         for node, config in self.folded:
             if node.lut_config != config:
@@ -568,9 +571,9 @@ def get_program(netlist: Netlist) -> CompiledProgram:
         return program
     if (
         program is not None
-        and program.function_revision == netlist.function_revision
+        and program.structure_revision == netlist.structure_revision
     ):
-        # Same structure/function epoch, but a folded config moved: the
+        # Same structure epoch, but a folded config moved: the
         # netlist's configurations are runtime data from now on.
         program = CompiledProgram(netlist, force_dynamic=True)
     else:

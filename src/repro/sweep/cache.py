@@ -27,15 +27,14 @@ lease workers (:mod:`repro.sweep.backends`): workers on
 any host pointed at the same directory claim trials through atomic
 lock-file *leases* (``leases/<key>.lock``, created with
 ``O_CREAT | O_EXCL`` so exactly one claimant wins) that carry an owner
-and an expiry; a lease whose holder died is broken atomically
-(``os.replace`` onto a unique grave name — only one breaker can win)
+and an expiry; a lease whose holder died is broken by the one breaker
+that wins an ``O_EXCL`` token for it, which overwrites it atomically,
 and the trial is re-claimed.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import logging
 import os
@@ -48,8 +47,9 @@ from .spec import Trial, canonical_json
 
 logger = logging.getLogger(__name__)
 
-#: Bump when the row schema changes shape; part of every cache key.
-RESULT_SCHEMA = 1
+#: Bump when the row schema changes shape, or when the values a trial
+#: produces change; part of every cache key.
+RESULT_SCHEMA = 2
 
 #: ``.tmp-*`` orphans older than this are reaped when a cache is opened.
 #: Generous on purpose: a live writer holds its temp file for the few
@@ -62,8 +62,9 @@ LEASE_DIRNAME = "leases"
 #: Subdirectory of the cache root holding per-job manifests/claims.
 JOBS_DIRNAME = "jobs"
 
-#: Unique suffixes for lease grave files (see :meth:`ResultCache.try_lease`).
-_GRAVE_COUNTER = itertools.count()
+#: Seconds after which an unreadable lease or an orphaned break token
+#: counts as abandoned: a live writer holds either for microseconds.
+STALE_WRITE_SECONDS = 5.0
 
 
 def _code_version() -> str:
@@ -144,9 +145,9 @@ class ResultCache:
         patterns = {shard: (".tmp-*",) for shard in shards}
         lease_dir = self.root / LEASE_DIRNAME
         if lease_dir.is_dir():
-            # Grave files are normally unlinked right after the breaking
-            # os.replace; one survives only if the breaker died in between.
-            patterns[lease_dir] = (".tmp-*", ".expired-*")
+            # Break tokens are unlinked right after the break; one
+            # survives only if the breaker died in between.
+            patterns[lease_dir] = (".tmp-*", ".break-*")
         for shard, shard_patterns in patterns.items():
             for pattern in shard_patterns:
                 for path in shard.glob(pattern):
@@ -257,52 +258,80 @@ class ResultCache:
         The grant is an atomic ``O_CREAT | O_EXCL`` file creation, so of
         any number of racing claimants exactly one wins.  An existing
         lease whose expiry has passed (its holder crashed or was
-        SIGKILLed mid-trial) is *broken* first: ``os.replace`` moves it
-        onto a unique grave name — atomic, so of any number of racing
-        breakers exactly one wins and the losers return ``False`` — and
-        then the normal grant race runs.
+        SIGKILLed mid-trial) is *broken* instead: see
+        :meth:`_break_lease`.
         """
         path = self._lease_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
+        lease = {"owner": owner, "expires": time.time() + ttl}
         try:
             fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            if not self._lease_expired(path):
-                return False
-            grave = path.with_name(
-                f".expired-{os.getpid()}-{next(_GRAVE_COUNTER)}-{path.name}"
-            )
-            try:
-                os.replace(path, grave)
-                os.unlink(grave)
-            except OSError:
-                return False  # another breaker (or a release) won the race
-            try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except (FileExistsError, OSError):
-                return False  # a rival claimed the freshly vacated slot
+            return self._break_lease(path, lease)
         with os.fdopen(fd, "w") as handle:
-            handle.write(
-                json.dumps(
-                    {"owner": owner, "expires": time.time() + ttl},
-                    sort_keys=True,
-                )
-            )
+            handle.write(json.dumps(lease, sort_keys=True))
         return True
 
-    @staticmethod
-    def _lease_expired(path: Path) -> bool:
+    def _break_lease(self, path: Path, lease: Dict[str, Any]) -> bool:
+        """Replace the dead lease at *path* with *lease*, or return False.
+
+        Breaking must not free the slot, or a plain claimant could be
+        granted it while the breaker re-claims it.  So the breaker first
+        creates an ``O_EXCL`` token named after the dead lease's content,
+        making it the only breaker of that lease; under the token it
+        checks that the lease is still the dead one and overwrites it
+        atomically.  A slow breaker that wins the token after a break
+        finds a different lease and backs off.
+        """
+        dead = self._dead_lease_text(path)
+        if dead is None:
+            return False
+        digest = hashlib.sha256(dead.encode()).hexdigest()[:16]
+        token = path.with_name(f".break-{digest}-{path.name}")
         try:
-            data = json.loads(path.read_text())
-            return float(data["expires"]) <= time.time()
-        except (OSError, ValueError, KeyError, TypeError):
-            # Unreadable: either mid-write (the O_CREAT..write window) or
-            # already released.  Only call it dead once it is stale by
-            # mtime too, so a half-written fresh lease is never broken.
+            os.close(os.open(token, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            # Another breaker holds the token, or one died holding it:
+            # clear a stale token so a later attempt can break the lease.
             try:
-                return path.stat().st_mtime + 5.0 <= time.time()
+                if token.stat().st_mtime + STALE_WRITE_SECONDS <= time.time():
+                    token.unlink()
             except OSError:
-                return False  # vanished: released; caller retries later
+                pass
+            return False
+        try:
+            try:
+                if path.read_text() != dead:
+                    return False  # broken or released since it was judged
+            except OSError:
+                return False
+            atomic_write_json(path, lease)
+            return True
+        finally:
+            try:
+                token.unlink()
+            except OSError:
+                pass
+
+    @staticmethod
+    def _dead_lease_text(path: Path) -> Optional[str]:
+        """The content of the lease at *path* if it is dead, else None."""
+        try:
+            text = path.read_text()
+        except OSError:
+            return None  # vanished: released; caller retries later
+        try:
+            expires = float(json.loads(text)["expires"])
+        except (ValueError, KeyError, TypeError):
+            # Unreadable: either mid-write (the O_CREAT..write window) or
+            # garbage.  Only call it dead once it is stale by mtime too,
+            # so a half-written fresh lease is never broken.
+            try:
+                mtime = path.stat().st_mtime
+            except OSError:
+                return None
+            return text if mtime + STALE_WRITE_SECONDS <= time.time() else None
+        return text if expires <= time.time() else None
 
     def release_lease(self, key: str) -> None:
         try:

@@ -81,6 +81,34 @@ def test_racing_claimants_exactly_one_wins(tmp_path):
     assert cache.lease_info(key)["owner"] == wins[0]
 
 
+def test_racing_breakers_of_an_expired_lease_exactly_one_wins(tmp_path):
+    """Breakers that all judged the same lease dead race to replace it;
+    one that loses must not take the winner's fresh lease for dead."""
+    cache = ResultCache(tmp_path)
+    n = 8
+    for round_no in range(50):
+        key = f"{round_no:064x}"
+        assert cache.try_lease(key, "crashed-worker", ttl=0.0) is True
+        barrier = threading.Barrier(n)
+        wins = []
+
+        def claim(owner):
+            barrier.wait(timeout=10.0)
+            if cache.try_lease(key, owner, ttl=60.0):
+                wins.append(owner)
+
+        threads = [
+            threading.Thread(target=claim, args=(f"w{i}",)) for i in range(n)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10.0)
+            assert not t.is_alive()
+        assert len(wins) == 1, (round_no, wins)
+        assert cache.lease_info(key)["owner"] == wins[0]
+
+
 def test_half_written_fresh_lease_is_not_broken(tmp_path):
     cache = ResultCache(tmp_path)
     key = "aa" * 32
@@ -264,7 +292,11 @@ def test_sigkilled_worker_lease_expires_and_trial_is_reclaimed(tmp_path):
     # once expired (ttl 1.0s) and execute every trial anyway.
     runner = SweepRunner(workers=2, cache_dir=tmp_path)
     result = runner.run(SPEC)
-    assert result.stats.executed == 4 and not result.failed_rows()
+    failed = [
+        (row["trial"], row.get("error"), row.get("traceback"))
+        for row in result.failed_rows()
+    ]
+    assert result.stats.executed == 4 and not failed, (result.stats, failed)
 
     claims = runner.last_job.claims()
     counts = Counter(c["key"] for c in claims)

@@ -375,7 +375,10 @@ def config_lane_scenarios(draw):
         # must still agree on every lane.
         for lut in sorted(netlist.luts):
             if netlist.node(lut).n_inputs <= 4 and draw(st.booleans()):
-                widen_lut_with_decoys(netlist, lut, 1, rng)
+                try:
+                    widen_lut_with_decoys(netlist, lut, 1, rng)
+                except NetlistError:
+                    pass  # every other net is in the LUT's fan-in or fan-out
     luts = sorted(netlist.luts)
     lanes = draw(st.integers(1, 70))
     configs = []

@@ -183,12 +183,19 @@ class TestMemoization:
         assert after is not before
         assert csr_view(n) is after
 
-    def test_function_mutation_does_not_invalidate(self):
-        # lut_config is function data; the CSR view is structure-keyed.
+    def test_lut_config_keeps_view_and_lut_replacement_replaces_it(self):
+        # lut_config is runtime data and keeps the view; a gate-type
+        # rewrite is structural and must replace the gate_types snapshot.
         n = build_seq()
+        n.replace_with_lut("g1", program=False)
         before = csr_view(n)
-        n.touch_function()
+        n.node("g1").lut_config = 0b0110
         assert csr_view(n) is before
+        n.replace_with_lut("g3")
+        after = csr_view(n)
+        assert after is not before
+        assert after.gate_types[after.id_of("g3")] is GateType.LUT
+        assert after.is_lut[after.id_of("g3")]
 
 
 class TestFrozenNetworkxView:

@@ -235,7 +235,6 @@ class TestPropagator:
         foundry = netlist.copy("foundry")
         for lut in foundry.luts:
             foundry.node(lut).lut_config = None
-        foundry.touch_function()
         rails = TernaryPropagator(foundry).propagate(
             inputs={
                 "a": TernaryWord.const(0, 1),
@@ -265,7 +264,6 @@ class TestCones:
         foundry = hybrid.copy("foundry")
         for lut in foundry.luts:
             foundry.node(lut).lut_config = None
-        foundry.touch_function()
         lut = sorted(foundry.luts)[0]
         cone = extract_key_cone(foundry, lut)
         assert cone.cone is not None
@@ -279,7 +277,6 @@ class TestCones:
         netlist = _twin_lock()
         for lut in netlist.luts:
             netlist.node(lut).lut_config = None
-        netlist.touch_function()
         sig1 = extract_key_cone(netlist, "l1").signature
         sig2 = extract_key_cone(netlist, "l2").signature
         assert sig1 == sig2
@@ -289,7 +286,6 @@ class TestCones:
         other_key = _pi_lut(config=0x9)
         stripped = _pi_lut()
         stripped.node("l1").lut_config = None
-        stripped.touch_function()
         sig = lambda n: cone_signature(
             extract_key_cone(n, "l1").cone, "l1"
         )
@@ -451,7 +447,6 @@ class TestVerdicts:
         netlist = _pi_lut()
         stripped = netlist.copy("stripped")
         stripped.node("l1").lut_config = None
-        stripped.touch_function()
         report = KeyLeakAnalyzer().analyze(stripped)
         verification = verify_report(report, stripped)
         # Strong claims with no ground truth must not verify silently.

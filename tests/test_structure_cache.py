@@ -10,18 +10,26 @@ from __future__ import annotations
 
 import random
 
-from repro.circuits import load_benchmark
+import pytest
+
+from repro.analysis.sta import TimingAnalyzer
+from repro.circuits.generator import CircuitSpec, generate
+from repro.dataflow.cones import extract_key_cone
+from repro.locking.parametric import ParametricSelection
 from repro.netlist import GateType, Netlist
 from repro.netlist.cache import cached_keys, invalidate, memoized
+from repro.netlist.csr import csr_view
 from repro.netlist.graph import (
     combinational_order,
     levelize,
     to_networkx,
     topological_order,
 )
-from repro.netlist.scan import disable_scan, insert_scan_chain
+from repro.netlist.scan import disable_scan, insert_scan_chain, lock_scan_enable
 from repro.netlist.simplify import propagate_constants
-from repro.netlist.techmap import decompose_to_max_fanin
+from repro.netlist.simplify import sweep as simplify_sweep
+from repro.netlist.techmap import decompose_to_max_fanin, map_to_nand
+from repro.sim.logicsim import CombinationalSimulator
 from repro.netlist.transform import (
     absorb_fanin_gate,
     replace_gates_with_luts,
@@ -82,17 +90,16 @@ class TestRevisionCounters:
         tiny_comb.remove_node("dead")
         assert tiny_comb.structure_revision > before
 
-    def test_replace_with_lut_bumps_function_not_structure(self, s27):
+    def test_replace_with_lut_bumps_structure(self, s27):
+        # A gate-type rewrite is structural: the CSR view snapshots types.
         structure = s27.structure_revision
-        function = s27.function_revision
         gate = next(
             g
             for g in s27.gates
             if s27.node(g).is_combinational and not s27.node(g).is_lut
         )
         s27.replace_with_lut(gate, program=True)
-        assert s27.structure_revision == structure
-        assert s27.function_revision > function
+        assert s27.structure_revision > structure
 
     def test_lut_config_write_bumps_nothing(self, s27):
         gate = next(
@@ -102,10 +109,8 @@ class TestRevisionCounters:
         )
         s27.replace_with_lut(gate, program=False)
         structure = s27.structure_revision
-        function = s27.function_revision
         s27.node(gate).lut_config = 0b1010
         assert s27.structure_revision == structure
-        assert s27.function_revision == function
 
 
 class TestInvalidationViaTransforms:
@@ -190,3 +195,188 @@ class TestInvalidationViaTransforms:
         new_order = topological_order(n)
         assert new_order is not order
         assert n.node("y").gate_type is GateType.CONST0
+
+
+# ----------------------------------------------------------------------
+# fresh-rebuild property: warm views never outlive a mutation
+# ----------------------------------------------------------------------
+def _fresh_base() -> Netlist:
+    """A small sequential circuit with programmed LUTs, a scan chain, a
+    dead gate and a constant-fed output, so every mutator has a target."""
+    netlist = generate(
+        CircuitSpec(
+            name="fresh",
+            n_inputs=6,
+            n_outputs=4,
+            n_flip_flops=4,
+            n_gates=60,
+            seed=7,
+        )
+    )
+    # LUTs with a single-fan-out driver, so absorb_fanin_gate has a pin.
+    absorbable = [
+        g
+        for g in netlist.gates
+        if netlist.node(g).n_inputs >= 2
+        and any(
+            netlist.node(src).is_combinational and netlist.fanout(src) == [g]
+            for src in netlist.node(g).fanin
+        )
+    ]
+    replace_gates_with_luts(netlist, absorbable[:3], program=True)
+    insert_scan_chain(netlist)
+    pis = [pi for pi in netlist.inputs if not pi.startswith("scan")]
+    netlist.add_gate("dead", GateType.AND, pis[:2])
+    netlist.add_gate("k0", GateType.CONST0, [])
+    netlist.add_gate("kand", GateType.AND, [pis[0], "k0"])
+    netlist.add_output("kand")
+    return netlist
+
+
+def _plain_gates(netlist: Netlist):
+    return [
+        g
+        for g in netlist.gates
+        if 2 <= netlist.node(g).n_inputs <= 4 and not netlist.node(g).is_lut
+    ]
+
+
+def _absorb(netlist: Netlist) -> None:
+    for lut in sorted(netlist.luts):
+        for pin, src in enumerate(netlist.node(lut).fanin):
+            node = netlist.node(src)
+            if (
+                node.is_combinational
+                and not node.is_lut
+                and netlist.fanout(src) == [lut]
+                and src not in netlist.outputs
+            ):
+                absorb_fanin_gate(netlist, lut, pin)
+                return
+    raise AssertionError("no absorbable LUT pin")
+
+
+def _rewire(netlist: Netlist) -> None:
+    pi = netlist.inputs[0]
+    gate = next(g for g in _plain_gates(netlist) if pi not in netlist.fanin(g))
+    netlist.rewire_fanin(gate, 0, pi)
+
+
+def _techmap(netlist: Netlist) -> None:
+    assert decompose_to_max_fanin(netlist, max_fanin=2) > 0
+    assert map_to_nand(netlist) > 0
+
+
+def _flip_lut_row(netlist: Netlist) -> None:
+    node = netlist.node(sorted(netlist.luts)[0])
+    node.lut_config ^= 1
+
+
+MUTATORS = {
+    "add_gate": lambda n: n.add_gate("extra", GateType.NAND, n.inputs[:2]),
+    "add_output": lambda n: n.add_output(_plain_gates(n)[0]),
+    "remove_node": lambda n: n.remove_node("dead"),
+    "rewire_fanin": _rewire,
+    "replace_with_lut": lambda n: n.replace_with_lut(_plain_gates(n)[-1]),
+    "simplify.sweep": lambda n: simplify_sweep(n),
+    "techmap": _techmap,
+    "scan.disable": lambda n: disable_scan(n),
+    "scan.lock_enable": lambda n: lock_scan_enable(n),
+    "transform.replace_gates_with_luts": lambda n: replace_gates_with_luts(
+        n, _plain_gates(n)[-4:]
+    ),
+    "transform.widen_lut_with_decoys": lambda n: widen_lut_with_decoys(
+        n, sorted(n.luts)[0], 2, random.Random(3)
+    ),
+    "transform.absorb_fanin_gate": _absorb,
+    "lut_config write": _flip_lut_row,
+}
+
+
+def _consumer_facts(netlist: Netlist) -> dict:
+    """What every memoized consumer answers about *netlist*, by name."""
+    view = csr_view(netlist)
+    names = view.names
+    roots = sorted(netlist.outputs)[:2] + sorted(netlist.flip_flops)[:2]
+    report = TimingAnalyzer().analyze(netlist)
+    rng = random.Random(11)
+    inputs = {pi: rng.getrandbits(64) for pi in sorted(netlist.inputs)}
+    state = {ff: rng.getrandbits(64) for ff in sorted(netlist.flip_flops)}
+    values = CombinationalSimulator(netlist, backend="compiled").evaluate(
+        inputs, state, width=64
+    )
+    graphs = {
+        cut: (
+            sorted((v, d["gate_type"].value) for v, d in g.nodes(data=True)),
+            sorted(g.edges),
+        )
+        for cut in (False, True)
+        for g in [to_networkx(netlist, cut_flip_flops=cut)]
+    }
+    return {
+        "csr gate types": {
+            names[i]: view.gate_types[i].value for i in range(view.n)
+        },
+        "csr LUT column": sorted(names[i] for i in range(view.n) if view.is_lut[i]),
+        "csr topo_order": view.names_of(view.topo_order()),
+        "csr levels": dict(zip(names, view.levels())),
+        "csr forward cones": {
+            r: sorted(view.names_of(view.forward_ids([view.id_of(r)])))
+            for r in roots
+        },
+        "csr backward cones": {
+            r: sorted(view.names_of(view.backward_ids([view.id_of(r)])))
+            for r in roots
+        },
+        "memo topological_order": list(topological_order(netlist)),
+        "memo levelize": dict(levelize(netlist)),
+        "sta max delay": report.max_delay_ns,
+        "sta critical path": report.critical_path,
+        "sta arrivals": report.arrival_ns,
+        "compiled sim": values,
+        "cone signatures": {
+            lut: extract_key_cone(netlist, lut).signature
+            for lut in sorted(netlist.luts)
+        },
+        "to_networkx": graphs,
+    }
+
+
+class TestFreshRebuild:
+    """After any mutator, every memoized consumer of a netlist whose views
+    were warm must answer exactly what it answers on ``netlist.copy()``
+    (which starts with no cached view at all)."""
+
+    @pytest.mark.parametrize("mutator", sorted(MUTATORS))
+    def test_warm_views_match_a_fresh_copy(self, mutator):
+        netlist = _fresh_base()
+        before = _consumer_facts(netlist)  # warm every view
+        revision = netlist.structure_revision
+        MUTATORS[mutator](netlist)
+        if mutator == "lut_config write":
+            assert netlist.structure_revision == revision
+        else:
+            assert netlist.structure_revision > revision
+        warm, fresh = _consumer_facts(netlist), _consumer_facts(netlist.copy())
+        for fact in fresh:
+            assert warm[fact] == fresh[fact], fact
+        assert warm != before  # the mutation was visible to some consumer
+
+    def test_trial_delay_equals_delay_of_a_replaced_copy(self):
+        netlist = _fresh_base()
+        _consumer_facts(netlist)
+        timing = TimingAnalyzer()
+        names = [
+            g
+            for g in timing.analyze(netlist).critical_path
+            if g in set(_plain_gates(netlist))
+        ]
+        assert names
+        revision = netlist.structure_revision
+        delay = ParametricSelection(seed=0)._trial_delay(netlist, names)
+        assert netlist.structure_revision == revision
+        assert not any(netlist.node(g).is_lut for g in names)
+        locked = netlist.copy()
+        replace_gates_with_luts(locked, names)
+        assert delay == timing.max_delay(locked)
+        assert delay != timing.max_delay(netlist)
