@@ -27,6 +27,7 @@ from ..netlist.graph import (
     split_into_timing_paths,
 )
 from ..netlist.netlist import Netlist
+from ..obs import add_counter
 from .sta import TimingAnalyzer
 
 
@@ -79,6 +80,8 @@ class PathFinder:
         self.max_flip_flops = max_flip_flops
         self.rng = random.Random(seed)
         self._guide = PathGuide(netlist)
+        #: The flip-flop requirement the last :meth:`collect_paths` met.
+        self.ff_requirement = min_flip_flops
 
     def sample_components(self) -> List[str]:
         """Randomly select ~``sample_rate`` of the combinational gates."""
@@ -105,7 +108,9 @@ class PathFinder:
         requirement = self.min_flip_flops
         while not paths and requirement > 0:
             requirement -= 1
+            add_counter("paths.relaxed_requirement")
             paths = self._discover(components, requirement)
+        self.ff_requirement = requirement
         if exclude_critical:
             paths = self.remove_critical(paths)
         # Deepest first (the paper's depth sort); among equally deep paths
@@ -138,6 +143,8 @@ class PathFinder:
             seen.add(key)
             n_ffs = sum(1 for name in found if is_seq[index[name]])
             paths.append(IOPath(nodes=key, n_flip_flops=n_ffs))
+        add_counter("paths.searches", len(components))
+        add_counter("paths.found", len(paths))
         return paths
 
     def remove_critical(self, paths: List[IOPath]) -> List[IOPath]:

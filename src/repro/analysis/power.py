@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
 from ..netlist.gates import GateType
-from ..netlist.graph import topological_order
-from ..netlist.netlist import Netlist
+from ..netlist.csr import csr_view
+from ..netlist.netlist import Netlist, NetlistError
 from ..techlib.cells import TechLibrary, cmos_90nm
 from ..techlib.stt import SttLibrary, stt_mtj_32nm
 
@@ -89,29 +89,34 @@ def signal_probabilities(
     Sequential feedback is handled by iterating the DFF state probabilities
     to a fixed point (initialised at the reset value 0, relaxed towards 0.5).
     """
-    probs: Dict[str, float] = {pi: input_prob for pi in netlist.inputs}
-    ff_probs: Dict[str, float] = {ff: 0.0 for ff in netlist.flip_flops}
-    order = topological_order(netlist)
+    view = csr_view(netlist)
+    names, gate_types, is_lut = view.names, view.gate_types, view.is_lut
+    fi_ptr, fi_idx = view.fanin_ptr, view.fanin_idx
+    node = netlist.node
+    # LUT configs are read per call: programming a LUT is not structural.
+    schedule = [
+        (i, gate_types[i], node(names[i]).lut_config if is_lut[i] else None,
+         fi_idx[fi_ptr[i] : fi_ptr[i + 1]])
+        for i in view.comb_order()
+    ]
+    ff_ids = [i for i in range(view.n) if view.is_seq[i]]
+    d_ids = [view.d_pin(i) for i in ff_ids]
+    if -1 in d_ids:
+        raise NetlistError("a flip-flop reads a net nobody drives")
+    # Flip-flops start at their reset value 0.
+    probs = [input_prob if inp else 0.0 for inp in view.is_input]
     for _ in range(max_iterations):
-        probs.update(ff_probs)
-        for name in order:
-            node = netlist.node(name)
-            if node.is_input or node.is_sequential:
-                continue
-            fanin_probs = [probs[src] for src in node.fanin]
-            probs[name] = _gate_one_probability(
-                node.gate_type, node.lut_config, fanin_probs
+        for i, gate_type, config, fanin in schedule:
+            probs[i] = _gate_one_probability(
+                gate_type, config, [probs[j] for j in fanin]
             )
-        worst = 0.0
-        for ff in netlist.flip_flops:
-            d_pin = netlist.node(ff).fanin[0]
-            new = probs[d_pin]
-            worst = max(worst, abs(new - ff_probs[ff]))
-            ff_probs[ff] = new
+        new = [probs[d] for d in d_ids]
+        worst = max([abs(p - probs[i]) for p, i in zip(new, ff_ids)], default=0.0)
+        for i, p in zip(ff_ids, new):
+            probs[i] = p
         if worst < tolerance:
             break
-    probs.update(ff_probs)
-    return probs
+    return dict(zip(names, probs))
 
 
 def estimate_activities(
@@ -136,19 +141,12 @@ def estimate_activities(
         return {name: stats.activity(name) for name in netlist.node_names()}
     if method != "probabilistic":
         raise ValueError(f"unknown activity method {method!r}")
-    probs = signal_probabilities(netlist)
+    probs = signal_probabilities(netlist)  # nets in CSR id order
     scale = input_activity / 0.5 if input_activity else 0.0
-    activities = {}
-    for name in netlist.node_names():
-        p = probs[name]
-        alpha = 2.0 * p * (1.0 - p)
-        node = netlist.node(name)
-        if node.is_input:
-            alpha = input_activity
-        else:
-            alpha *= scale
-        activities[name] = alpha
-    return activities
+    return {
+        name: input_activity if is_input else 2.0 * p * (1.0 - p) * scale
+        for (name, p), is_input in zip(probs.items(), csr_view(netlist).is_input)
+    }
 
 
 @dataclass(frozen=True)
@@ -254,8 +252,8 @@ class PowerAnalyzer:
         their own nets' activities, which are unchanged by construction —
         the hybrid is functionally identical).
         """
-        base = self.analyze(original, input_activity=input_activity)
         acts = estimate_activities(original, input_activity=input_activity)
+        base = self.analyze(original, activities=acts)
         new = self.analyze(hybrid, activities=acts)
         if base.total_uw <= 0.0:
             return 0.0

@@ -253,8 +253,9 @@ class BruteForceAttack:
         self, patterns: Sequence[Dict[str, int]]
     ) -> List[Dict[str, int]]:
         responses = []
+        inputs, flip_flops = self.netlist.inputs, self.netlist.flip_flops
         for pattern in patterns:
-            pis = {pi: pattern.get(pi, 0) for pi in self.netlist.inputs}
-            state = {ff: pattern.get(ff, 0) for ff in self.netlist.flip_flops}
+            pis = {pi: pattern.get(pi, 0) for pi in inputs}
+            state = {ff: pattern.get(ff, 0) for ff in flip_flops}
             responses.append(self.oracle.query(pis, state))
         return responses

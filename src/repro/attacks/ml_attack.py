@@ -275,15 +275,16 @@ class MlAttack:
 
     # ------------------------------------------------------------------
     def _collect_training_set(self):
-        startpoints = list(self.netlist.inputs) + list(self.netlist.flip_flops)
+        inputs, flip_flops = self.netlist.inputs, self.netlist.flip_flops
+        startpoints = inputs + flip_flops
         patterns = [
             {sp: self.rng.getrandbits(1) for sp in startpoints}
             for _ in range(self.training_patterns)
         ]
         labels = []
         for pattern in patterns:
-            pis = {pi: pattern.get(pi, 0) for pi in self.netlist.inputs}
-            state = {ff: pattern.get(ff, 0) for ff in self.netlist.flip_flops}
+            pis = {pi: pattern.get(pi, 0) for pi in inputs}
+            state = {ff: pattern.get(ff, 0) for ff in flip_flops}
             labels.append(self.oracle.query(pis, state))
         return patterns, labels
 
@@ -293,11 +294,12 @@ class MlAttack:
             working.node(name).lut_config = config
         sim = CombinationalSimulator(working)
         points = self.oracle.observation_points()
-        startpoints = list(working.inputs) + list(working.flip_flops)
+        inputs, flip_flops = working.inputs, working.flip_flops
+        startpoints = inputs + flip_flops
         for _ in range(patterns):
             pattern = {sp: self.rng.getrandbits(1) for sp in startpoints}
-            pis = {pi: pattern.get(pi, 0) for pi in working.inputs}
-            state = {ff: pattern.get(ff, 0) for ff in working.flip_flops}
+            pis = {pi: pattern.get(pi, 0) for pi in inputs}
+            state = {ff: pattern.get(ff, 0) for ff in flip_flops}
             expected = self.oracle.query(pis, state)
             values = sim.evaluate(pis, state, 1)
             if any(values[p] != expected[p] for p in points):

@@ -182,6 +182,7 @@ class SatAttack:
         self._clause_cursor = len(cnf.clauses)
         di_constraints = result.di_constraints
 
+        inputs, flip_flops = self.netlist.inputs, self.netlist.flip_flops
         while result.iterations < self.max_iterations:
             with span(
                 "attack.sat.iteration", iteration=result.iterations + 1
@@ -200,10 +201,8 @@ class SatAttack:
                     name: int(model.get(var, False))
                     for name, var in shared_inputs.items()
                 }
-                pis = {pi: pattern.get(pi, 0) for pi in self.netlist.inputs}
-                state = {
-                    ff: pattern.get(ff, 0) for ff in self.netlist.flip_flops
-                }
+                pis = {pi: pattern.get(pi, 0) for pi in inputs}
+                state = {ff: pattern.get(ff, 0) for ff in flip_flops}
                 observed = self.oracle.query(pis, state)
                 response = {point: observed[point] for point in observation}
                 di_constraints.append((pattern, response))

@@ -88,6 +88,9 @@ class SequentialSatAttack:
         per_inputs: List[Dict[str, int]] = []
         per_outputs: List[Dict[str, int]] = []
         previous_enc = None
+        inputs, outputs = self.netlist.inputs, self.netlist.outputs
+        flip_flops = self.netlist.flip_flops
+        d_pins = [self.netlist.node(ff).fanin[0] for ff in flip_flops]
         for cycle in range(self.unroll_depth):
             shared: Dict[str, int] = {}
             if input_vars is not None:
@@ -99,22 +102,16 @@ class SequentialSatAttack:
                 key_vars=keys,
             )
             if cycle == 0:
-                for ff in self.netlist.flip_flops:
+                for ff in flip_flops:
                     cnf.add_clause([-enc.net_vars[ff]])  # reset state = 0
             else:
-                for ff in self.netlist.flip_flops:
-                    d_prev = previous_enc.net_vars[
-                        self.netlist.node(ff).fanin[0]
-                    ]
+                for ff, d_pin in zip(flip_flops, d_pins):
+                    d_prev = previous_enc.net_vars[d_pin]
                     q_now = enc.net_vars[ff]
                     cnf.add_clause([-d_prev, q_now])
                     cnf.add_clause([d_prev, -q_now])
-            per_inputs.append(
-                {pi: enc.net_vars[pi] for pi in self.netlist.inputs}
-            )
-            per_outputs.append(
-                {po: enc.net_vars[po] for po in self.netlist.outputs}
-            )
+            per_inputs.append({pi: enc.net_vars[pi] for pi in inputs})
+            per_outputs.append({po: enc.net_vars[po] for po in outputs})
             previous_enc = enc
         return per_inputs, per_outputs
 

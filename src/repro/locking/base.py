@@ -86,7 +86,9 @@ class SelectionAlgorithm(abc.ABC):
                     seed=rng.randrange(1 << 30),
                 )
                 paths = finder.collect_paths()
-                paths_span.set(n_paths=len(paths))
+                paths_span.set(
+                    n_paths=len(paths), ff_requirement=finder.ff_requirement
+                )
             with span("lock.select") as select_span:
                 selected = self.select(hybrid, paths, rng)
                 select_span.set(n_selected=len(selected))

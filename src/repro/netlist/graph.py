@@ -23,6 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
+from ..obs import add_counter
 from .cache import memoized
 from .csr import MAX_TRACKED_FF_DEPTH, CombinationalLoopError, CsrView, csr_view
 from .netlist import Netlist, NetlistError
@@ -406,6 +407,24 @@ def find_io_path(
     return prefix[:-1] + suffix
 
 
+def _shuffle_ids(ids: List[int], getrandbits) -> None:
+    """Shuffle *ids* in place, drawing exactly what ``random.Random.shuffle``
+    draws from the generator whose ``getrandbits`` is given.
+
+    This is CPython's Fisher–Yates pass with its
+    ``_randbelow_with_getrandbits``: the index for slot *i* is
+    ``getrandbits(k)`` with ``k = (i + 1).bit_length()``, redrawn while
+    it is out of range.  Lists of 0 or 1 entries draw nothing.
+    """
+    for i in range(len(ids) - 1, 0, -1):
+        n = i + 1
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        ids[i], ids[j] = ids[j], ids[i]
+
+
 def _dfs_to_boundary(
     netlist: Netlist,
     start: str,
@@ -424,131 +443,114 @@ def _dfs_to_boundary(
     modes (i.e. reversed for the backwards search), and includes *start*.
 
     Runs entirely over int node ids.  Neighbour candidate order (name-sorted
-    fan-out / pin-order fan-in), rng shuffle consumption, and the stable
-    preference sort are identical to the historical name-based walk, so the
-    same ``rng`` selects the same paths.
+    fan-out / pin-order fan-in), rng draws, and the stable preference sort
+    are identical to the historical name-based walk, so the same ``rng``
+    selects the same paths.  The walk must never prune: one skipped
+    expansion skips its shuffle and shifts every later draw of the shared
+    ``rng``.
     """
     view = csr_view(netlist)
     start_id = view.id_of(start)
-    avoid_ids = bytearray(view.n)
+    # On-path and avoided nodes alike are never entered.
+    blocked = bytearray(view.n)
     if avoid:
         for name in avoid:
             j = view.index.get(name)
             if j is not None:
-                avoid_ids[j] = 1
+                blocked[j] = 1
     is_seq = view.is_seq
     boundary = view.is_po if forwards else view.is_input
     if forwards:
         adj_ptr, adj_idx = view.fanout_ptr, view.fanout_idx
     else:
         adj_ptr, adj_idx = view.fanin_ptr, view.fanin_idx
-    # Neighbour preference is a stable ascending sort by (ff_rank,
-    # closeness) after the rng shuffle — the stack pops from the end, so
-    # the best candidate sorts last.  With no dangling references the
-    # tuple ranks collapse to precomputed packed-int key lists and the
-    # sort key is a C-speed ``list.__getitem__``; the closure fallback
-    # keeps dangling fan-in (-1 ids) ranked exactly like the historical
-    # name-based walk ranked missing nets.
-    clean = not view.dangling
-    distances = None
-    keys_budget = keys_plain = None
+    # Neighbour preference is a stable ascending sort by the packed
+    # (ff_rank, closeness) key after the rng shuffle — the walk pops from
+    # the end, so the best candidate sorts last.  ``key_on`` ranks with
+    # the flip-flop bump (FF budget left), ``key_off`` without; with no
+    # guide every rank without the bump is equal and the sort is skipped.
     if guide is not None:
-        distances = guide._end if forwards else guide._start
-        keys_budget, keys_plain = guide._packed_keys(forwards)
-    seq_keys = view.seq_rank()
-
-    def rank_dirty(j: int) -> Tuple[int, int]:
-        ff_rank = 1 if (j >= 0 and is_seq[j] and _budget[0]) else 0
-        closeness = 0
-        if distances is not None:
-            d = distances[j] if j >= 0 else -1
-            closeness = -d if d >= 0 else -(1 << 20)
-        return (ff_rank, closeness)
-
-    _budget = [True]
-    shuffle = rng.shuffle if rng is not None else None
+        keys_on, keys_off = guide._packed_keys(forwards)
+        missing = -(1 << 20)
+    else:
+        keys_on, keys_off = view.seq_rank(), None
+        missing = 0
+    if view.dangling:
+        # A dangling fan-in id is -1, so index -1 must hold the rank the
+        # historical name-based walk gave a missing net.
+        keys_on = keys_on + [missing]
+        keys_off = keys_off + [missing] if keys_off is not None else None
+    key_on = keys_on.__getitem__
+    key_off = keys_off.__getitem__ if keys_off is not None else None
+    getrandbits = rng.getrandbits if rng is not None else None
 
     def expand(i: int, budget_left: bool) -> List[int]:
         nxt = adj_idx[adj_ptr[i] : adj_ptr[i + 1]]
-        if shuffle is not None:
-            shuffle(nxt)
         if len(nxt) > 1:
-            if clean:
-                if distances is not None:
-                    key = keys_budget if budget_left else keys_plain
-                    nxt.sort(key=key.__getitem__)
-                elif budget_left:
-                    nxt.sort(key=seq_keys.__getitem__)
-                # else: every rank is (0, 0) — the stable sort is a no-op
-            else:
-                _budget[0] = budget_left
-                nxt.sort(key=rank_dirty)
+            if getrandbits is not None:
+                _shuffle_ids(nxt, getrandbits)
+            key = key_on if budget_left else key_off
+            if key is not None:
+                nxt.sort(key=key)
         return nxt
 
     # Backtracking DFS.  States are visited in exactly the order the
     # historical snapshot-copying stack popped them (children expand
     # best-last, so the traversal walks each node's most preferred
     # subtree to exhaustion before its next sibling), but the current
-    # path/on-path/FF-count are maintained incrementally — no O(depth)
-    # list and set copies per step.
+    # path and FF count are maintained incrementally.  ``suspended``
+    # holds each ancestor's (children, next index from the end).
     best: Optional[List[int]] = None
     best_ffs = -1
     steps = 1
+    exhausted = False
     if boundary[start_id]:
         best, best_ffs = [start_id], 0
     else:
         path: List[int] = [start_id]
-        on_path: Set[int] = {start_id}
+        blocked[start_id] = 1
         ffs = 0
         kids = expand(start_id, 0 < max_ffs)
-        # frame = [children (ascending preference), next index from the end]
-        frames: List[List] = [[kids, len(kids) - 1]]
-        stop = False
-        while frames:
-            frame = frames[-1]
-            kids, ptr = frame
-            descended = False
-            while ptr >= 0:
-                j = kids[ptr]
-                ptr -= 1
-                if j < 0 or j in on_path or avoid_ids[j]:
-                    continue
-                bump = is_seq[j]
-                if bump and ffs >= max_ffs:
-                    continue
-                frame[1] = ptr
-                steps += 1
-                if steps > max_steps:
-                    stop = True
+        ptr = len(kids) - 1
+        suspended: List[Tuple[List[int], int]] = []
+        while True:
+            if ptr < 0:
+                if not suspended:
                     break
-                if boundary[j]:
-                    nf = ffs + 1 if bump else ffs
-                    if best is None or nf > best_ffs:
-                        best = path + [j]
-                        best_ffs = nf
-                    if nf >= want_ffs:
-                        stop = True
-                        break
-                    continue
-                path.append(j)
-                on_path.add(j)
-                if bump:
-                    ffs += 1
-                kids = expand(j, ffs < max_ffs)
-                frames.append([kids, len(kids) - 1])
-                descended = True
-                break
-            if stop:
-                break
-            if descended:
-                continue
-            frame[1] = ptr
-            frames.pop()
-            if frames:
+                kids, ptr = suspended.pop()
                 left = path.pop()
-                on_path.discard(left)
-                if is_seq[left]:
-                    ffs -= 1
+                blocked[left] = 0
+                ffs -= is_seq[left]
+                continue
+            j = kids[ptr]
+            ptr -= 1
+            if j < 0 or blocked[j]:
+                continue
+            bump = is_seq[j]
+            if bump and ffs >= max_ffs:
+                continue
+            steps += 1
+            if steps > max_steps:
+                exhausted = True
+                break
+            if boundary[j]:
+                nf = ffs + bump
+                if nf > best_ffs:
+                    best = path + [j]
+                    best_ffs = nf
+                if nf >= want_ffs:
+                    break
+                continue
+            suspended.append((kids, ptr))
+            path.append(j)
+            blocked[j] = 1
+            ffs += bump
+            kids = expand(j, ffs < max_ffs)
+            ptr = len(kids) - 1
+    if exhausted:
+        add_counter("paths.budget_exhausted")
+        steps = max_steps
+    add_counter("paths.dfs_steps", steps)
     if best is None:
         return None
     ids, n_ffs = best, best_ffs

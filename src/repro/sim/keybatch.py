@@ -186,12 +186,9 @@ def screen_hypotheses(
     batched = batch_width > 1 and backend == "compiled"
     outcome = ScreenOutcome()
     it = iter(hypotheses)
-    pis = [
-        {pi: p.get(pi, 0) & 1 for pi in netlist.inputs} for p in patterns
-    ]
-    states = [
-        {ff: p.get(ff, 0) & 1 for ff in netlist.flip_flops} for p in patterns
-    ]
+    inputs, flip_flops = netlist.inputs, netlist.flip_flops
+    pis = [{pi: p.get(pi, 0) & 1 for pi in inputs} for p in patterns]
+    states = [{ff: p.get(ff, 0) & 1 for ff in flip_flops} for p in patterns]
     sim = (
         None if batched else CombinationalSimulator(netlist, backend=backend)
     )
@@ -338,12 +335,9 @@ def score_keys(
         return counts
     width = max(1, batch_width)
     batched = batch_width > 1 and backend == "compiled"
-    pis = [
-        {pi: p.get(pi, 0) & 1 for pi in netlist.inputs} for p in patterns
-    ]
-    states = [
-        {ff: p.get(ff, 0) & 1 for ff in netlist.flip_flops} for p in patterns
-    ]
+    inputs, flip_flops = netlist.inputs, netlist.flip_flops
+    pis = [{pi: p.get(pi, 0) & 1 for pi in inputs} for p in patterns]
+    states = [{ff: p.get(ff, 0) & 1 for ff in flip_flops} for p in patterns]
     with span(
         "sim.keybatch.score",
         circuit=netlist.name,

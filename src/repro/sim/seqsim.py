@@ -94,10 +94,9 @@ class SequentialSimulator:
         """
         stats = ToggleStats(cycles=0, width=self.width)
         previous: Optional[Dict[str, int]] = None
+        primary_inputs = self.netlist.inputs
         for _ in range(cycles):
-            inputs = {
-                pi: rng.getrandbits(self.width) for pi in self.netlist.inputs
-            }
+            inputs = {pi: rng.getrandbits(self.width) for pi in primary_inputs}
             values = self.step(inputs)
             if collect_toggles and previous is not None:
                 for name, word in values.items():

@@ -123,8 +123,9 @@ def dump_vcd(
     path = Path(path)
     with VcdWriter(path, netlist, nets=nets) as vcd:
         sim = SequentialSimulator(netlist)
+        inputs = netlist.inputs
         for cycle in range(cycles):
-            stimulus = {pi: rng.getrandbits(1) for pi in netlist.inputs}
+            stimulus = {pi: rng.getrandbits(1) for pi in inputs}
             values = sim.step(stimulus)
             vcd.sample(cycle, values)
     return path

@@ -339,6 +339,73 @@ def test_lock_algorithm_records_stage_spans():
     ]
 
 
+def _traced_collect(netlist, seed):
+    from repro.analysis import PathFinder
+
+    finder = PathFinder(netlist, seed=seed)
+    components = finder.sample_components()
+    rec = Recorder()
+    with use_recorder(rec):
+        paths = finder.collect_paths(components, exclude_critical=False)
+    return finder, components, paths, rec.counters
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_path_search_counters_agree_with_paths(seed):
+    from repro.analysis import PathFinder
+
+    s641 = load_benchmark("s641")
+    finder, components, paths, counters = _traced_collect(s641, seed)
+    rounds = 1 + counters.get("paths.relaxed_requirement", 0)
+    assert finder.ff_requirement == finder.min_flip_flops - rounds + 1
+    assert counters["paths.searches"] == rounds * len(components)
+    # Relaxation only follows a round that found nothing, so every unique
+    # path found is one of the returned paths.
+    assert counters["paths.found"] == len(paths) > 0
+    assert all(p.n_flip_flops >= finder.ff_requirement for p in paths)
+    # One or two DFS walks per search, each of at least one step.
+    assert counters["paths.dfs_steps"] >= counters["paths.searches"]
+    # Counting never draws from the RNG: the untraced run is identical.
+    untraced = PathFinder(s641, seed=seed)
+    assert untraced.sample_components() == components
+    assert untraced.collect_paths(components, exclude_critical=False) == paths
+    assert untraced.rng.getstate() == finder.rng.getstate()
+
+
+def test_path_search_counters_record_relaxation_and_exhaustion(tiny_comb):
+    from repro.netlist import find_io_path
+
+    finder, components, paths, counters = _traced_collect(tiny_comb, 0)
+    # No flip-flops at all: the requirement relaxes from 2 down to 0.
+    assert counters["paths.relaxed_requirement"] == 2
+    assert finder.ff_requirement == 0
+    assert counters["paths.searches"] == 3 * len(components)
+    assert counters["paths.found"] == len(paths) > 0
+
+    # A one-step budget runs out on the first candidate of the backward
+    # walk, and the forward walk never starts.
+    rec = Recorder()
+    with use_recorder(rec):
+        found = find_io_path(
+            load_benchmark("s641"), "g0", rng=random.Random(0), max_steps=1
+        )
+    assert found is None
+    assert rec.counters["paths.budget_exhausted"] == 1
+    assert rec.counters["paths.dfs_steps"] == 1
+
+
+def test_lock_paths_span_carries_count_and_requirement():
+    from repro.locking import ALGORITHMS
+
+    rec = Recorder()
+    with use_recorder(rec):
+        result = ALGORITHMS["independent"](seed=0).run(load_benchmark("s641"))
+    (paths_span,) = rec.find("lock.paths")
+    assert paths_span.attrs["n_paths"] == len(result.io_paths)
+    depths = [p.n_flip_flops for p in result.io_paths]
+    assert 0 <= paths_span.attrs["ff_requirement"] <= min(depths)
+
+
 def test_lint_sta_failure_becomes_diagnostic():
     from repro.lint import Linter
     from repro.netlist.gates import GateType

@@ -9,7 +9,7 @@ from repro.analysis import (
     estimate_activities,
     signal_probabilities,
 )
-from repro.netlist import GateType, Netlist
+from repro.netlist import GateType, Netlist, NetlistError
 
 
 class TestSignalProbabilities:
@@ -56,6 +56,15 @@ class TestSignalProbabilities:
         assert probs["zero"] == 0.0
         assert probs["one"] == 1.0
         assert probs["y"] == pytest.approx(0.5)
+
+    def test_flip_flop_reading_an_undriven_net_is_rejected(self):
+        n = Netlist()
+        n.add_input("a")
+        n.add_gate("r", GateType.DFF, ["nowhere"])
+        n.add_gate("y", GateType.AND, ["a", "r"])
+        n.add_output("y")
+        with pytest.raises(NetlistError, match="nobody drives"):
+            signal_probabilities(n)
 
 
 class TestActivities:
