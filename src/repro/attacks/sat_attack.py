@@ -71,10 +71,10 @@ def extract_canonical_key(
     Greedy per-bit refinement under assumptions: walk the key bits in
     sorted ``(lut, row)`` order and pin each to 0 when some solution still
     allows it, else to 1.  Because the result depends only on the *set* of
-    keys the formula admits (projected onto ``keys``), the live attack
-    solver and a from-scratch rebuild over the same DI constraints return
-    **bit-identical** keys — the contract the ``sat-incremental-extract``
-    check enforces.
+    keys the formula admits (projected onto ``keys``), it equals the first
+    consistent key of a brute-force enumeration over the same DI
+    constraints — the contract the ``sat-incremental-extract`` check
+    enforces on tiny locks.
 
     Solves incrementally: every call reuses the solver's learned clauses,
     and each accepted bit shrinks the next solve's search space.
@@ -284,11 +284,6 @@ class SatAttack:
         for point, value in response.items():
             var = copy_enc.net_vars[point]
             solver.add_clause([var if value else -var])
-
-    # The pre-overhaul extraction (fresh encoder + solver rebuilt over all
-    # DI constraints) is preserved as
-    # ``repro.check.reference_sat.reference_extract_key`` and raced against
-    # the incremental path by the ``sat-incremental-extract`` check.
 
 
 def verify_key(

@@ -222,5 +222,4 @@ class SequentialSatAttack:
                 solver.add_clause([var if response[po] else -var])
 
     # Key extraction happens on the live solver (extract_canonical_key with
-    # the miter relaxed); the old rebuild-everything path is gone — see
-    # repro.check.reference_sat for the combinational baseline it mirrored.
+    # the miter relaxed); nothing is rebuilt after the last DI round.

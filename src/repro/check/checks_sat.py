@@ -1,4 +1,4 @@
-"""SAT-verdict vs exhaustive-simulation differential checks.
+"""SAT-verdict vs exhaustive-simulation and brute-force-key checks.
 
 :func:`repro.sat.equivalence.check_equivalence` proves (via a Tseitin
 miter and the CDCL solver) what word-parallel exhaustive simulation can
@@ -9,12 +9,16 @@ Half the trials compare a cone against an exact copy (the verdict must be
 verdict must match what exhaustive simulation observes — a masked flip is
 legitimately still equivalent).  Counterexamples are replayed on both
 netlists and must actually distinguish them.
+
+The incremental SAT attack is checked the same way on tiny locks: the
+keys consistent with its recorded DI responses are enumerated outright
+(:func:`consistent_keys`), and its extracted key must be their lex-min.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..netlist.gates import GateType
 from ..netlist.netlist import Netlist
@@ -22,6 +26,9 @@ from ..netlist.transform import extract_cone, replace_gates_with_luts
 from ..sat.equivalence import check_equivalence
 from ..sim.logicsim import CombinationalSimulator, exhaustive_input_words
 from .core import CheckContext, register
+
+#: One recorded SAT-attack round: (DI pattern, oracle response).
+DiConstraint = Tuple[Dict[str, int], Dict[str, int]]
 
 #: Largest cone (in primary inputs) checked exhaustively: 2^10 patterns
 #: in one word-parallel evaluation.
@@ -68,10 +75,9 @@ def _mutate_one_gate(netlist: Netlist, rng: random.Random) -> Optional[str]:
     ]
     if not flippable:
         return None
-    node = netlist.node(rng.choice(flippable))
-    node.gate_type = _FLIPPED_TYPE[node.gate_type]
-    netlist.touch_structure()
-    return node.name
+    name = rng.choice(flippable)
+    netlist.set_gate_type(name, _FLIPPED_TYPE[netlist.node(name).gate_type])
+    return name
 
 
 def _exhaustively_equal(left: Netlist, right: Netlist) -> Tuple[bool, dict, dict]:
@@ -144,26 +150,82 @@ def sat_vs_exhaustive(ctx: CheckContext) -> None:
             )
 
 
+def consistent_keys(
+    foundry: Netlist, di_constraints: Sequence[DiConstraint]
+) -> List[Dict[str, int]]:
+    """Every full key of *foundry* consistent with the recorded DI
+    responses, by enumeration.
+
+    Each key is programmed into a copy of the foundry view, and all DI
+    patterns are simulated in one word on the interpreted backend.  Keys
+    come out in lexicographic order of their bits taken in sorted
+    ``(lut, row)`` order, 0 before 1, so the first one is the lex-min key.
+    Only for tiny locks: the loop visits ``2 ** (total LUT rows)`` keys.
+    """
+    candidate = foundry.copy(f"{foundry.name}_enum")
+    bits = sorted(
+        (lut, row)
+        for lut in candidate.luts
+        for row in range(1 << candidate.node(lut).n_inputs)
+    )
+    width = max(len(di_constraints), 1)
+
+    def word(values) -> int:
+        return sum(value << lane for lane, value in enumerate(values))
+
+    inputs = {
+        pi: word(p.get(pi, 0) for p, _ in di_constraints)
+        for pi in candidate.inputs
+    }
+    state = {
+        ff: word(p.get(ff, 0) for p, _ in di_constraints)
+        for ff in candidate.flip_flops
+    }
+    points = di_constraints[0][1] if di_constraints else {}
+    expected = {pt: word(r[pt] for _, r in di_constraints) for pt in points}
+    sim = CombinationalSimulator(candidate, backend="interpreted")
+    found: List[Dict[str, int]] = []
+    for code in range(1 << len(bits)):
+        key = dict.fromkeys(candidate.luts, 0)
+        for position, (lut, row) in enumerate(reversed(bits)):
+            if code >> position & 1:
+                key[lut] |= 1 << row
+        for lut, config in key.items():
+            candidate.node(lut).lut_config = config
+        values = sim.evaluate(inputs, state, width)
+        if all(values[pt] == w for pt, w in expected.items()):
+            found.append(key)
+    return found
+
+
 @register(
     name="sat-incremental-extract",
     family="sat",
-    description="the incremental SAT attack's extracted key must be "
-    "bit-identical to the preserved pre-overhaul rebuild path (both on "
-    "the live run's DI constraints and via a full reference attack), and "
-    "every side's oracle bill must equal one scan query per DI round",
+    description="on tiny locks (every other one with two unreachable LUT "
+    "rows), the incremental SAT attack's extracted key must be the "
+    "lex-min of the keys brute-force enumeration finds consistent with "
+    "its DI responses, every such key must be SAT-proved equivalent to "
+    "the hybrid, and the oracle bill must be one scan query per DI round",
     trial_divisor=8,
 )
 def sat_incremental_extract(ctx: CheckContext) -> None:
     from ..attacks.oracle import ConfiguredOracle
     from ..attacks.sat_attack import SatAttack
     from ..lut.mapping import HybridMapper
-    from .checks_attacks import IndependentBill, _lock_small
-    from .reference_sat import reference_attack_rounds, reference_extract_key
+    from .checks_attacks import IndependentBill, _candidate_from_key, _lock_small
+    from .checks_dataflow import _lock_duplicated_pin
 
     rng = ctx.rng
     for trial in range(ctx.trials):
-        hybrid = _lock_small(ctx.netlist(), rng)
-        if hybrid is None:
+        hybrid = ctx.netlist()
+        if trial % 2 == 0:
+            # A LUT reading one net on both pins never selects rows 1 and
+            # 2, so several keys stay consistent and only the canonical
+            # choice among them decides the extracted key.
+            locked = _lock_duplicated_pin(hybrid, rng) is not None
+        else:
+            locked = _lock_small(hybrid, rng) is not None
+        if not locked:
             return
         foundry = HybridMapper().strip_configs(hybrid)
 
@@ -177,40 +239,40 @@ def sat_incremental_extract(ctx: CheckContext) -> None:
             trial=trial,
         )
 
-        # Race the two extraction paths on *identical* DI constraints: the
-        # live-solver lex-min extraction vs the preserved fresh-rebuild.
-        rebuilt = reference_extract_key(foundry, result.di_constraints)
+        keys = consistent_keys(foundry, result.di_constraints)
+        truth = {lut: hybrid.node(lut).lut_config for lut in hybrid.luts}
+        ctx.require(
+            "the provisioned key is consistent with its own oracle",
+            truth in keys,
+            "enumeration rejected the ground-truth key",
+            trial=trial,
+        )
         ctx.compare(
-            "extracted key (incremental vs rebuild, same DI constraints)",
+            "extracted key (incremental vs brute-force lex-min)",
             result.key,
-            rebuilt,
+            keys[0] if keys else None,
             trial=trial,
             di_rounds=result.iterations,
+            consistent_keys=len(keys),
         )
+        # Termination: once no distinguishing input remains, every key
+        # the responses admit must implement the hybrid's function.
+        for key in keys:
+            if key == truth:
+                continue
+            candidate = _candidate_from_key(foundry, hybrid, key)
+            ctx.require(
+                "every consistent key is equivalent to the hybrid",
+                check_equivalence(candidate, hybrid).equivalent,
+                "a key consistent with every DI response differs from "
+                "the hybrid",
+                trial=trial,
+                key=key,
+            )
 
-        # Full pre-overhaul attack: DI searches may differ, but at
-        # termination the consistent-key set is the true key's functional
-        # equivalence class either way, so the canonical key is identical.
-        oracle_ref = ConfiguredOracle(hybrid, scan=True)
-        bill_ref = IndependentBill(oracle_ref)
-        ref = reference_attack_rounds(foundry, oracle_ref)
-        ctx.require(
-            "reference attack terminates",
-            not ref.gave_up,
-            "pre-overhaul SAT attack gave up on a tiny lock",
-            trial=trial,
-        )
-        ref_key = reference_extract_key(foundry, ref.di_constraints)
-        ctx.compare(
-            "extracted key (new attack vs pre-overhaul attack)",
-            result.key,
-            ref_key,
-            trial=trial,
-        )
-
-        # Oracle bills: a width-1 scan query per DI round, nothing from
-        # extraction (it never touches the oracle), on both sides — and
-        # the new side's reported bill must match the external re-count.
+        # Oracle bill: a width-1 scan query per DI round, nothing from
+        # extraction (it never touches the oracle), and the reported bill
+        # must match the external re-count.
         ctx.compare(
             "oracle bill vs external re-count",
             (result.oracle_queries, result.test_clocks),
@@ -221,11 +283,5 @@ def sat_incremental_extract(ctx: CheckContext) -> None:
             "incremental bill is one scan query per DI round",
             (result.oracle_queries, result.test_clocks),
             (result.iterations, result.iterations),
-            trial=trial,
-        )
-        ctx.compare(
-            "reference bill is one scan query per DI round",
-            (bill_ref.queries, bill_ref.test_clocks),
-            (ref.iterations, ref.iterations),
             trial=trial,
         )

@@ -3,11 +3,12 @@
 A differential check that never fires is worse than no check — it
 launders confidence.  Each :class:`Fault` here deliberately breaks one
 layer the checks guard (a stale compiled kernel, a stale netlist view,
-a lying SAT solver, a tampered sweep-cache row, an oracle that forgets to
-bill memoized replays, a simplify pass that miswires a gate), runs the
-corresponding check family, and demands at least one divergence.  The
-faults are installed by monkeypatching the real code paths — the checks
-themselves are byte-for-byte the ones the normal run uses.
+a lying SAT solver, a non-canonical SAT-attack key, a tampered
+sweep-cache row, an oracle that forgets to bill memoized replays, a
+simplify pass that miswires a gate), runs the corresponding check
+family, and demands at least one divergence.  The faults are installed
+by monkeypatching the real code paths — the checks themselves are
+byte-for-byte the ones the normal run uses.
 """
 
 from __future__ import annotations
@@ -126,10 +127,9 @@ def _inject_broken_simplify() -> Callable[[], None]:
     def broken_sweep(netlist):
         stats = original(netlist)
         for name in netlist.gates:
-            node = netlist.node(name)
-            if node.gate_type in flipped:
-                node.gate_type = flipped[node.gate_type]
-                netlist.touch_structure()
+            gate_type = netlist.node(name).gate_type
+            if gate_type in flipped:
+                netlist.set_gate_type(name, flipped[gate_type])
                 break
         return stats
 
@@ -137,6 +137,33 @@ def _inject_broken_simplify() -> Callable[[], None]:
 
     def undo() -> None:
         simplify.sweep = original
+
+    return undo
+
+
+def _inject_non_canonical_key() -> Callable[[], None]:
+    """SAT-attack key extraction returns the lex-*max* consistent key: a
+    key that still matches every DI response, but not the canonical one
+    the extraction contract promises."""
+    from ..attacks import sat_attack
+
+    original = sat_attack.extract_canonical_key
+
+    def lex_max_key(solver, keys, assumptions=()):
+        ordered = sorted(keys.items())
+        fixed: List[int] = []
+        for _, var in ordered:
+            ok = solver.solve(list(assumptions) + fixed + [var])
+            fixed.append(var if ok else -var)
+        key: Dict[str, int] = {}
+        for ((lut, row), _), lit in zip(ordered, fixed):
+            key[lut] = key.get(lut, 0) | (int(lit > 0) << row)
+        return key
+
+    sat_attack.extract_canonical_key = lex_max_key
+
+    def undo() -> None:
+        sat_attack.extract_canonical_key = original
 
     return undo
 
@@ -197,9 +224,9 @@ def _inject_dataflow_verdict_corruption() -> Callable[[], None]:
 def _inject_csr_edge_corruption() -> Callable[[], None]:
     """Freshly built CSR views carry one corrupted fan-in edge: the first
     eligible combinational node reads a startpoint instead of its real
-    driver (a transposed index during construction).  The networkx and
-    dict-walk references are built from the ``Node`` dicts, never from
-    the arrays, so the graph parity checks must diverge."""
+    driver (a transposed index during construction).  The networkx
+    references are built from the ``Node`` dicts, never from the arrays,
+    so the graph parity checks must diverge."""
     from ..netlist.csr import CsrView
 
     original = CsrView.__init__
@@ -269,6 +296,13 @@ FAULTS: List[Fault] = [
         family="sat",
         description="the CDCL solver claims UNSAT for every formula",
         inject=_inject_sat_always_unsat,
+    ),
+    Fault(
+        name="non-canonical-key",
+        family="sat",
+        description="SAT-attack key extraction returns the lex-max "
+        "consistent key instead of the lex-min",
+        inject=_inject_non_canonical_key,
     ),
     Fault(
         name="sweep-cache-tamper",

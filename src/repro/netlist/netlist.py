@@ -144,8 +144,8 @@ class Netlist:
 
     def touch_structure(self) -> None:
         """Record an out-of-band structural mutation (callers that edit
-        ``node.fanin`` / ``node.gate_type`` / ``_fanout`` directly must
-        call this)."""
+        ``node.fanin`` / ``_fanout`` / ``outputs`` directly must call this;
+        gate types change only through :meth:`set_gate_type`)."""
         self._structure_revision += 1
 
     # ------------------------------------------------------------------
@@ -280,6 +280,24 @@ class Netlist:
         node.lut_config = mask if program else None
         self.touch_structure()
         return node
+
+    def set_gate_type(
+        self,
+        name: str,
+        gate_type: GateType,
+        fanin: Optional[Sequence[str]] = None,
+    ) -> None:
+        """Rewrite node *name* to *gate_type*, optionally onto a new *fanin*
+        list, and bump the structure revision (gate types are structure)."""
+        node = self.node(name)
+        if fanin is not None:
+            for src in set(node.fanin):
+                self._fanout.get(src, set()).discard(name)
+            node.fanin = list(fanin)
+            for src in node.fanin:
+                self._fanout.setdefault(src, set()).add(name)
+        node.gate_type = gate_type
+        self.touch_structure()
 
     def rewire_fanin(self, name: str, pin: int, new_src: str) -> None:
         """Reconnect pin *pin* of node *name* to net *new_src*."""

@@ -125,12 +125,10 @@ def disable_scan(netlist: Netlist) -> None:
     if not has_scan_chain(netlist):
         raise NetlistError("netlist has no scan chain")
     for port in (SCAN_ENABLE, SCAN_IN):
-        node = netlist.node(port)
-        node.gate_type = GateType.CONST0
-        node.fanin = []
+        netlist.set_gate_type(port, GateType.CONST0, fanin=[])
     if SCAN_OUT in netlist.outputs:
         netlist.outputs.remove(SCAN_OUT)
-    netlist.touch_structure()
+        netlist.touch_structure()
     netlist.validate()
 
 

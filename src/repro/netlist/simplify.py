@@ -66,13 +66,7 @@ def propagate_constants(netlist: Netlist) -> int:
             if new is None:
                 continue
             new_type, new_fanin = new
-            for src in set(node.fanin):
-                netlist._fanout.get(src, set()).discard(name)
-            node.gate_type = new_type
-            node.fanin = new_fanin
-            for src in new_fanin:
-                netlist._fanout.setdefault(src, set()).add(name)
-            netlist.touch_structure()
+            netlist.set_gate_type(name, new_type, new_fanin)
             folded += 1
             changed = True
     return folded

@@ -66,18 +66,12 @@ def decompose_to_max_fanin(netlist: Netlist, max_fanin: int = 2) -> int:
             sources = grouped
         # Rewire the original node onto the reduced operand list, keeping
         # its own (possibly inverting) type at the root.
-        for src in set(node.fanin):
-            netlist._fanout.get(src, set()).discard(name)
+        gate_type = node.gate_type
         if len(sources) == 1:
-            node.gate_type = (
-                GateType.NOT if node.gate_type in _INVERTING else GateType.BUF
+            gate_type = (
+                GateType.NOT if gate_type in _INVERTING else GateType.BUF
             )
-            node.fanin = sources
-        else:
-            node.fanin = sources
-        for src in node.fanin:
-            netlist._fanout.setdefault(src, set()).add(name)
-        netlist.touch_structure()
+        netlist.set_gate_type(name, gate_type, sources)
     netlist.validate()
     return created
 
@@ -121,38 +115,30 @@ def map_to_nand(netlist: Netlist) -> int:
             )
         a = node.fanin[0]
         b = node.fanin[-1]
-        for src in set(node.fanin):
-            netlist._fanout.get(src, set()).discard(name)
         if gt is GateType.BUF:
-            inner = fresh("inv", GateType.NOT, [a])
-            node.gate_type, node.fanin = GateType.NOT, [inner]
+            new = GateType.NOT, [fresh("inv", GateType.NOT, [a])]
         elif gt is GateType.AND:
-            inner = fresh("nand", GateType.NAND, [a, b])
-            node.gate_type, node.fanin = GateType.NOT, [inner]
+            new = GateType.NOT, [fresh("nand", GateType.NAND, [a, b])]
         elif gt is GateType.OR:
             na = fresh("inva", GateType.NOT, [a])
             nb = fresh("invb", GateType.NOT, [b])
-            node.gate_type, node.fanin = GateType.NAND, [na, nb]
+            new = GateType.NAND, [na, nb]
         elif gt is GateType.NOR:
             na = fresh("inva", GateType.NOT, [a])
             nb = fresh("invb", GateType.NOT, [b])
-            inner = fresh("nand", GateType.NAND, [na, nb])
-            node.gate_type, node.fanin = GateType.NOT, [inner]
+            new = GateType.NOT, [fresh("nand", GateType.NAND, [na, nb])]
         elif gt in (GateType.XOR, GateType.XNOR):
             # XOR(a,b) = NAND(NAND(a, nab), NAND(b, nab)); nab = NAND(a,b).
             nab = fresh("nab", GateType.NAND, [a, b])
             left = fresh("l", GateType.NAND, [a, nab])
             right = fresh("r", GateType.NAND, [b, nab])
             if gt is GateType.XOR:
-                node.gate_type, node.fanin = GateType.NAND, [left, right]
+                new = GateType.NAND, [left, right]
             else:
-                inner = fresh("x", GateType.NAND, [left, right])
-                node.gate_type, node.fanin = GateType.NOT, [inner]
+                new = GateType.NOT, [fresh("x", GateType.NAND, [left, right])]
         else:  # pragma: no cover - exhaustive above
             raise NetlistError(f"unhandled gate type {gt}")
-        for src in node.fanin:
-            netlist._fanout.setdefault(src, set()).add(name)
-        netlist.touch_structure()
+        netlist.set_gate_type(name, *new)
     netlist.validate()
     return created
 

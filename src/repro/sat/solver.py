@@ -13,9 +13,8 @@ learned during search are persisted as root-level facts, so knowledge
 accumulated under one set of assumptions carries over to the next ``solve``
 call — the property the incremental SAT attack leans on.
 
-The pre-overhaul implementation is preserved verbatim as
-``repro.check.reference_sat.ReferenceSolver`` and raced against this one in
-``benchmarks/test_sat_throughput.py``; see ``docs/PERFORMANCE.md``.
+The ``sat`` check family races its verdicts against exhaustive simulation;
+see ``docs/CHECKING.md``.
 """
 
 from __future__ import annotations

@@ -347,13 +347,12 @@ class TestSatAttackIncremental:
             assert set(pattern) >= set(s27.inputs)
             assert response  # at least one observation point pinned
 
-    def test_extracted_key_matches_reference_rebuild(self, s27):
-        from repro.check.reference_sat import reference_extract_key
+    def test_extracted_key_is_brute_force_lex_min(self, s27):
+        from repro.check.checks_sat import consistent_keys
 
         hybrid, foundry, _ = lock(s27, ["G8", "G11"])
         oracle = ConfiguredOracle(hybrid, scan=True)
         result = SatAttack(foundry, oracle).run()
         assert result.success
-        assert result.key == reference_extract_key(
-            foundry, result.di_constraints
-        )
+        keys = consistent_keys(foundry, result.di_constraints)
+        assert result.key == keys[0]

@@ -1,7 +1,7 @@
 """Unit tests for the CSR flat-array netlist views (:mod:`repro.netlist.csr`).
 
-The ``graph`` check family proves the CSR kernels bit-identical to the
-dict-walk and networkx baselines on random circuits; these tests pin the
+The ``graph`` check family confronts the CSR kernels with networkx and
+per-node oracles on random circuits; these tests pin the
 *contracts* on hand-built netlists where every expected value is written
 out by hand — id↔name mapping, pin order, dangling encoding, fan-out
 name-sorting, memo identity, and the frozen ``to_networkx`` view.
@@ -9,6 +9,7 @@ name-sorting, memo identity, and the frozen ``to_networkx`` view.
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -235,10 +236,10 @@ class TestFrozenNetworkxView:
 # ----------------------------------------------------------------------
 def test_no_networkx_outside_sanctioned_modules():
     """Traversals run on the CSR views; ``networkx`` imports are allowed
-    only in the frozen debug view (``netlist/graph.py``) and the
-    differential-check baseline (``check/reference_graph.py``)."""
+    only in the frozen debug view (``netlist/graph.py``) and the graph
+    checks' independent oracles (``check/checks_graph.py``)."""
     src = Path(__file__).resolve().parent.parent / "src" / "repro"
-    allowed = {"netlist/graph.py", "check/reference_graph.py"}
+    allowed = {"netlist/graph.py", "check/checks_graph.py"}
     offenders = [
         rel
         for path in sorted(src.rglob("*.py"))
@@ -253,4 +254,37 @@ def test_no_networkx_outside_sanctioned_modules():
     assert offenders == [], (
         "networkx import outside the sanctioned modules — use "
         f"repro.netlist.csr for traversals: {offenders}"
+    )
+
+
+def test_no_gate_type_writes_outside_netlist():
+    """Gate types are structure: every rewrite goes through
+    ``Netlist.set_gate_type``, which bumps the structure revision, so no
+    module outside ``netlist/netlist.py`` assigns ``.gate_type``."""
+    src = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+    def writes_gate_type(tree: ast.AST) -> bool:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Attribute) and leaf.attr == "gate_type":
+                        return True
+        return False
+
+    offenders = [
+        rel
+        for path in sorted(src.rglob("*.py"))
+        if (rel := str(path.relative_to(src)).replace("\\", "/"))
+        != "netlist/netlist.py"
+        and writes_gate_type(ast.parse(path.read_text()))
+    ]
+    assert offenders == [], (
+        "direct .gate_type write outside netlist/netlist.py — use "
+        f"Netlist.set_gate_type so views see the change: {offenders}"
     )

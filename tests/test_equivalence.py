@@ -54,7 +54,7 @@ class TestEquivalent:
 class TestInequivalent:
     def test_wrong_gate_found(self):
         left, right = de_morgan_pair()
-        right.node("y").gate_type = GateType.AND  # now inequivalent
+        right.set_gate_type("y", GateType.AND)  # now inequivalent
         result = check_equivalence(left, right)
         assert not result.equivalent
         assert result.counterexample is not None
@@ -82,7 +82,7 @@ class TestInequivalent:
 
     def test_assert_equivalent_raises(self):
         left, right = de_morgan_pair()
-        right.node("y").gate_type = GateType.NOR
+        right.set_gate_type("y", GateType.NOR)
         with pytest.raises(NetlistError, match="differ"):
             assert_equivalent(left, right)
 
@@ -122,7 +122,7 @@ class TestComparedPoints:
 
     def test_counterexample_path_counts_pairs(self):
         left, right = de_morgan_pair()
-        right.node("y").gate_type = GateType.AND
+        right.set_gate_type("y", GateType.AND)
         result = check_equivalence(left, right)
         assert not result.equivalent
         assert result.compared_points == 1  # was 2 (double-counted)
