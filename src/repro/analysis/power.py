@@ -22,8 +22,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
-from ..netlist.gates import GateType
+from ..netlist.cache import memoized
 from ..netlist.csr import csr_view
+from ..netlist.gates import GateType
 from ..netlist.netlist import Netlist, NetlistError
 from ..techlib.cells import TechLibrary, cmos_90nm
 from ..techlib.stt import SttLibrary, stt_mtj_32nm
@@ -99,7 +100,7 @@ def signal_probabilities(
          fi_idx[fi_ptr[i] : fi_ptr[i + 1]])
         for i in view.comb_order()
     ]
-    ff_ids = [i for i in range(view.n) if view.is_seq[i]]
+    ff_ids = view.ff_ids
     d_ids = [view.d_pin(i) for i in ff_ids]
     if -1 in d_ids:
         raise NetlistError("a flip-flop reads a net nobody drives")
@@ -130,7 +131,10 @@ def estimate_activities(
     """Per-net switching activity α (transition probability per cycle).
 
     ``method="probabilistic"`` derives α from signal probabilities
-    (α = 2·p·(1−p), scaled at the inputs to *input_activity*);
+    (α = 2·p·(1−p), scaled at the inputs to *input_activity*) and is
+    memoized per structure revision, input activity and tuple of LUT
+    configs (configs bump no revision, so they are part of the key): the
+    returned dict is then a shared snapshot — do not mutate it.
     ``method="simulation"`` measures toggles over random stimulus.
     """
     if method == "simulation":
@@ -141,6 +145,21 @@ def estimate_activities(
         return {name: stats.activity(name) for name in netlist.node_names()}
     if method != "probabilistic":
         raise ValueError(f"unknown activity method {method!r}")
+    view = csr_view(netlist)
+    names, is_lut, node = view.names, view.is_lut, netlist.node
+    configs = tuple(
+        node(names[i]).lut_config for i in range(view.n) if is_lut[i]
+    )
+    return memoized(
+        netlist,
+        ("activities", input_activity, configs),
+        lambda nl: _probabilistic_activities(nl, input_activity),
+    )
+
+
+def _probabilistic_activities(
+    netlist: Netlist, input_activity: float
+) -> Dict[str, float]:
     probs = signal_probabilities(netlist)  # nets in CSR id order
     scale = input_activity / 0.5 if input_activity else 0.0
     return {

@@ -13,10 +13,11 @@ never on the configuration — so timing does not leak the secret function).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..netlist.csr import csr_view
+from ..netlist.csr import CsrView, csr_view
 from ..netlist.gates import GateType
 from ..netlist.netlist import Netlist
 from ..techlib.cells import TechLibrary, cmos_90nm
@@ -70,6 +71,11 @@ class TimingAnalyzer:
     ):
         self.tech = tech or cmos_90nm()
         self.stt = stt or stt_mtj_32nm()
+        #: Each CSR view's own arrivals (see :meth:`max_delay`); an entry
+        #: dies with its view, i.e. at the netlist's next revision.
+        self._base: "weakref.WeakKeyDictionary[CsrView, List[float]]" = (
+            weakref.WeakKeyDictionary()
+        )
 
     def gate_delay(self, netlist: Netlist, name: str) -> float:
         """Propagation delay of the node driving *name*, in ns."""
@@ -92,8 +98,7 @@ class TimingAnalyzer:
 
         Nodes named in *as_lut* are timed as STT LUTs of their arity, as if
         :meth:`~repro.netlist.netlist.Netlist.replace_with_lut` had been
-        applied to them, without mutating the netlist: the candidate timing
-        of parametric selection costs no revision bump and no view rebuild.
+        applied to them, without mutating the netlist.
 
         The propagation runs over the CSR view: arrival times and worst
         predecessors live in flat arrays indexed by node id, and per-node
@@ -103,19 +108,89 @@ class TimingAnalyzer:
         """
         view = csr_view(netlist)
         order = view.topo_order()
-        n = view.n
-        arr = [0.0] * n
-        prev = [-1] * n
-        clk_to_q = self.tech.dff.clk_to_q_ns
+        arr = [0.0] * view.n
+        prev = [-1] * view.n
+        luts = [view.index[name] for name in as_lut]
+        self._propagate(view, self._types(view, luts), order, arr, prev)
+        endpoint, endpoint_id, max_delay = self._worst_endpoint(view, arr)
+
+        path: List[str] = []
+        if endpoint and endpoint_id < 0:
+            path.append(endpoint)
+        cursor = endpoint_id
+        while cursor >= 0:
+            path.append(view.names[cursor])
+            cursor = prev[cursor]
+        path.reverse()
+
+        names = view.names
+        arrival: Dict[str, float] = dict(
+            zip(map(names.__getitem__, order), map(arr.__getitem__, order))
+        )
+        return TimingReport(
+            max_delay_ns=max_delay,
+            critical_path=tuple(path),
+            arrival_ns=arrival,
+            endpoint=endpoint,
+            clock_period_ns=clock_period_ns,
+        )
+
+    def max_delay(self, netlist: Netlist, as_lut: Iterable[str] = ()) -> float:
+        """Just the longest-path delay (see :meth:`analyze` for *as_lut*).
+
+        The netlist's own arrivals are computed once per CSR view and kept
+        by this analyzer.  With *as_lut*, only the combinational fan-out
+        cone of those nodes is re-propagated, in level order, on a copy
+        of them: a node outside the cone reads no retimed node, so its
+        base arrival is already the answer, and a node inside it repeats
+        the operations of a full pass on the same inputs.  The result is
+        the full pass's float, bit for bit, at a cost proportional to the
+        cone — which is what parametric selection's candidate checks pay.
+        """
+        view = csr_view(netlist)
+        arr = self._base.get(view)
+        if arr is None:
+            arr = [0.0] * view.n
+            self._propagate(
+                view, view.gate_types, view.topo_order(), arr, [-1] * view.n
+            )
+            self._base[view] = arr
+        luts = [view.index[name] for name in as_lut]
+        if luts:
+            cone = view.forward_ids(luts, enter_sequential=False)
+            cone.sort(key=view.levels().__getitem__)
+            arr = arr[:]
+            self._propagate(
+                view, self._types(view, luts), cone, arr, [-1] * view.n
+            )
+        return self._worst_endpoint(view, arr)[2]
+
+    @staticmethod
+    def _types(view: CsrView, luts: List[int]) -> List[GateType]:
+        """The view's gate types with the nodes *luts* retyped as LUTs."""
         gate_types = view.gate_types
-        if as_lut:
+        if luts:
             gate_types = list(gate_types)
-            for name in as_lut:
-                gate_types[view.index[name]] = GateType.LUT
+            for i in luts:
+                gate_types[i] = GateType.LUT
+        return gate_types
+
+    def _propagate(
+        self,
+        view: CsrView,
+        gate_types: List[GateType],
+        ids: Iterable[int],
+        arr: List[float],
+        prev: List[int],
+    ) -> None:
+        """The one arrival loop: set ``arr[i]`` and ``prev[i]`` (the worst
+        fan-in, first pin on ties) for each id of *ids*, which must list
+        every node after its combinational fan-in."""
+        clk_to_q = self.tech.dff.clk_to_q_ns
         is_input, is_seq = view.is_input, view.is_seq
         fi_ptr, fi_idx = view.fanin_ptr, view.fanin_idx
         delay_cache: Dict[Tuple[GateType, int], float] = {}
-        for i in order:
+        for i in ids:
             if is_input[i]:
                 continue
             if is_seq[i]:
@@ -145,6 +220,11 @@ class TimingAnalyzer:
                 delay_cache[key] = delay
             arr[i] = best_arr + delay
 
+    def _worst_endpoint(
+        self, view: CsrView, arr: List[float]
+    ) -> Tuple[str, int, float]:
+        """``(endpoint name, endpoint id, max delay)`` over the primary
+        outputs and flip-flop D pins (id -1 for a dangling D pin)."""
         endpoint, endpoint_id, max_delay = "", -1, 0.0
         # Endpoints: primary outputs and D pins of flip-flops (data arrival
         # plus setup must fit in the period; setup is added uniformly so it
@@ -153,9 +233,8 @@ class TimingAnalyzer:
             if arr[i] > max_delay:
                 endpoint, endpoint_id, max_delay = view.names[i], i, arr[i]
         setup = self.tech.dff.setup_ns
-        for i in range(n):
-            if not is_seq[i]:
-                continue
+        fi_ptr, fi_idx = view.fanin_ptr, view.fanin_idx
+        for i in view.ff_ids:
             base, end = fi_ptr[i], fi_ptr[i + 1]
             if base == end:
                 raise IndexError("list index out of range")
@@ -170,32 +249,7 @@ class TimingAnalyzer:
                 if d_arr > max_delay:
                     endpoint = view.dangling[(i, 0)]
                     endpoint_id, max_delay = -1, d_arr
-
-        path: List[str] = []
-        if endpoint and endpoint_id < 0:
-            path.append(endpoint)
-        cursor = endpoint_id
-        while cursor >= 0:
-            path.append(view.names[cursor])
-            cursor = prev[cursor]
-        path.reverse()
-
-        names = view.names
-        arrival: Dict[str, float] = dict(
-            zip(map(names.__getitem__, order), map(arr.__getitem__, order))
-        )
-        return TimingReport(
-            max_delay_ns=max_delay,
-            critical_path=tuple(path),
-            arrival_ns=arrival,
-            endpoint=endpoint,
-            clock_period_ns=clock_period_ns,
-        )
-
-    def max_delay(self, netlist: Netlist, as_lut: Iterable[str] = ()) -> float:
-        """Shortcut: just the longest-path delay (see :meth:`analyze` for
-        *as_lut*)."""
-        return self.analyze(netlist, as_lut=as_lut).max_delay_ns
+        return endpoint, endpoint_id, max_delay
 
     def path_delay(self, netlist: Netlist, path: List[str]) -> float:
         """Sum of gate delays along an explicit node sequence."""

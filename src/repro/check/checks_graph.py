@@ -12,7 +12,14 @@ kernel with a computation that shares no code with it:
   the lint/dataflow reachability queries;
 * a plain per-node STA loop over networkx's topological order, which
   must reproduce the CSR arrival floats bit for bit;
-* a capped relaxation for flip-flop depths, which no library computes.
+* capped relaxations for flip-flop depths and the paper's D_i, which no
+  library computes.
+
+The wiring kernels are shared by every view of equal wiring
+(:class:`repro.netlist.csr.Wiring`), so one check rewires a copy of a
+netlist whose kernels are warm and confronts the copy's kernels with the
+oracles: a share keyed on less than the full wiring (the
+``wiring-share-collision`` fault) hands the copy its original's values.
 
 The rng-driven path DFS is the one exception: the golden Table I rows
 depend on its exact draw order, so the name-based DFS below is the spec
@@ -154,6 +161,24 @@ def capped_ff_depths(netlist: Netlist) -> Dict[str, int]:
             if new > depth[node.name]:
                 depth[node.name] = new
                 changed = True
+    return depth
+
+
+def capped_output_depths(netlist: Netlist) -> Dict[str, int]:
+    """The paper's D_i by plain reverse relaxation: sweeps in node order,
+    in place, at most ``cap + 1`` of them, with the CSR kernel's cap.
+    Dangling fan-in nets get entries in the order they are first raised."""
+    cap = max(min(len(netlist.flip_flops), MAX_TRACKED_FF_DEPTH), 1)
+    depth = {name: 0 for name in netlist.node_names()}
+    changed, iterations = True, 0
+    while changed and iterations <= cap + 1:
+        changed, iterations = False, iterations + 1
+        for node in netlist:
+            through = depth[node.name] + (1 if node.is_sequential else 0)
+            for src in node.fanin:
+                if through > depth.get(src, 0):
+                    depth[src] = through
+                    changed = True
     return depth
 
 
@@ -548,6 +573,67 @@ def graph_warm_view_freshness(ctx: CheckContext) -> None:
                     fresh[fact],
                     round=round_no,
                     circuit=label,
+                )
+
+
+@register(
+    name="graph-rewired-copy-kernels",
+    family="graph",
+    description="a copy rewired away from a netlist whose wiring kernels "
+    "are warm must not inherit them: its levels, flip-flop depths, D_i "
+    "and guide distances must match networkx and the capped relaxations",
+    trial_divisor=4,
+)
+def graph_rewired_copy_kernels(ctx: CheckContext) -> None:
+    from ..locking.metrics import depth_to_output
+
+    for round_no in range(ctx.trials):
+        for label, netlist in _circuits(ctx, round_no):
+            # Warm every wiring kernel of the original.
+            PathGuide(netlist)
+            levels = csr_view(netlist).levels()
+            flip_flop_depths(netlist)
+            depth_to_output(netlist)
+
+            # Rewire a deepest gate onto startpoints, pin count unchanged:
+            # no loop can form, and its logic level drops to 1.
+            view = csr_view(netlist)
+            deepest = max(levels)
+            gate = ctx.rng.choice(
+                [view.names[i] for i in range(view.n) if levels[i] == deepest]
+            )
+            node = netlist.node(gate)
+            starts = [n.name for n in netlist if n.is_input or n.is_sequential]
+            fanin = [ctx.rng.choice(starts) for _ in node.fanin]
+            rewired = netlist.copy()
+            rewired.set_gate_type(gate, node.gate_type, fanin=fanin)
+
+            full = nx_graph(rewired)
+            cut = nx_graph(rewired, cut_flip_flops=True)
+            guide = PathGuide(rewired)
+            to_start, to_end = nx_guide(rewired, full, cut)
+            oracles = {
+                "logic levels": nx_levels(rewired, cut),
+                "flip-flop depths": capped_ff_depths(rewired),
+                "D_i": capped_output_depths(rewired),
+                "guide distances to startpoints": to_start,
+                "guide distances to endpoints": to_end,
+            }
+            kernels = {
+                "logic levels": dict(levelize(rewired)),
+                "flip-flop depths": flip_flop_depths(rewired),
+                "D_i": dict(depth_to_output(rewired)),
+                "guide distances to startpoints": guide.to_startpoint,
+                "guide distances to endpoints": guide.to_endpoint,
+            }
+            for fact, value in kernels.items():
+                ctx.compare(
+                    f"{fact} of a rewired copy (CSR vs oracle)",
+                    value,
+                    oracles[fact],
+                    round=round_no,
+                    circuit=label,
+                    gate=gate,
                 )
 
 

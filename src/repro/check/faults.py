@@ -3,12 +3,13 @@
 A differential check that never fires is worse than no check — it
 launders confidence.  Each :class:`Fault` here deliberately breaks one
 layer the checks guard (a stale compiled kernel, a stale netlist view,
-a lying SAT solver, a non-canonical SAT-attack key, a tampered
-sweep-cache row, an oracle that forgets to bill memoized replays, a
-simplify pass that miswires a gate), runs the corresponding check
-family, and demands at least one divergence.  The faults are installed
-by monkeypatching the real code paths — the checks themselves are
-byte-for-byte the ones the normal run uses.
+wiring kernels shared across different wiring, a lying SAT solver, a
+non-canonical SAT-attack key, a tampered sweep-cache row, an oracle
+that forgets to bill memoized replays, a simplify pass that miswires a
+gate), runs the corresponding check family, and demands at least one
+divergence.  The faults are installed by monkeypatching the real code
+paths — the checks themselves are byte-for-byte the ones the normal run
+uses.
 """
 
 from __future__ import annotations
@@ -284,6 +285,27 @@ def _inject_stale_view() -> Callable[[], None]:
     return undo
 
 
+def _inject_wiring_share_collision() -> Callable[[], None]:
+    """The wiring-share key drops ``fanin_idx``: a copy rewired with the
+    same pin counts finds its original's :class:`~repro.netlist.csr.
+    Wiring` and inherits levels, depths and guide distances that belong
+    to the old wiring."""
+    from ..netlist import csr
+
+    original = csr._wiring_key
+
+    def collision_prone_key(view):
+        key = original(view)
+        return key[:2] + key[3:]
+
+    csr._wiring_key = collision_prone_key
+
+    def undo() -> None:
+        csr._wiring_key = original
+
+    return undo
+
+
 FAULTS: List[Fault] = [
     Fault(
         name="stale-compiled-kernel",
@@ -348,6 +370,13 @@ FAULTS: List[Fault] = [
         description="replace_with_lut skips the revision bump, so warm "
         "views keep the pre-lock gate types",
         inject=_inject_stale_view,
+    ),
+    Fault(
+        name="wiring-share-collision",
+        family="graph",
+        description="the wiring-share key ignores fanin_idx, so a rewired "
+        "copy inherits its original's wiring kernels",
+        inject=_inject_wiring_share_collision,
     ),
 ]
 

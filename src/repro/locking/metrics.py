@@ -22,9 +22,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from ..netlist.csr import MAX_TRACKED_FF_DEPTH, csr_view
+from ..netlist.csr import csr_view
 from ..netlist.gates import CANDIDATE_TYPES, similarity, truth_table
 from ..netlist.graph import sequential_depth
 from ..netlist.netlist import Netlist
@@ -89,38 +89,9 @@ def p_candidates(n_inputs: int, source: str = "paper") -> float:
 
 def depth_to_output(netlist: Netlist) -> Dict[str, int]:
     """Per-net maximum number of flip-flops between the net and a primary
-    output (the paper's D_i), by reverse relaxation saturating at the same
-    bound as :func:`repro.netlist.graph.flip_flop_depths`.
-
-    Sweeps run in node order and update in place, and the sweep count is
-    capped, so the order is part of the result; dangling fan-in nets get
-    entries after the nodes, in the order they were first raised."""
-    view = csr_view(netlist)
-    is_seq, fi_ptr, fi_idx = view.is_seq, view.fanin_ptr, view.fanin_idx
-    cap = max(min(view.n_flip_flops, MAX_TRACKED_FF_DEPTH), 1)
-    depth = [0] * view.n
-    dangling_pins: Dict[int, List[str]] = {}
-    for (i, _), name in view.dangling.items():
-        dangling_pins.setdefault(i, []).append(name)
-    dangling: Dict[str, int] = {}
-    changed = True
-    iterations = 0
-    while changed and iterations <= cap + 1:
-        changed = False
-        iterations += 1
-        for i in range(view.n):
-            through = depth[i] + is_seq[i]
-            for j in fi_idx[fi_ptr[i] : fi_ptr[i + 1]]:
-                if j >= 0 and through > depth[j]:
-                    depth[j] = through
-                    changed = True
-            for name in dangling_pins.get(i, ()):
-                if through > dangling.get(name, 0):
-                    dangling[name] = through
-                    changed = True
-    result = dict(zip(view.names, depth))
-    result.update(dangling)
-    return result
+    output (the paper's D_i); see :meth:`repro.netlist.csr.CsrView.
+    depth_to_output`.  Shared snapshot; do not mutate."""
+    return csr_view(netlist).depth_to_output()
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from ..netlist.gates import GateType
 from ..netlist.graph import combinational_gates_on
 from ..netlist.netlist import Netlist
 from ..netlist.transform import immediate_neighbours
+from ..obs import add_counter
 from .base import SelectionAlgorithm
 
 
@@ -149,10 +150,11 @@ class ParametricSelection(SelectionAlgorithm):
                 if node.gate_type in (GateType.CONST0, GateType.CONST1):
                     continue
                 trial = list(selected) + [neighbour]
-                if self._trial_delay(netlist, trial) <= budget_ns:
+                if self._guard(netlist, trial, budget_ns):
                     selected.setdefault(neighbour, None)
                 else:
                     self.skipped_neighbours.append(neighbour)
+                    add_counter("parametric.usl_skipped")
 
     def _pick_with_timing(
         self,
@@ -169,8 +171,7 @@ class ParametricSelection(SelectionAlgorithm):
                 break
             picked = rng.sample(segment_gates, count)
             trial = list(already) + picked
-            delay = self._trial_delay(netlist, trial)
-            if delay <= budget_ns:
+            if self._guard(netlist, trial, budget_ns):
                 return picked
             if count > 1 and attempt >= self.max_retries // 2:
                 count -= 1  # shrink the pick when the segment is too tight
@@ -178,6 +179,13 @@ class ParametricSelection(SelectionAlgorithm):
         # entirely (its gates join the USL, whose closure is itself
         # timing-guarded) — the algorithm stays parametric-aware throughout.
         return []
+
+    def _guard(self, netlist: Netlist, names: List[str], budget_ns: float) -> bool:
+        """The timing guard: does replacing *names* keep the longest path
+        within *budget_ns*?  Counts its verdict."""
+        ok = self._trial_delay(netlist, names) <= budget_ns
+        add_counter("parametric.guard_accepts" if ok else "parametric.guard_rejects")
+        return ok
 
     def _trial_delay(self, netlist: Netlist, names: List[str]) -> float:
         """Longest-path delay with *names* timed as LUTs (the netlist is

@@ -11,7 +11,8 @@ structural query is computed once per mutation epoch and then served in
 O(1).
 
 The cache is deliberately generic: :func:`memoized` maps an arbitrary
-string key to a compute function, so any module can hang derived views off
+hashable key (a string, or a tuple for views with parameters) to a
+compute function, so any module can hang derived views off
 a netlist without this module importing it (which keeps the dependency
 graph acyclic — :mod:`repro.netlist.graph` and :mod:`repro.sim.compiled`
 both build on it).
@@ -31,7 +32,7 @@ with their netlists and working copies created by the attacks never leak.
 from __future__ import annotations
 
 import weakref
-from typing import Any, Callable, Dict, List, TYPE_CHECKING
+from typing import Any, Callable, Dict, Hashable, List, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .netlist import Netlist
@@ -44,7 +45,7 @@ class _CacheEntry:
 
     def __init__(self, revision: int):
         self.revision = revision
-        self.values: Dict[str, Any] = {}
+        self.values: Dict[Hashable, Any] = {}
 
 
 _CACHES: "weakref.WeakKeyDictionary[Netlist, _CacheEntry]" = (
@@ -53,7 +54,7 @@ _CACHES: "weakref.WeakKeyDictionary[Netlist, _CacheEntry]" = (
 
 
 def memoized(
-    netlist: "Netlist", key: str, compute: Callable[["Netlist"], Any]
+    netlist: "Netlist", key: Hashable, compute: Callable[["Netlist"], Any]
 ) -> Any:
     """Return ``compute(netlist)``, served from the structure cache.
 
@@ -81,10 +82,10 @@ def invalidate(netlist: "Netlist") -> None:
     _CACHES.pop(netlist, None)
 
 
-def cached_keys(netlist: "Netlist") -> List[str]:
+def cached_keys(netlist: "Netlist") -> List[Hashable]:
     """The view keys currently memoized for *netlist* at its **current**
     revision (empty after any mutation).  Intended for tests."""
     entry = _CACHES.get(netlist)
     if entry is None or entry.revision != netlist.structure_revision:
         return []
-    return sorted(entry.values)
+    return sorted(entry.values, key=str)

@@ -25,18 +25,23 @@ snapshot per structure revision:
   cost is proportional to the cone (ids are collected during the walk,
   never by re-scanning all nodes) with optional word-packed bitset
   output, startpoint/endpoint BFS distances for path guidance, and
-  saturating flip-flop-depth relaxation over the *sequential* view.
+  saturating flip-flop-depth relaxation over the *sequential* view,
+  forwards (depth from an input) and backwards (the paper's D_i).
 
 The view is **read-only** and served through the existing
 :mod:`repro.netlist.cache` revision-counter memo: ``csr_view(netlist)``
 is O(1) until the next structural mutation, at which point the whole
 epoch is dropped and the next query rebuilds.  There is deliberately no
-second invalidation mechanism.
+second invalidation mechanism.  The rebuilt view does not recompute its
+wiring-only kernels, though, when some live view already has the same
+wiring (a copy, or the netlist before a gate-type rewrite): both views
+hold one :class:`Wiring`, found by content, never by revision.
 
-Construction and the levelization kernels are traced
-(``netlist.csr.build`` / ``netlist.csr.levelize`` spans,
-``netlist.csr.nodes`` / ``netlist.csr.edges`` counters) so BENCH deltas
-stay attributable — see ``docs/OBSERVABILITY.md``.
+Construction, the fan-out CSR and the levelization kernel are traced
+(``netlist.csr.build`` / ``netlist.csr.fanout`` / ``netlist.csr.levelize``
+spans; ``netlist.csr.nodes`` / ``netlist.csr.edges`` /
+``netlist.csr.wiring_shared`` counters) so BENCH deltas stay attributable
+— see ``docs/OBSERVABILITY.md``.
 
 See ``docs/PERFORMANCE.md`` ("The CSR netlist core") for the id↔name
 mapping contract and guidance on when to use which view.
@@ -44,6 +49,7 @@ mapping contract and guidance on when to use which view.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -75,9 +81,10 @@ class CsrView:
 
     Treat every attribute as read-only: views are shared between all
     consumers of the same revision.  Derived kernels (topological order,
-    levels, BFS distances, flip-flop depths) are computed lazily and
-    cached on the view itself, which is safe because the view dies with
-    its revision.
+    levels, BFS distances, flip-flop depths, D_i) are computed lazily and
+    cached on the view's :class:`Wiring` holder, which every view of
+    equal wiring shares.  Gate types, the LUT column and LUT configs
+    stay per view.
     """
 
     __slots__ = (
@@ -85,6 +92,7 @@ class CsrView:
         "n",
         "n_edges",
         "n_flip_flops",
+        "ff_ids",
         "names",
         "index",
         "gate_types",
@@ -93,21 +101,12 @@ class CsrView:
         "is_comb",
         "is_lut",
         "is_po",
-        "feeds_ff",
         "output_ids",
         "fanin_ptr",
         "fanin_idx",
-        "fanout_ptr",
-        "fanout_idx",
-        "indegree0",
         "dangling",
-        "_topo",
-        "_comb",
-        "_levels",
-        "_ff_depths",
-        "_start_dist",
-        "_end_dist",
-        "_seq_rank",
+        "wiring",
+        "__weakref__",
     )
 
     def __init__(self, netlist: Netlist):
@@ -126,12 +125,14 @@ class CsrView:
         is_seq = bytearray(n)
         is_comb = bytearray(n)
         is_lut = bytearray(n)
+        ff_ids: List[int] = []
         gt_input, gt_dff, gt_lut = GateType.INPUT, GateType.DFF, GateType.LUT
         for i, gt in enumerate(gate_types):
             if gt is gt_input:
                 is_input[i] = 1
             elif gt is gt_dff:
                 is_seq[i] = 1
+                ff_ids.append(i)
             else:
                 is_comb[i] = 1
                 if gt is gt_lut:
@@ -140,18 +141,13 @@ class CsrView:
         self.is_seq = is_seq
         self.is_comb = is_comb
         self.is_lut = is_lut
-        self.n_flip_flops = sum(is_seq)
+        self.ff_ids = ff_ids
+        self.n_flip_flops = len(ff_ids)
 
-        # Fan-in CSR (pin order, duplicates preserved, -1 = dangling) plus
-        # the Kahn seed indegrees (distinct fan-in *names*, dangling
-        # included, zero for startpoints — matching the dict-walk exactly:
-        # a dangling reference can never become ready, so Kahn reports the
-        # same CombinationalLoopError the old implementation did).
+        # Fan-in CSR: pin order, duplicates preserved, -1 = dangling.
         fanin_ptr = [0] * (n + 1)
         fanin_idx: List[int] = []
-        indegree0 = [0] * n
         dangling: Dict[Tuple[int, int], str] = {}
-        fo_lists: List[List[int]] = [[] for _ in range(n)]
         get = index.get
         for i, nd in enumerate(nodes):
             fanin = nd.fanin
@@ -162,42 +158,10 @@ class CsrView:
                 for pin, j in enumerate(ids):
                     if j < 0:
                         dangling[(i, pin)] = fanin[pin]
-            if is_comb[i]:
-                indegree0[i] = len(set(fanin))
-            # Readers arrive in increasing id order, so each fo_list stays
-            # id-sorted and duplicate-free without a per-edge set probe.
-            if len(ids) == 1:
-                j = ids[0]
-                if j >= 0:
-                    fo_lists[j].append(i)
-            else:
-                for j in set(ids):
-                    if j >= 0:
-                        fo_lists[j].append(i)
         self.fanin_ptr = fanin_ptr
         self.fanin_idx = fanin_idx
-        self.indegree0 = indegree0
         self.dangling = dangling
         self.n_edges = len(fanin_idx)
-
-        # Fan-out CSR: readers deduplicated and sorted by name, so a slice
-        # is exactly ``Netlist.fanout(name)`` translated to ids.
-        fanout_ptr = [0] * (n + 1)
-        fanout_idx: List[int] = []
-        feeds_ff = bytearray(n)
-        sort_key = names.__getitem__
-        for j, readers in enumerate(fo_lists):
-            if len(readers) > 1:
-                readers.sort(key=sort_key)
-            fanout_idx += readers
-            fanout_ptr[j + 1] = len(fanout_idx)
-            for r in readers:
-                if is_seq[r]:
-                    feeds_ff[j] = 1
-                    break
-        self.fanout_ptr = fanout_ptr
-        self.fanout_idx = fanout_idx
-        self.feeds_ff = feeds_ff
 
         is_po = bytearray(n)
         output_ids: List[int] = []
@@ -209,13 +173,93 @@ class CsrView:
         self.is_po = is_po
         self.output_ids = output_ids
 
-        self._topo: Optional[List[int]] = None
-        self._comb: Optional[List[int]] = None
-        self._levels: Optional[List[int]] = None
-        self._ff_depths: Optional[List[int]] = None
-        self._start_dist: Optional[List[int]] = None
-        self._end_dist: Optional[List[int]] = None
-        self._seq_rank: Optional[List[int]] = None
+        # A private holder; csr_view() swaps in the one shared by every
+        # view of equal wiring.
+        self.wiring = Wiring()
+
+    # ------------------------------------------------------------------
+    # fan-out CSR (a wiring kernel, built on first use)
+    # ------------------------------------------------------------------
+    def _fanout(self) -> Tuple[List[int], List[int], bytearray, List[int]]:
+        """``(fanout_ptr, fanout_idx, feeds_ff, indegree0)``.
+
+        Readers are deduplicated and sorted by *name*, so a slice is
+        exactly ``Netlist.fanout(name)`` translated to ids.  The Kahn seed
+        indegrees count distinct fan-in *names* (dangling included, zero
+        for startpoints), matching the dict-walk exactly: a dangling
+        reference can never become ready, so Kahn reports the same
+        CombinationalLoopError the old implementation did.
+        """
+        if self.wiring.fanout is None:
+            with span("netlist.csr.fanout", nodes=self.n):
+                self.wiring.fanout = self._build_fanout()
+        return self.wiring.fanout
+
+    def _build_fanout(
+        self,
+    ) -> Tuple[List[int], List[int], bytearray, List[int]]:
+        n = self.n
+        is_comb, is_seq = self.is_comb, self.is_seq
+        fi_ptr, fi_idx = self.fanin_ptr, self.fanin_idx
+        dangling = self.dangling
+        indegree0 = [0] * n
+        fo_lists: List[List[int]] = [[] for _ in range(n)]
+        for i in range(n):
+            b, e = fi_ptr[i], fi_ptr[i + 1]
+            # Readers arrive in increasing id order, so each fo_list
+            # stays id-sorted and duplicate-free without a set probe.
+            if e - b == 1:
+                j = fi_idx[b]
+                if j >= 0:
+                    fo_lists[j].append(i)
+                if is_comb[i]:
+                    indegree0[i] = 1
+                continue
+            distinct = set(fi_idx[b:e])
+            for j in distinct:
+                if j >= 0:
+                    fo_lists[j].append(i)
+            if is_comb[i]:
+                if -1 in distinct:
+                    missing = {
+                        dangling[(i, k - b)]
+                        for k in range(b, e)
+                        if fi_idx[k] < 0
+                    }
+                    indegree0[i] = len(distinct) - 1 + len(missing)
+                else:
+                    indegree0[i] = len(distinct)
+        fanout_ptr = [0] * (n + 1)
+        fanout_idx: List[int] = []
+        feeds_ff = bytearray(n)
+        sort_key = self.names.__getitem__
+        for j, readers in enumerate(fo_lists):
+            if len(readers) > 1:
+                readers.sort(key=sort_key)
+            fanout_idx += readers
+            fanout_ptr[j + 1] = len(fanout_idx)
+            for r in readers:
+                if is_seq[r]:
+                    feeds_ff[j] = 1
+                    break
+        return fanout_ptr, fanout_idx, feeds_ff, indegree0
+
+    @property
+    def fanout_ptr(self) -> List[int]:
+        return self._fanout()[0]
+
+    @property
+    def fanout_idx(self) -> List[int]:
+        return self._fanout()[1]
+
+    @property
+    def feeds_ff(self) -> bytearray:
+        """Byte flag per node: some DFF reads it (it drives a D pin)."""
+        return self._fanout()[2]
+
+    @property
+    def indegree0(self) -> List[int]:
+        return self._fanout()[3]
 
     # ------------------------------------------------------------------
     # id <-> name helpers
@@ -257,7 +301,7 @@ class CsrView:
         dangling reference, whose reader can never become ready — also the
         historical behaviour).
         """
-        if self._topo is None:
+        if self.wiring.topo is None:
             indeg = self.indegree0[:]
             is_seq = self.is_seq
             fo_ptr, fo_idx = self.fanout_ptr, self.fanout_idx
@@ -286,19 +330,19 @@ class CsrView:
                 raise CombinationalLoopError(
                     f"combinational loop involving nets: {stuck[:10]}"
                 )
-            self._topo = order
-        return self._topo
+            self.wiring.topo = order
+        return self.wiring.topo
 
     def comb_order(self) -> List[int]:
         """Combinational node ids (gates/LUTs) in topological order."""
-        if self._comb is None:
+        if self.wiring.comb is None:
             is_comb = self.is_comb
-            self._comb = [i for i in self.topo_order() if is_comb[i]]
-        return self._comb
+            self.wiring.comb = [i for i in self.topo_order() if is_comb[i]]
+        return self.wiring.comb
 
     def levels(self) -> List[int]:
         """Logic level per node id: startpoints 0, gates 1+max(fan-in)."""
-        if self._levels is None:
+        if self.wiring.levels is None:
             with span("netlist.csr.levelize", nodes=self.n):
                 order = self.topo_order()
                 lv = [0] * self.n
@@ -323,13 +367,13 @@ class CsrView:
                             lv[i] = 1 + max(map(at, fi_idx[b:e]))
                         else:
                             lv[i] = 1
-                self._levels = lv
-        return self._levels
+                self.wiring.levels = lv
+        return self.wiring.levels
 
     def ff_depths(self) -> List[int]:
         """Max flip-flops on an acyclic PI→net path, saturating at
         :data:`MAX_TRACKED_FF_DEPTH` (sequential-view relaxation)."""
-        if self._ff_depths is None:
+        if self.wiring.ff_depths is None:
             cap = max(min(self.n_flip_flops, MAX_TRACKED_FF_DEPTH), 1)
             depth = [0] * self.n
             at = depth.__getitem__
@@ -358,8 +402,45 @@ class CsrView:
                     if new > depth[i]:
                         depth[i] = new
                         changed = True
-            self._ff_depths = depth
-        return self._ff_depths
+            self.wiring.ff_depths = depth
+        return self.wiring.ff_depths
+
+    def depth_to_output(self) -> Dict[str, int]:
+        """Per-net maximum number of flip-flops between the net and a
+        primary output (the paper's D_i), by reverse relaxation saturating
+        at :data:`MAX_TRACKED_FF_DEPTH`.
+
+        Sweeps run in node order and update in place, and the sweep count
+        is capped, so the order is part of the result; dangling fan-in nets
+        get entries after the nodes, in the order they were first raised.
+        Shared snapshot; do not mutate."""
+        if self.wiring.depth_to_output is None:
+            is_seq, fi_ptr, fi_idx = self.is_seq, self.fanin_ptr, self.fanin_idx
+            cap = max(min(self.n_flip_flops, MAX_TRACKED_FF_DEPTH), 1)
+            depth = [0] * self.n
+            dangling_pins: Dict[int, List[str]] = {}
+            for (i, _), name in self.dangling.items():
+                dangling_pins.setdefault(i, []).append(name)
+            dangling: Dict[str, int] = {}
+            changed = True
+            iterations = 0
+            while changed and iterations <= cap + 1:
+                changed = False
+                iterations += 1
+                for i in range(self.n):
+                    through = depth[i] + is_seq[i]
+                    for j in fi_idx[fi_ptr[i] : fi_ptr[i + 1]]:
+                        if j >= 0 and through > depth[j]:
+                            depth[j] = through
+                            changed = True
+                    for name in dangling_pins.get(i, ()):
+                        if through > dangling.get(name, 0):
+                            dangling[name] = through
+                            changed = True
+            result = dict(zip(self.names, depth))
+            result.update(dangling)
+            self.wiring.depth_to_output = result
+        return self.wiring.depth_to_output
 
     # ------------------------------------------------------------------
     # cone-of-influence kernels
@@ -491,7 +572,7 @@ class CsrView:
     def startpoint_dist(self) -> List[int]:
         """Min combinational hops from a startpoint, forwards (-1 =
         unreachable; startpoints are 0; DFF readers are never entered)."""
-        if self._start_dist is None:
+        if self.wiring.start_dist is None:
             dist = [-1] * self.n
             frontier: deque = deque()
             is_input, is_seq = self.is_input, self.is_seq
@@ -509,13 +590,13 @@ class CsrView:
                     if dist[r] < 0 and not is_seq[r]:
                         dist[r] = d
                         push(r)
-            self._start_dist = dist
-        return self._start_dist
+            self.wiring.start_dist = dist
+        return self.wiring.start_dist
 
     def endpoint_dist(self) -> List[int]:
         """Min combinational hops to an endpoint (PO or a net feeding a
         DFF), backwards (-1 = unreachable; DFF fan-in is never expanded)."""
-        if self._end_dist is None:
+        if self.wiring.end_dist is None:
             dist = [-1] * self.n
             frontier: deque = deque()
             is_seq = self.is_seq
@@ -536,25 +617,120 @@ class CsrView:
                     if j >= 0 and dist[j] < 0:
                         dist[j] = d
                         push(j)
-            self._end_dist = dist
-        return self._end_dist
+            self.wiring.end_dist = dist
+        return self.wiring.end_dist
 
     def seq_rank(self) -> List[int]:
         """Per-node packed DFS-preference base: :data:`SEQ_RANK` for a DFF,
         0 otherwise.  Adding a closeness term in ``(-diameter, 0]`` keeps
         the packed int ordering identical to the historical
         ``(ff_rank, closeness)`` tuple sort."""
-        if self._seq_rank is None:
+        if self.wiring.seq_rank is None:
             is_seq = self.is_seq
-            self._seq_rank = [
+            self.wiring.seq_rank = [
                 SEQ_RANK if is_seq[i] else 0 for i in range(self.n)
             ]
-        return self._seq_rank
+        return self.wiring.seq_rank
+
+    def guide_keys(self, forwards: bool) -> Tuple[List[int], List[int]]:
+        """Per-node packed sort keys for the guided path DFS, per
+        direction: ``(with_ff_preference, without)``.  Packing
+        ``ff_rank * SEQ_RANK + closeness`` into one int keeps the ordering
+        of the historical ``(ff_rank, closeness)`` tuples while letting
+        the DFS sort with a C-speed ``list.__getitem__`` key."""
+        wiring = self.wiring
+        cached = wiring.keys_fwd if forwards else wiring.keys_bwd
+        if cached is None:
+            dist = self.endpoint_dist() if forwards else self.startpoint_dist()
+            plain = [-d if d >= 0 else -(1 << 20) for d in dist]
+            budget = [sr + c for sr, c in zip(self.seq_rank(), plain)]
+            cached = (budget, plain)
+            if forwards:
+                wiring.keys_fwd = cached
+            else:
+                wiring.keys_bwd = cached
+        return cached
+
+
+class Wiring:
+    """The wiring-only kernel results, shared by every view of equal
+    wiring.
+
+    The fan-out CSR, topological order, levels, flip-flop depths, D_i,
+    the BFS guide distances and the DFS sort keys read nothing but the
+    fan-in lists and which nodes are inputs, flip-flops and outputs.  A copy of a
+    netlist, or the same netlist after a gate-type rewrite such as LUT
+    insertion, has the same wiring, so :func:`csr_view` hands its new
+    view the holder an existing view already filled.  Holders live in
+    :data:`_WIRINGS`, keyed by the wiring arrays themselves
+    (:func:`_wiring_key`); a slot is filled at most once and never
+    written again.
+    """
+
+    __slots__ = (
+        "fanout",
+        "topo",
+        "comb",
+        "levels",
+        "ff_depths",
+        "depth_to_output",
+        "start_dist",
+        "end_dist",
+        "seq_rank",
+        "keys_fwd",
+        "keys_bwd",
+        "__weakref__",
+    )
+
+    def __init__(self) -> None:
+        self.fanout: Optional[
+            Tuple[List[int], List[int], bytearray, List[int]]
+        ] = None
+        self.topo: Optional[List[int]] = None
+        self.comb: Optional[List[int]] = None
+        self.levels: Optional[List[int]] = None
+        self.ff_depths: Optional[List[int]] = None
+        self.depth_to_output: Optional[Dict[str, int]] = None
+        self.start_dist: Optional[List[int]] = None
+        self.end_dist: Optional[List[int]] = None
+        self.seq_rank: Optional[List[int]] = None
+        self.keys_fwd: Optional[Tuple[List[int], List[int]]] = None
+        self.keys_bwd: Optional[Tuple[List[int], List[int]]] = None
+
+
+#: Wiring key -> the holder its views share.  A key compares its arrays
+#: element by element, so a holder is only ever found by a view whose
+#: kernels would compute exactly its values: there is nothing to go
+#: stale.  Entries die with the last view holding them.
+_WIRINGS: "weakref.WeakValueDictionary[tuple, Wiring]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def _wiring_key(view: CsrView) -> tuple:
+    """Everything a :class:`Wiring` kernel reads: node names, fan-in CSR,
+    input and flip-flop flags, output ids and dangling references."""
+    return (
+        tuple(view.names),
+        tuple(view.fanin_ptr),
+        tuple(view.fanin_idx),
+        bytes(view.is_input),
+        bytes(view.is_seq),
+        tuple(view.output_ids),
+        tuple(view.dangling.items()),
+    )
 
 
 def _build_csr(netlist: Netlist) -> CsrView:
     with span("netlist.csr.build", circuit=netlist.name) as sp:
         view = CsrView(netlist)
+        key = _wiring_key(view)
+        wiring = _WIRINGS.get(key)
+        if wiring is None:
+            _WIRINGS[key] = view.wiring
+        else:
+            view.wiring = wiring
+            add_counter("netlist.csr.wiring_shared")
         sp.set(nodes=view.n, edges=view.n_edges)
     add_counter("netlist.csr.builds")
     add_counter("netlist.csr.nodes", view.n)
@@ -567,7 +743,8 @@ def csr_view(netlist: Netlist) -> CsrView:
 
     Served through :func:`repro.netlist.cache.memoized`: any structural
     mutation (through the mutators or ``touch_structure()``) invalidates
-    the whole epoch, and the next call rebuilds.  The returned view is
-    shared — never mutate it.
+    the whole epoch, and the next call rebuilds.  A rebuilt view takes
+    over the :class:`Wiring` of any live view with equal wiring arrays.
+    The returned view is shared — never mutate it.
     """
     return memoized(netlist, "csr", _build_csr)

@@ -296,7 +296,8 @@ class PathGuide:
     discovered I/O paths stay near-shortest — which is what makes the deep
     register paths of the paper *non-critical*.
 
-    Distances are int arrays on the CSR view; the name-keyed dict
+    Distances and the DFS sort keys (:meth:`CsrView.guide_keys`) are int
+    arrays on the CSR view's shared wiring holder; the name-keyed dict
     properties are built lazily for callers that still index by net name.
     """
 
@@ -307,28 +308,6 @@ class PathGuide:
         self._end = self.view.endpoint_dist()
         self._to_startpoint: Optional[Dict[str, int]] = None
         self._to_endpoint: Optional[Dict[str, int]] = None
-        self._keys_fwd: Optional[Tuple[List[int], List[int]]] = None
-        self._keys_bwd: Optional[Tuple[List[int], List[int]]] = None
-
-    def _packed_keys(self, forwards: bool) -> Tuple[List[int], List[int]]:
-        """Per-node packed sort keys for the path DFS, cached per
-        direction: ``(with_ff_preference, without)``.  Packing
-        ``ff_rank * SEQ_RANK + closeness`` into one int keeps the ordering
-        of the historical ``(ff_rank, closeness)`` tuples while letting
-        the DFS sort with a C-speed ``list.__getitem__`` key."""
-        cached = self._keys_fwd if forwards else self._keys_bwd
-        if cached is None:
-            dist = self._end if forwards else self._start
-            plain = [-d if d >= 0 else -(1 << 20) for d in dist]
-            budget = [
-                sr + c for sr, c in zip(self.view.seq_rank(), plain)
-            ]
-            cached = (budget, plain)
-            if forwards:
-                self._keys_fwd = cached
-            else:
-                self._keys_bwd = cached
-        return cached
 
     @property
     def to_startpoint(self) -> Dict[str, int]:
@@ -470,7 +449,7 @@ def _dfs_to_boundary(
     # the flip-flop bump (FF budget left), ``key_off`` without; with no
     # guide every rank without the bump is equal and the sort is skipped.
     if guide is not None:
-        keys_on, keys_off = guide._packed_keys(forwards)
+        keys_on, keys_off = guide.view.guide_keys(forwards)
         missing = -(1 << 20)
     else:
         keys_on, keys_off = view.seq_rank(), None

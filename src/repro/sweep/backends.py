@@ -8,8 +8,9 @@ shared :class:`ResultCache` via atomic lock-file leases
 pointed at the same directory (``repro-lock sweep-worker``); the
 coordinator only writes the job manifest, polls the store for completed
 rows, and streams them out.  A worker that dies mid-trial simply stops —
-its lease *expires* and a surviving worker re-claims the trial, which is
-what makes the sweep crash-proof without any worker-to-coordinator
+its lease is broken as soon as a worker on its host sees that its pid
+is gone (anywhere else, once it *expires*) and that worker re-claims the
+trial, which is what makes the sweep crash-proof without any worker-to-coordinator
 channel beyond the filesystem.
 
 Job layout, under ``<cache>/jobs/<job_id>/``:
@@ -221,7 +222,8 @@ def work_stealing_worker(
     area), marks it done, records the claim, and releases the lease.
     When every trial is complete it exits; while the only incomplete
     trials are leased by *other* live owners it sleeps and rescans — if
-    one of those owners died, its lease expires and the rescan re-claims
+    one of those owners died, its lease is broken (at once on its own
+    host, else at expiry) and the rescan re-claims
     the trial.
     """
     cache = ResultCache(cache_root, reap_tmp_ttl=None)
@@ -301,8 +303,8 @@ def run_lease_workers(
                 if not any(p.is_alive() for p in procs):
                     # Every spawned worker is gone but trials are
                     # incomplete: finish them here via the very same
-                    # claim loop (the dead workers' leases expire and
-                    # get broken).
+                    # claim loop (the dead workers' leases are broken:
+                    # their pids are gone from this host).
                     add_counter("sweep.steal.coordinator_fallbacks")
                     work_stealing_worker(
                         job.cache.root, job.job_id, default_owner("coordinator")

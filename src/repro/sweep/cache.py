@@ -26,8 +26,9 @@ The cache doubles as the **shared coordination store** for the sweep's
 lease workers (:mod:`repro.sweep.backends`): workers on
 any host pointed at the same directory claim trials through atomic
 lock-file *leases* (``leases/<key>.lock``, created with
-``O_CREAT | O_EXCL`` so exactly one claimant wins) that carry an owner
-and an expiry; a lease whose holder died is broken by the one breaker
+``O_CREAT | O_EXCL`` so exactly one claimant wins) that carry an owner,
+its host and pid, and an expiry; a lease whose holder died (expired, or
+a pid of this host that no longer exists) is broken by the one breaker
 that wins an ``O_EXCL`` token for it, which overwrites it atomically,
 and the trial is re-claimed.
 """
@@ -38,6 +39,7 @@ import hashlib
 import json
 import logging
 import os
+import socket
 import tempfile
 import time
 from pathlib import Path
@@ -71,6 +73,25 @@ def _code_version() -> str:
     from .. import __version__
 
     return f"{__version__}/schema{RESULT_SCHEMA}"
+
+
+def _holder_is_gone(lease: Dict[str, Any]) -> bool:
+    """True when the lease's holder ran on this host and its pid no
+    longer exists.  Holders on other hosts, live pids (a recycled pid
+    looks live too) and leases without host/pid fields are left to the
+    expiry."""
+    pid = lease.get("pid")
+    if lease.get("host") != socket.gethostname() or type(pid) is not int:
+        return False
+    if pid <= 0 or pid == os.getpid():
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except PermissionError:
+        pass  # the pid exists, under another user
+    return False
 
 
 def netlist_sha(bench_text: str) -> str:
@@ -256,14 +277,21 @@ class ResultCache:
         """Attempt to claim *key* for *owner* for *ttl* seconds.
 
         The grant is an atomic ``O_CREAT | O_EXCL`` file creation, so of
-        any number of racing claimants exactly one wins.  An existing
-        lease whose expiry has passed (its holder crashed or was
-        SIGKILLed mid-trial) is *broken* instead: see
+        any number of racing claimants exactly one wins.  The lease
+        records the claiming process's host and pid next to *owner*.  An
+        existing lease that is dead — its expiry has passed, or its
+        holder ran on this host and that pid no longer exists (it crashed
+        or was SIGKILLed mid-trial) — is *broken* instead: see
         :meth:`_break_lease`.
         """
         path = self._lease_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        lease = {"owner": owner, "expires": time.time() + ttl}
+        lease = {
+            "owner": owner,
+            "host": socket.gethostname(),
+            "pid": os.getpid(),
+            "expires": time.time() + ttl,
+        }
         try:
             fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
@@ -321,7 +349,8 @@ class ResultCache:
         except OSError:
             return None  # vanished: released; caller retries later
         try:
-            expires = float(json.loads(text)["expires"])
+            lease = json.loads(text)
+            expires = float(lease["expires"])
         except (ValueError, KeyError, TypeError):
             # Unreadable: either mid-write (the O_CREAT..write window) or
             # garbage.  Only call it dead once it is stale by mtime too,
@@ -331,7 +360,9 @@ class ResultCache:
             except OSError:
                 return None
             return text if mtime + STALE_WRITE_SECONDS <= time.time() else None
-        return text if expires <= time.time() else None
+        if expires <= time.time() or _holder_is_gone(lease):
+            return text
+        return None
 
     def release_lease(self, key: str) -> None:
         try:
@@ -340,7 +371,7 @@ class ResultCache:
             pass  # expired + broken by a rival, or never granted
 
     def lease_info(self, key: str) -> Optional[Dict[str, Any]]:
-        """The live lease for *key* (owner + expiry), or ``None``."""
+        """The lease for *key* (owner, host, pid, expiry), or ``None``."""
         try:
             data = json.loads(self._lease_path(key).read_text())
         except (OSError, ValueError):

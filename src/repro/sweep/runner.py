@@ -15,7 +15,8 @@ Design:
   :meth:`SweepRunner.run` consumes the stream and reassembles spec
   order for callers that want the classic :class:`SweepResult`.
 * **Graceful failure** — a trial that raises becomes a ``failed`` row;
-  a lease worker that *dies* leaves its lease to expire, and a survivor
+  a lease worker that *dies* leaves a lease that is broken (at once on
+  its host, where its pid is gone, elsewhere at expiry), and a survivor
   (or, if none is left, the coordinator) re-claims the trial.  A sweep
   always yields one row per trial.
 * **Resume** — with a :class:`~repro.sweep.cache.ResultCache`, completed

@@ -4,8 +4,10 @@ accounting, multi-host workers, crash-resume after SIGKILL, and
 
 from __future__ import annotations
 
+import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -45,6 +47,56 @@ def test_lease_grant_is_exclusive_until_released(tmp_path):
     cache.release_lease(key)
     assert cache.lease_info(key) is None
     assert cache.try_lease(key, "bob", ttl=60.0) is True
+
+
+def _lease_from_reaped_child(cache, key):
+    """Have a child process claim *key* for 60 s, then reap it: the lease
+    stays on disk, naming this host and a pid that no longer exists."""
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[3])\n"
+        "from repro.sweep import ResultCache\n"
+        "cache = ResultCache(sys.argv[1], reap_tmp_ttl=None)\n"
+        "assert cache.try_lease(sys.argv[2], 'dead-worker', ttl=60.0)\n"
+    )
+    src_dir = os.path.join(os.path.dirname(__file__), "..", "src")
+    subprocess.run(
+        [sys.executable, "-c", script, str(cache.root), key, src_dir],
+        check=True,
+    )
+    lease = cache.lease_info(key)
+    assert lease["owner"] == "dead-worker" and lease["expires"] > time.time()
+    return lease
+
+
+def test_lease_of_a_dead_local_pid_is_reclaimed_at_once(tmp_path):
+    cache = ResultCache(tmp_path)
+    key = "ef" * 32
+    lease = _lease_from_reaped_child(cache, key)
+    assert lease["host"] == socket.gethostname()
+    assert lease["pid"] != os.getpid()
+    # Far from expired, but its holder is gone: broken without waiting.
+    assert cache.try_lease(key, "successor", ttl=60.0) is True
+    assert cache.lease_info(key)["owner"] == "successor"
+    assert cache.lease_info(key)["pid"] == os.getpid()
+    # The successor's pid is alive, so its lease holds.
+    assert cache.try_lease(key, "latecomer", ttl=60.0) is False
+
+
+def test_foreign_host_lease_blocks_until_it_expires(tmp_path):
+    cache = ResultCache(tmp_path)
+    key = "0f" * 32
+    lease = _lease_from_reaped_child(cache, key)
+    # The same dead pid, but on another host: this host cannot tell
+    # whether it lives, so only the expiry frees the trial.
+    lease["host"] = socket.gethostname() + "-elsewhere"
+    path = tmp_path / "leases" / f"{key}.lock"
+    path.write_text(json.dumps(lease))
+    assert cache.try_lease(key, "successor", ttl=60.0) is False
+    lease["expires"] = time.time() - 1.0
+    path.write_text(json.dumps(lease))
+    assert cache.try_lease(key, "successor", ttl=60.0) is True
+    assert cache.lease_info(key)["owner"] == "successor"
 
 
 def test_expired_lease_is_broken_and_reclaimed(tmp_path):

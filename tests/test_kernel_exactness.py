@@ -1,4 +1,5 @@
-"""Bit-exactness pins for the path DFS and the signal-probability pass.
+"""Bit-exactness pins for the path DFS, the signal-probability pass and
+cone-only candidate timing.
 
 The path DFS shares one ``random.Random`` across every search of a
 :class:`~repro.analysis.PathFinder`, so any change in the draws it makes
@@ -17,10 +18,13 @@ import random
 import pytest
 
 from repro.analysis import PathFinder, signal_probabilities
+from repro.analysis.sta import TimingAnalyzer
 from repro.circuits import load_benchmark
 from repro.locking import DependentSelection, depth_to_output
 from repro.netlist import GateType, Netlist
+from repro.netlist.csr import csr_view
 from repro.netlist.graph import PathGuide, _shuffle_ids, find_io_path
+from repro.netlist.transform import replace_gates_with_luts
 
 
 def _digest(obj) -> str:
@@ -169,3 +173,41 @@ def test_depth_to_output_pinned_with_dangling_fanin():
     depth = depth_to_output(_dangling_loop())
     assert list(depth.items()) == DEPTH_DANGLING
 
+
+
+def _random_candidate_sets(netlist: Netlist, seed: int, count: int = 20):
+    """*count* seeded sets of 1-12 multi-input gates."""
+    rng = random.Random(seed)
+    multi = [
+        g
+        for g in netlist.gates
+        if netlist.node(g).n_inputs >= 2 and not netlist.node(g).is_lut
+    ]
+    return [rng.sample(multi, rng.randint(1, 12)) for _ in range(count)]
+
+
+def _assert_cone_timing_exact(netlist: Netlist, seed: int) -> None:
+    timing = TimingAnalyzer()
+    for names in _random_candidate_sets(netlist, seed):
+        locked = netlist.copy()
+        replace_gates_with_luts(locked, names)
+        # A fresh analyzer times the replaced copy by a full pass.
+        expected = TimingAnalyzer().max_delay(locked)
+        assert timing.max_delay(netlist, as_lut=names) == expected, names
+        assert timing.analyze(netlist, as_lut=names).max_delay_ns == expected
+    assert not netlist.luts  # candidate timing never mutates the netlist
+
+
+@pytest.mark.parametrize(
+    "circuit", ["s641", "s820", "s832", "s953", "s1196", "s1238", "s1488"]
+)
+def test_cone_timing_equals_a_replaced_copy(circuit):
+    _assert_cone_timing_exact(load_benchmark(circuit), seed=17)
+
+
+def test_cone_timing_with_a_dangling_d_pin(s641):
+    broken = s641.copy()
+    broken.node(sorted(broken.flip_flops)[0]).fanin[0] = "ghost"
+    broken.touch_structure()
+    assert csr_view(broken).dangling
+    _assert_cone_timing_exact(broken, seed=23)

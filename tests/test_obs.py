@@ -406,6 +406,53 @@ def test_lock_paths_span_carries_count_and_requirement():
     assert 0 <= paths_span.attrs["ff_requirement"] <= min(depths)
 
 
+@pytest.mark.parametrize("circuit,seed", [("s641", 1), ("s820", 3), ("s1196", 2)])
+def test_parametric_guard_counters_agree_with_the_lock(circuit, seed, monkeypatch):
+    from repro.locking import ParametricSelection
+
+    calls = []
+    real = ParametricSelection._trial_delay
+
+    def counted(self, netlist, names):
+        calls.append(len(names))
+        return real(self, netlist, names)
+
+    monkeypatch.setattr(ParametricSelection, "_trial_delay", counted)
+    rec = Recorder()
+    with use_recorder(rec):
+        result = ParametricSelection(seed=seed).run(load_benchmark(circuit))
+    counters = rec.counters
+    assert result.n_stt > 0  # no least-impact fallback: every delay is a guard
+    assert counters["parametric.usl_skipped"] == len(
+        result.params["skipped_neighbours"]
+    ) > 0
+    accepts = counters["parametric.guard_accepts"]
+    rejects = counters["parametric.guard_rejects"]
+    assert accepts > 0 and rejects > 0
+    assert accepts + rejects == len(calls)
+
+
+@pytest.mark.parametrize("algorithm", ["independent", "dependent", "parametric"])
+def test_second_trial_of_a_circuit_shares_every_wiring(algorithm):
+    from repro.sweep import Trial, run_trial
+
+    def counters(seed):
+        trial = Trial(
+            circuit="s641",
+            algorithm=algorithm,
+            seed=seed,
+            analyses=("ppa", "security"),
+        )
+        row = run_trial(trial)
+        assert row["status"] == "ok"
+        return row["timing"]["obs"]["counters"]
+
+    counters(0)  # warm the process: circuit, views and wiring holders
+    second = counters(1)
+    assert second["netlist.csr.builds"] > 0
+    assert second["netlist.csr.wiring_shared"] == second["netlist.csr.builds"]
+
+
 def test_lint_sta_failure_becomes_diagnostic():
     from repro.lint import Linter
     from repro.netlist.gates import GateType

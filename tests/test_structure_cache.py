@@ -9,18 +9,24 @@ so stale topological orders or levelizations are never served.
 from __future__ import annotations
 
 import random
+import weakref
 
 import pytest
 
+from repro.analysis.power import estimate_activities
 from repro.analysis.sta import TimingAnalyzer
 from repro.circuits.generator import CircuitSpec, generate
 from repro.dataflow.cones import extract_key_cone
 from repro.locking.parametric import ParametricSelection
 from repro.netlist import GateType, Netlist
 from repro.netlist.cache import cached_keys, invalidate, memoized
+from repro.locking.metrics import depth_to_output
+from repro.netlist import csr
 from repro.netlist.csr import csr_view
 from repro.netlist.graph import (
+    PathGuide,
     combinational_order,
+    flip_flop_depths,
     levelize,
     to_networkx,
     topological_order,
@@ -293,12 +299,15 @@ MUTATORS = {
 }
 
 
-def _consumer_facts(netlist: Netlist) -> dict:
-    """What every memoized consumer answers about *netlist*, by name."""
+def _consumer_facts(netlist: Netlist, timing: TimingAnalyzer) -> dict:
+    """What every memoized consumer answers about *netlist*, by name;
+    *timing* keeps its per-view base arrivals across calls."""
     view = csr_view(netlist)
     names = view.names
     roots = sorted(netlist.outputs)[:2] + sorted(netlist.flip_flops)[:2]
-    report = TimingAnalyzer().analyze(netlist)
+    report = timing.analyze(netlist)
+    guide = PathGuide(netlist)
+    plain = _plain_gates(netlist)
     rng = random.Random(11)
     inputs = {pi: rng.getrandbits(64) for pi in sorted(netlist.inputs)}
     state = {ff: rng.getrandbits(64) for ff in sorted(netlist.flip_flops)}
@@ -339,32 +348,69 @@ def _consumer_facts(netlist: Netlist) -> dict:
             for lut in sorted(netlist.luts)
         },
         "to_networkx": graphs,
+        "ff depths": flip_flop_depths(netlist),
+        "depth_to_output": dict(depth_to_output(netlist)),
+        "guide to_startpoint": guide.to_startpoint,
+        "guide to_endpoint": guide.to_endpoint,
+        "activities": dict(estimate_activities(netlist)),
+        "cone max delay (first 3)": timing.max_delay(netlist, as_lut=plain[:3]),
+        "cone max delay (last 5)": timing.max_delay(netlist, as_lut=plain[-5:]),
     }
 
 
 class TestFreshRebuild:
     """After any mutator, every memoized consumer of a netlist whose views
     were warm must answer exactly what it answers on ``netlist.copy()``
-    (which starts with no cached view at all)."""
+    computed from nothing: no cached view, an empty wiring-share table
+    (else the copy would read the warm side's kernels) and a new timing
+    analyzer."""
 
     @pytest.mark.parametrize("mutator", sorted(MUTATORS))
-    def test_warm_views_match_a_fresh_copy(self, mutator):
+    def test_warm_views_match_a_fresh_copy(self, mutator, monkeypatch):
         netlist = _fresh_base()
-        before = _consumer_facts(netlist)  # warm every view
+        timing = TimingAnalyzer()
+        before = _consumer_facts(netlist, timing)  # warm every view
         revision = netlist.structure_revision
         MUTATORS[mutator](netlist)
         if mutator == "lut_config write":
             assert netlist.structure_revision == revision
         else:
             assert netlist.structure_revision > revision
-        warm, fresh = _consumer_facts(netlist), _consumer_facts(netlist.copy())
+        warm = _consumer_facts(netlist, timing)
+        with monkeypatch.context() as patch:
+            patch.setattr(csr, "_WIRINGS", weakref.WeakValueDictionary())
+            fresh_netlist = netlist.copy()
+            fresh = _consumer_facts(fresh_netlist, TimingAnalyzer())
+            assert csr_view(fresh_netlist).wiring is not csr_view(netlist).wiring
         for fact in fresh:
             assert warm[fact] == fresh[fact], fact
         assert warm != before  # the mutation was visible to some consumer
+        if mutator == "lut_config write":
+            # Configs bump no revision, so they must be in the memo key.
+            assert warm["activities"] != before["activities"]
+
+    def test_wiring_holder_is_shared_by_content(self):
+        netlist = _fresh_base()
+        holder = csr_view(netlist).wiring
+        twin = netlist.copy()
+        assert csr_view(twin).wiring is holder
+        gate = _plain_gates(netlist)[0]
+        node = netlist.node(gate)
+        retyped = GateType.NOR if node.gate_type is GateType.AND else GateType.AND
+        revision = netlist.structure_revision
+        netlist.set_gate_type(gate, retyped)  # a pure gate-type rewrite
+        assert netlist.structure_revision > revision
+        view = csr_view(netlist)
+        assert view.wiring is holder
+        assert view.gate_types[view.id_of(gate)] is retyped
+        fanin = list(node.fanin)
+        new_src = next(pi for pi in netlist.inputs if pi not in fanin)
+        twin.set_gate_type(gate, retyped, fanin=[new_src] + fanin[1:])
+        assert csr_view(twin).wiring is not holder
 
     def test_trial_delay_equals_delay_of_a_replaced_copy(self):
         netlist = _fresh_base()
-        _consumer_facts(netlist)
+        _consumer_facts(netlist, TimingAnalyzer())
         timing = TimingAnalyzer()
         names = [
             g
