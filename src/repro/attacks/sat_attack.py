@@ -292,8 +292,13 @@ def verify_key(
     reference: Netlist,
 ) -> bool:
     """Program *key* into the foundry netlist and check combinational
-    equivalence against the reference (the provisioned chip)."""
-    from ..sat.equivalence import check_equivalence
+    equivalence against the reference (the provisioned chip).
+
+    The proof runs in an ``attack.sat.verify`` span whose
+    ``solver_conflicts`` attribute is its share of the ``sat.conflicts``
+    counter (a row's ``solver_conflicts`` covers the attack's solver only).
+    """
+    from ..sat.equivalence import EquivalenceSession
 
     candidate = foundry_netlist.copy(f"{foundry_netlist.name}_candidate")
     for name, config in key.items():
@@ -301,4 +306,11 @@ def verify_key(
     for name in candidate.luts:
         if candidate.node(name).lut_config is None:
             return False
-    return bool(check_equivalence(candidate, reference))
+    with span("attack.sat.verify", circuit=reference.name) as verify_span:
+        session = EquivalenceSession(candidate)
+        equivalent = session.check(reference).equivalent
+        verify_span.set(
+            equivalent=equivalent,
+            solver_conflicts=session.stats["conflicts"],
+        )
+    return equivalent

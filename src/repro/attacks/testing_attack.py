@@ -37,6 +37,8 @@ class TestingAttackResult:
     """Outcome of the truth-table-building attack."""
 
     resolved: Dict[str, int] = field(default_factory=dict)
+    #: Fan-in count of each resolved LUT: the width its config decodes at.
+    fanin: Dict[str, int] = field(default_factory=dict)
     unresolved: List[str] = field(default_factory=list)
     partial_rows: Dict[str, int] = field(default_factory=dict)  # rows learned
     oracle_queries: int = 0
@@ -49,10 +51,8 @@ class TestingAttackResult:
     def recovered_types(self) -> Dict[str, Optional[GateType]]:
         """Human-readable view: the gate type each resolved config matches."""
         return {
-            name: truth_table_to_type(config, rows.bit_length() - 1)
-            for name, (config, rows) in (
-                (n, (c, 1 << 8)) for n, c in self.resolved.items()
-            )
+            name: truth_table_to_type(config, self.fanin[name])
+            for name, config in self.resolved.items()
         }
 
 
@@ -118,6 +118,7 @@ class TestingAttack:
                         else:
                             working.node(name).lut_config = config
                             result.resolved[name] = config
+                            result.fanin[name] = working.node(name).n_inputs
                             progress = True
                     attribute_cost(round_span, self.oracle, round_cost)
                     round_span.set(resolved=len(remaining) - len(still))

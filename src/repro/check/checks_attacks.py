@@ -13,6 +13,13 @@ cross-checked against independent computations:
   equivalence checker — a key that merely matches the sampled patterns
   is caught.
 
+The testing attack's three-valued implication
+(:class:`~repro.sim.justify.Implication`) is raced against the dual-rail
+:class:`~repro.dataflow.TernaryPropagator`, an independent implementation
+of the same Kleene semantics, before and after ``lut_config`` writes
+(which bump no revision, so a schedule that folded configs would go
+stale).
+
 The circuits are locked with a small hand-placed LUT set (not a full
 selection algorithm) so the brute-force hypothesis space stays tiny and
 all three attacks finish in milliseconds per round.
@@ -27,10 +34,13 @@ from ..attacks.brute_force import BruteForceAttack
 from ..attacks.oracle import ConfiguredOracle
 from ..attacks.sat_attack import SatAttack
 from ..attacks.testing_attack import TestingAttack
+from ..dataflow.absint import TernaryPropagator
+from ..dataflow.lattice import TernaryWord
 from ..lut.mapping import HybridMapper
 from ..netlist.netlist import Netlist
 from ..netlist.transform import replace_gates_with_luts
 from ..sat.equivalence import check_equivalence
+from ..sim.justify import Implication, TriVal
 from .core import CheckContext, register
 
 
@@ -203,3 +213,81 @@ def attack_oracle_equivalence(ctx: CheckContext) -> None:
 
 def _lut_names(netlist: Netlist) -> List[str]:
     return sorted(netlist.luts)
+
+
+def _ternary_values(
+    netlist: Netlist, assignments: List[Dict[str, TriVal]]
+) -> List[Dict[str, TriVal]]:
+    """Every net's value under each partial startpoint assignment, from
+    one packed dual-rail propagation (lane *k* = ``assignments[k]``)."""
+    rails: Dict[str, TernaryWord] = {}
+    for sp in list(netlist.inputs) + list(netlist.flip_flops):
+        can0 = can1 = 0
+        for lane, assignment in enumerate(assignments):
+            value = assignment.get(sp)
+            if value != 1:
+                can0 |= 1 << lane
+            if value != 0:
+                can1 |= 1 << lane
+        rails[sp] = TernaryWord(can0, can1)
+    words = TernaryPropagator(netlist).propagate(
+        inputs={pi: rails[pi] for pi in netlist.inputs},
+        state={ff: rails[ff] for ff in netlist.flip_flops},
+        width=len(assignments),
+    )
+    out: List[Dict[str, TriVal]] = [{} for _ in assignments]
+    for net, word in words.items():
+        zero, one = word.concrete0(), word.concrete1()
+        for lane, values in enumerate(out):
+            bit = 1 << lane
+            values[net] = 0 if zero & bit else 1 if one & bit else None
+    return out
+
+
+@register(
+    name="attack-implication-parity",
+    family="attack",
+    description="the testing attack's three-valued implication equals the "
+    "dual-rail TernaryPropagator on foundry views and hybrids, for random "
+    "partial startpoint assignments, before and after lut_config writes",
+)
+def attack_implication_parity(ctx: CheckContext) -> None:
+    rng = ctx.rng
+    for round_no in range(ctx.trials):
+        hybrid = _lock_small(ctx.netlist(), rng, n_luts=rng.randint(1, 4))
+        if hybrid is None:
+            return
+        foundry = HybridMapper().strip_configs(hybrid)
+        for view, netlist in (("foundry", foundry), ("hybrid", hybrid)):
+            startpoints = list(netlist.inputs) + list(netlist.flip_flops)
+            engine = Implication(netlist)
+            for phase in ("before", "after"):
+                if phase == "after":
+                    # Config writes bump no revision: the engine built
+                    # above must still see them.
+                    for lut in netlist.luts:
+                        rows = 1 << netlist.node(lut).n_inputs
+                        netlist.node(lut).lut_config = rng.choice(
+                            [None, rng.getrandbits(rows)]
+                        )
+                assignments: List[Dict[str, TriVal]] = []
+                for _ in range(16):
+                    unknown = rng.random()
+                    assignments.append(
+                        {
+                            sp: rng.getrandbits(1)
+                            for sp in startpoints
+                            if rng.random() >= unknown
+                        }
+                    )
+                expected = _ternary_values(netlist, assignments)
+                for lane, assignment in enumerate(assignments):
+                    ctx.compare(
+                        "three-valued implication vs dual-rail propagation",
+                        engine.run(assignment),
+                        expected[lane],
+                        round=round_no,
+                        view=view,
+                        phase=phase,
+                        lane=lane,
+                    )

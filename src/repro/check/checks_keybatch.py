@@ -8,6 +8,12 @@ hold it to that:
   ``evaluate_configs`` pass must equal a full per-key evaluation on the
   interpreted reference backend, for random configs, chunk widths, and
   patterns.
+* ``keybatch-score-parity`` — the ML attack's objective: batched
+  ``score_keys`` match counts (bit-sliced per-lane counters) must equal
+  the serial per-key loop on the interpreted backend, at batch widths
+  that put keys on both sides of every chunk edge, and with the true key
+  among the candidates, so one lane matches every label (or, under
+  inverted labels, none).
 * ``keybatch-brute-parity`` — end to end: a brute-force attack run with
   ``batch_width=64`` must report the same survivors, the same found key,
   the same tested/exhausted accounting, and the *same oracle bill* as the
@@ -25,6 +31,7 @@ from ..attacks.oracle import ConfiguredOracle
 from ..lut.mapping import HybridMapper
 from ..netlist.netlist import Netlist
 from ..sim import keybatch
+from ..sim.logicsim import CombinationalSimulator
 from .checks_attacks import _lock_small
 from .core import CheckContext, register
 
@@ -81,6 +88,70 @@ def keybatch_lane_parity(ctx: CheckContext) -> None:
             lanes=lanes,
             width=width,
         )
+
+
+#: Batch widths of ``keybatch-score-parity``: serial, a width that
+#: leaves a ragged last chunk, one machine word, and one and two words
+#: plus a lane.
+SCORE_WIDTHS = (1, 3, 64, 65, 130)
+
+
+@register(
+    name="keybatch-score-parity",
+    family="keybatch",
+    description="batched score_keys match counts equal the serial "
+    "per-key loop on the interpreted backend at widths 1/3/64/65/130",
+    trial_divisor=4,
+)
+def keybatch_score_parity(ctx: CheckContext) -> None:
+    rng = ctx.rng
+    for round_no in range(ctx.trials):
+        hybrid = _lock_small(ctx.netlist(), rng, n_luts=3)
+        if hybrid is None:
+            return
+        foundry = HybridMapper().strip_configs(hybrid)
+        luts = sorted(foundry.luts)
+        startpoints = list(foundry.inputs) + list(foundry.flip_flops)
+        points = list(foundry.outputs) + [
+            foundry.node(ff).fanin[0] for ff in foundry.flip_flops
+        ]
+        patterns = [
+            {sp: rng.getrandbits(1) for sp in startpoints}
+            for _ in range(rng.randint(1, 12))
+        ]
+        truth = CombinationalSimulator(hybrid, backend="interpreted")
+        invert = round_no % 2  # odd rounds: the true key matches nothing
+        labels = []
+        for pattern in patterns:
+            values = truth.evaluate(
+                {pi: pattern[pi] for pi in foundry.inputs},
+                {ff: pattern[ff] for ff in foundry.flip_flops},
+                1,
+            )
+            labels.append({p: (values[p] & 1) ^ invert for p in points})
+        keys = _random_configs(foundry, luts, rng, rng.randint(1, 140))
+        keys.insert(
+            rng.randrange(len(keys) + 1),
+            {name: hybrid.node(name).lut_config for name in luts},
+        )
+        serial = keybatch.score_keys(
+            foundry, keys, patterns, labels, points,
+            batch_width=1, backend="interpreted",
+        )
+        for width in SCORE_WIDTHS:
+            ctx.compare(
+                "batched score_keys counts vs serial per-key loop",
+                keybatch.score_keys(
+                    foundry, keys, patterns, labels, points,
+                    batch_width=width, backend="compiled",
+                ),
+                serial,
+                round=round_no,
+                width=width,
+                keys=len(keys),
+                patterns=len(patterns),
+                inverted=bool(invert),
+            )
 
 
 @register(

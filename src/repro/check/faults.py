@@ -6,8 +6,9 @@ layer the checks guard (a stale compiled kernel, a stale netlist view,
 wiring kernels shared across different wiring, a lying SAT solver, a
 non-canonical SAT-attack key, a tampered sweep-cache row, an oracle
 that forgets to bill memoized replays, a simplify pass that miswires a
-gate), runs the corresponding check family, and demands at least one
-divergence.  The faults are installed by monkeypatching the real code
+gate, a short ML match counter, an implication schedule that misses
+config writes), runs the corresponding check family, and demands at
+least one divergence.  The faults are installed by monkeypatching the real code
 paths — the checks themselves are byte-for-byte the ones the normal run
 uses.
 """
@@ -188,6 +189,51 @@ def _inject_keybatch_lane_corruption() -> Callable[[], None]:
     return undo
 
 
+def _inject_score_count_corruption() -> Callable[[], None]:
+    """Batched ML scoring drops the top counter plane, so every count at
+    or above its power of two loses it (a counter one plane too short)."""
+    from ..sim import keybatch
+
+    original = keybatch.lane_counts
+
+    def truncated(planes, lanes):
+        return original(planes[:-1], lanes)
+
+    keybatch.lane_counts = truncated
+
+    def undo() -> None:
+        keybatch.lane_counts = original
+
+    return undo
+
+
+def _inject_implication_stale_config() -> Callable[[], None]:
+    """The implication schedule folds LUT configs at build time.  Config
+    writes bump no revision, so the memoized schedule keeps implying the
+    configs it was built with."""
+    from types import SimpleNamespace
+
+    from ..sim.justify import _LUT, _Schedule
+
+    original = _Schedule.__init__
+
+    def folding_init(self, netlist):
+        original(self, netlist)
+        self.steps = [
+            step[:3] + (SimpleNamespace(lut_config=step[3].lut_config),) + step[4:]
+            if step[1] == _LUT
+            else step
+            for step in self.steps
+        ]
+
+    _Schedule.__init__ = folding_init  # type: ignore[method-assign]
+
+    def undo() -> None:
+        _Schedule.__init__ = original  # type: ignore[method-assign]
+
+    return undo
+
+
 def _inject_dataflow_verdict_corruption() -> Callable[[], None]:
     """The key-leakage analyzer starts lying about its strong claims:
     every witness predicts the *inverted* responses and every witnessed
@@ -356,6 +402,20 @@ FAULTS: List[Fault] = [
         family="keybatch",
         description="batched screening corrupts lane 0 of every survivor mask",
         inject=_inject_keybatch_lane_corruption,
+    ),
+    Fault(
+        name="score-count-corruption",
+        family="keybatch",
+        description="batched score_keys drops the top bit-sliced counter "
+        "plane",
+        inject=_inject_score_count_corruption,
+    ),
+    Fault(
+        name="implication-stale-config",
+        family="attack",
+        description="the implication schedule folds LUT configs at build "
+        "time and misses later lut_config writes",
+        inject=_inject_implication_stale_config,
     ),
     Fault(
         name="csr-edge-corruption",

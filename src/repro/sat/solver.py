@@ -21,9 +21,24 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from ..obs import add_counter
 from .cnf import Cnf
 
 _UNASSIGNED = -1
+
+#: ``Solver.stats`` key -> the counter its per-solve delta is added to.
+_STAT_COUNTERS = {
+    name: f"sat.{name}"
+    for name in (
+        "decisions",
+        "propagations",
+        "conflicts",
+        "restarts",
+        "learned",
+        "minimized",
+        "reduced",
+    )
+}
 
 
 def luby(i: int) -> int:
@@ -95,15 +110,7 @@ class Solver:
         self._cla_inc = 1.0
         self._cla_decay = 0.999
         self._unsat = False
-        self.stats = {
-            "decisions": 0,
-            "propagations": 0,
-            "conflicts": 0,
-            "restarts": 0,
-            "learned": 0,
-            "minimized": 0,
-            "reduced": 0,
-        }
+        self.stats = dict.fromkeys(_STAT_COUNTERS, 0)
 
     # ------------------------------------------------------------------
     # construction
@@ -186,8 +193,17 @@ class Solver:
 
         On SAT, :meth:`model` returns a full assignment.  The solver can be
         reused; learned clauses — including unit facts learned while
-        assumptions were active — persist across calls.
+        assumptions were active — persist across calls.  Each call adds
+        its :attr:`stats` deltas to the ``sat.*`` counters.
         """
+        before = list(self.stats.values())
+        try:
+            return self._search(assumptions)
+        finally:
+            for (name, value), start in zip(self.stats.items(), before):
+                add_counter(_STAT_COUNTERS[name], value - start)
+
+    def _search(self, assumptions: Sequence[int]) -> bool:
         if self._unsat:
             return False
         self._backtrack(0)

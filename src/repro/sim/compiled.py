@@ -449,6 +449,7 @@ class CompiledProgram:
                 f"{sorted(unknown)!r}; use repro.sim.compiled."
                 f"evaluate_configs to demote folded LUTs first"
             )
+        lane_bits = [1 << lane for lane in range(lanes)]
         rows_by_index: List[List[int]] = []
         for node in self.dynamic_nodes:
             n_rows = 1 << node.n_inputs
@@ -465,18 +466,22 @@ class CompiledProgram:
                     [-((base >> row) & 1) & mask for row in range(n_rows)]
                 )
                 continue
+            column = [assignment.get(node.name, base) for assignment in configs]
+            if None in column:
+                raise NetlistError(
+                    f"cannot simulate unprogrammed LUT {node.name!r}"
+                )
+            # Lanes grouped by configuration: each distinct config ORs its
+            # lane mask into the rows it sets.
+            lanes_of: Dict[int, int] = {}
+            for config, bit in zip(column, lane_bits):
+                lanes_of[config] = lanes_of.get(config, 0) | bit
             words = [0] * n_rows
-            for lane, assignment in enumerate(configs):
-                config = assignment.get(node.name, base)
-                if config is None:
-                    raise NetlistError(
-                        f"cannot simulate unprogrammed LUT {node.name!r}"
-                    )
+            for config, lane_mask in lanes_of.items():
                 config &= full
-                bit = 1 << lane
                 while config:
                     low = config & -config
-                    words[low.bit_length() - 1] |= bit
+                    words[low.bit_length() - 1] |= lane_mask
                     config ^= low
             rows_by_index.append(words)
         return PackedConfigs(lanes, mask, rows_by_index)

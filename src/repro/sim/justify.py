@@ -20,14 +20,53 @@ as Eq. 1/2 of the paper do.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from operator import itemgetter
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..netlist.cache import memoized
+from ..netlist.csr import csr_view
 from ..netlist.gates import GateType
-from ..netlist.graph import combinational_cone, topological_order
+from ..netlist.graph import combinational_cone
 from ..netlist.netlist import Netlist, NetlistError
+from ..obs import add_counter
 
 #: Three-valued logic: 0, 1, or None for unknown (X).
 TriVal = Optional[int]
+
+
+#: Input count -> (all-rows mask, per-pin masks of the rows whose bit for
+#: that pin is 1).
+_LUT_COLUMNS: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
+
+
+def _lut_columns(n: int) -> Tuple[int, Tuple[int, ...]]:
+    columns = _LUT_COLUMNS.get(n)
+    if columns is None:
+        rows = range(1 << n)
+        columns = (
+            (1 << (1 << n)) - 1,
+            tuple(
+                sum(1 << row for row in rows if (row >> pin) & 1)
+                for pin in range(n)
+            ),
+        )
+        _LUT_COLUMNS[n] = columns
+    return columns
+
+
+def _eval_lut3(config: Optional[int], inputs: Sequence[TriVal]) -> TriVal:
+    """A LUT's three-valued output: determined only if the truth-table
+    rows every completion of the X inputs can select agree."""
+    if config is None:
+        return None  # unknown function: output is always X
+    rows, columns = _lut_columns(len(inputs))
+    for v, column in zip(inputs, columns):
+        if v is not None:
+            rows &= column if v else ~column
+    selected = config & rows
+    if not selected:
+        return 0
+    return 1 if selected == rows else None
 
 
 def _eval3(gate_type: GateType, config: Optional[int], inputs: Sequence[TriVal]) -> TriVal:
@@ -68,25 +107,118 @@ def _eval3(gate_type: GateType, config: Optional[int], inputs: Sequence[TriVal])
             parity ^= v
         return parity if gate_type is GateType.XOR else 1 - parity
     if gate_type is GateType.LUT:
-        if config is None:
-            return None  # unknown function: output is always X
-        # Determined only if every completion of the X inputs agrees.
-        unknown = [i for i, v in enumerate(inputs) if v is None]
-        base_row = 0
-        for i, v in enumerate(inputs):
-            if v:
-                base_row |= 1 << i
-        outputs: Set[int] = set()
-        for assignment in range(1 << len(unknown)):
-            row = base_row
-            for j, pin in enumerate(unknown):
-                if (assignment >> j) & 1:
-                    row |= 1 << pin
-            outputs.add((config >> row) & 1)
-            if len(outputs) == 2:
-                return None
-        return outputs.pop()
+        return _eval_lut3(config, inputs)
     raise NetlistError(f"cannot 3-value evaluate {gate_type.value}")
+
+
+#: Step kinds of an implication schedule.  AND/NAND/OR/NOR share one
+#: controlling-value step, NOT and BUF read their single pin, a LUT step
+#: calls :func:`_eval_lut3`, and every other combinational type
+#: (XOR/XNOR/constants) goes through :func:`_eval3`.
+_CONTROLLED, _NOT, _BUF, _LUT, _SPEC = range(5)
+
+#: Gate type -> (controlling input, output when controlled, output when
+#: every input is the non-controlling value).
+_CONTROL = {
+    GateType.AND: (0, 0, 1),
+    GateType.NAND: (0, 1, 0),
+    GateType.OR: (1, 1, 0),
+    GateType.NOR: (1, 0, 1),
+}
+
+
+def _pin_reader(
+    pins: Sequence[int],
+) -> Callable[[List[TriVal]], Sequence[TriVal]]:
+    """A callable returning the values of *pins*, as a tuple, from a flat
+    value list."""
+    if len(pins) >= 2:
+        return itemgetter(*pins)
+    if pins:
+        pin = pins[0]
+        return lambda values: (values[pin],)
+    return lambda values: ()
+
+
+class _Schedule:
+    """The implication schedule of one netlist at one structure revision.
+
+    Values live in a flat list indexed by CSR node id.  ``steps`` visits
+    the combinational nodes in topological order; each step is
+    ``(id, kind, pins, a, b, c)``.  A controlled step reads its fan-in
+    through ``pins`` (a :func:`_pin_reader`) and carries its controlling
+    value and both outputs in ``a, b, c``.  A NOT/BUF step's ``pins`` is
+    its fan-in id.  LUT and :data:`_SPEC` steps keep their node in ``a``:
+    a LUT's configuration is read when the step runs, since
+    ``lut_config`` writes bump no revision.
+    """
+
+    __slots__ = (
+        "names", "index", "startpoints", "sp_ids", "steps", "_view", "_cones"
+    )
+
+    def __init__(self, netlist: Netlist):
+        view = csr_view(netlist)
+        self._view = view
+        self.names = view.names
+        self.index = view.index
+        self.startpoints = sorted(
+            view.names[i]
+            for i in range(view.n)
+            if view.is_input[i] or view.is_seq[i]
+        )
+        self.sp_ids = [view.index[name] for name in self.startpoints]
+        fi_ptr, fi_idx = view.fanin_ptr, view.fanin_idx
+        steps = []
+        for i in view.comb_order():
+            node = netlist.node(view.names[i])
+            pins = fi_idx[fi_ptr[i] : fi_ptr[i + 1]]
+            control = _CONTROL.get(node.gate_type)
+            if control is not None:
+                steps.append((i, _CONTROLLED, _pin_reader(pins)) + control)
+            elif node.gate_type is GateType.NOT:
+                steps.append((i, _NOT, pins[0], None, None, None))
+            elif node.gate_type is GateType.BUF:
+                steps.append((i, _BUF, pins[0], None, None, None))
+            elif node.gate_type is GateType.LUT:
+                steps.append((i, _LUT, _pin_reader(pins), node, None, None))
+            else:
+                steps.append((i, _SPEC, _pin_reader(pins), node, None, None))
+        self.steps = steps
+        self._cones: Dict[int, list] = {}
+
+    def cone_steps(self, startpoint: int) -> list:
+        """The steps in the combinational fan-out cone of *startpoint*, in
+        schedule order: the only nets assigning it can change."""
+        steps = self._cones.get(startpoint)
+        if steps is None:
+            reach = self._view.forward_reach(
+                [startpoint], enter_sequential=False
+            )
+            steps = [step for step in self.steps if reach[step[0]]]
+            self._cones[startpoint] = steps
+        return steps
+
+
+def _schedule(netlist: Netlist) -> _Schedule:
+    return memoized(netlist, "implication", _Schedule)
+
+
+def _imply(values: List[TriVal], steps: Sequence[tuple]) -> None:
+    """Evaluate *steps* in order over the flat value list, in place."""
+    for i, kind, pins, a, b, c in steps:
+        if kind == _CONTROLLED:
+            ins = pins(values)
+            values[i] = b if a in ins else (None if None in ins else c)
+        elif kind == _NOT:
+            v = values[pins]
+            values[i] = None if v is None else 1 - v
+        elif kind == _BUF:
+            values[i] = values[pins]
+        elif kind == _LUT:
+            values[i] = _eval_lut3(a.lut_config, pins(values))
+        else:
+            values[i] = _eval3(a.gate_type, a.lut_config, pins(values))
 
 
 class Implication:
@@ -94,28 +226,24 @@ class Implication:
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        self._order = [
-            name
-            for name in topological_order(netlist)
-            if netlist.node(name).is_combinational
-        ]
-        self._startpoints = set(netlist.inputs) | set(netlist.flip_flops)
 
     @property
     def startpoints(self) -> List[str]:
         """Controllable nets: primary inputs and DFF outputs."""
-        return sorted(self._startpoints)
+        return list(_schedule(self.netlist).startpoints)
+
+    def values(self, assignment: Mapping[str, TriVal]) -> List[TriVal]:
+        """Every net's implied value, as a list indexed by CSR node id."""
+        schedule = _schedule(self.netlist)
+        values: List[TriVal] = [None] * len(schedule.names)
+        for name, i in zip(schedule.startpoints, schedule.sp_ids):
+            values[i] = assignment.get(name)
+        _imply(values, schedule.steps)
+        return values
 
     def run(self, assignment: Mapping[str, TriVal]) -> Dict[str, TriVal]:
         """Imply every net value from a (partial) startpoint assignment."""
-        values: Dict[str, TriVal] = {}
-        for sp in self._startpoints:
-            values[sp] = assignment.get(sp)
-        for name in self._order:
-            node = self.netlist.node(name)
-            fanin_vals = [values[src] for src in node.fanin]
-            values[name] = _eval3(node.gate_type, node.lut_config, fanin_vals)
-        return values
+        return dict(zip(_schedule(self.netlist).names, self.values(assignment)))
 
 
 def justify(
@@ -132,40 +260,47 @@ def justify(
     complete startpoint assignment (unconstrained startpoints filled with 0,
     or randomly when *rng* is given), or ``None`` if unjustifiable within the
     backtrack budget.
+
+    Each decision re-implies only the fan-out cone of the startpoint it
+    assigns: every other net keeps its value, since implication is a
+    function of the assignment.
     """
-    engine = Implication(netlist)
+    schedule = _schedule(netlist)
     cone = combinational_cone(netlist, list(objectives))
-    candidates = [sp for sp in engine.startpoints if sp in cone]
+    candidates = [sp for sp in schedule.startpoints if sp in cone]
+    index_of = schedule.index
+    goals = [(index_of[net], target) for net, target in objectives.items()]
     assignment: Dict[str, TriVal] = {}
     backtracks = 0
+    implications = 0
 
-    def conflict(values: Dict[str, TriVal]) -> bool:
-        return any(
-            values.get(net) is not None and values[net] != target
-            for net, target in objectives.items()
-        )
-
-    def satisfied(values: Dict[str, TriVal]) -> bool:
-        return all(values.get(net) == target for net, target in objectives.items())
-
-    def search(index: int) -> Optional[Dict[str, TriVal]]:
-        nonlocal backtracks
-        values = engine.run(assignment)
-        if conflict(values):
+    def search(
+        index: int, values: List[TriVal]
+    ) -> Optional[Dict[str, TriVal]]:
+        nonlocal backtracks, implications
+        implications += 1
+        if any(
+            values[i] is not None and values[i] != target for i, target in goals
+        ):
             backtracks += 1
             return None
-        if satisfied(values):
+        if all(values[i] == target for i, target in goals):
             return dict(assignment)
         if index >= len(candidates) or backtracks > max_backtracks:
             backtracks += 1
             return None
         name = candidates[index]
+        sp = index_of[name]
+        steps = schedule.cone_steps(sp)
         order = [0, 1]
         if rng is not None:
             rng.shuffle(order)
         for value in order:
             assignment[name] = value
-            result = search(index + 1)
+            child = values[:]
+            child[sp] = value
+            _imply(child, steps)
+            result = search(index + 1, child)
             if result is not None:
                 return result
             del assignment[name]
@@ -173,11 +308,13 @@ def justify(
                 break
         return None
 
-    solution = search(0)
+    solution = search(0, Implication(netlist).values(assignment))
+    add_counter("justify.implications", implications)
+    add_counter("justify.backtracks", backtracks)
     if solution is None:
         return None
     complete: Dict[str, int] = {}
-    for sp in engine.startpoints:
+    for sp in schedule.startpoints:
         if sp in solution and solution[sp] is not None:
             complete[sp] = solution[sp]
         else:

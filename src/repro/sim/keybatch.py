@@ -369,22 +369,40 @@ def score_keys(
         for key in keys:
             swept.update(key)
         program = program_for_configs(netlist, swept)
+        n_planes = (len(pis) * len(points)).bit_length()
         for start in range(0, len(keys), width):
             chunk = keys[start : start + width]
             packed = program.pack_configs(chunk)
             add_counter("sim.keybatch.batches")
             add_counter("sim.keybatch.lanes_filled", len(chunk))
             add_counter("sim.keybatch.lanes_wasted", width - len(chunk))
+            mask = packed.mask
+            # Bit-sliced per-lane counters: bit l of planes[b] is bit b of
+            # lane l's count.  Each match word ripple-adds into them; no
+            # count exceeds len(pis) * len(points), so the carry never
+            # runs off the top plane.
+            planes = [0] * n_planes
             for inputs, state, label in zip(pis, states, labels):
                 values = program.evaluate_packed(inputs, packed, state)
-                add_counter("sim.keybatch.evaluations")
                 for point in points:
-                    match = (
-                        ~(values[point] ^ (-(label[point] & 1) & packed.mask))
-                        & packed.mask
-                    )
-                    while match:
-                        low = match & -match
-                        counts[start + low.bit_length() - 1] += 1
-                        match ^= low
+                    carry = ~(values[point] ^ -(label[point] & 1)) & mask
+                    bit = 0
+                    while carry:
+                        plane = planes[bit]
+                        planes[bit] = plane ^ carry
+                        carry &= plane
+                        bit += 1
+            add_counter("sim.keybatch.evaluations", len(pis))
+            counts[start : start + len(chunk)] = lane_counts(planes, len(chunk))
     return counts
+
+
+def lane_counts(planes: Sequence[int], lanes: int) -> List[int]:
+    """Read per-lane counts out of bit-sliced counter *planes* (bit *l* of
+    ``planes[b]`` is bit *b* of lane *l*'s count)."""
+    if not planes:
+        return [0] * lanes
+    # One binary string per plane, most significant plane first; column
+    # l from the right spells lane l's count in binary.
+    rows = [format(plane, f"0{lanes}b") for plane in reversed(planes)]
+    return [int("".join(column), 2) for column in zip(*rows)][::-1]

@@ -94,6 +94,31 @@ class TestTestingAttack:
         assert not result.success
         assert set(result.unresolved) & {"G15", "G16", "G9"}
 
+    def test_recovered_types_decode_at_each_lut_fanin(self):
+        n = Netlist("gates")
+        for pi in ("a", "b", "c"):
+            n.add_input(pi)
+        n.add_gate("g_and", GateType.AND, ["a", "b"])
+        n.add_gate("g_or", GateType.OR, ["b", "c"])
+        n.add_gate("g_xor", GateType.XOR, ["a", "c"])
+        n.add_gate("g_nor", GateType.NOR, ["a", "b"])
+        n.add_gate("g_nand3", GateType.NAND, ["a", "b", "c"])
+        for name in ("g_and", "g_or", "g_xor", "g_nor", "g_nand3"):
+            n.add_output(name)
+        hybrid, foundry, _ = lock(n, ["g_and", "g_or", "g_xor", "g_nor", "g_nand3"])
+        result = TestingAttack(foundry, ConfiguredOracle(hybrid), seed=1).run()
+        assert result.success
+        assert result.fanin == {
+            "g_and": 2, "g_or": 2, "g_xor": 2, "g_nor": 2, "g_nand3": 3
+        }
+        assert result.recovered_types() == {
+            "g_and": GateType.AND,
+            "g_or": GateType.OR,
+            "g_xor": GateType.XOR,
+            "g_nor": GateType.NOR,
+            "g_nand3": GateType.NAND,
+        }
+
     def test_counts_accumulate(self, s27):
         hybrid, foundry, _ = lock(s27, ["G14"])
         oracle = ConfiguredOracle(hybrid, scan=True)

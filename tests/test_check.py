@@ -42,6 +42,7 @@ class TestRegistry:
             "sat-vs-exhaustive",
             "sweep-modes-identical",
             "attack-oracle-equivalence",
+            "attack-implication-parity",
             "dataflow-inferable-recovery",
             "dataflow-dontcare-sat",
             "dataflow-ternary-soundness",
@@ -49,6 +50,7 @@ class TestRegistry:
             "lock-unlock-roundtrip",
             "keybatch-lane-parity",
             "keybatch-brute-parity",
+            "keybatch-score-parity",
             "graph-structure-parity",
             "graph-sta-path-parity",
             "graph-lint-dataflow-parity",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -15,7 +16,8 @@ from repro.sim import (
     justify_and_propagate,
     random_observable_pattern,
 )
-from repro.sim.justify import _eval3
+from repro.netlist.transform import replace_gates_with_luts
+from repro.sim.justify import _eval3, _imply, _schedule
 
 
 class TestThreeValuedEval:
@@ -51,6 +53,26 @@ class TestThreeValuedEval:
         assert _eval3(GateType.LUT, 0b1111, [None, None]) == 1
 
 
+    @pytest.mark.parametrize("n", range(4))
+    def test_lut_output_is_determined_iff_every_completion_agrees(self, n):
+        rng = random.Random(n)
+        configs = {0, (1 << (1 << n)) - 1} | {
+            rng.getrandbits(1 << n) for _ in range(24)
+        }
+        for config in configs:
+            for inputs in itertools.product((0, 1, None), repeat=n):
+                unknown = [i for i, v in enumerate(inputs) if v is None]
+                outputs = set()
+                for bits in itertools.product((0, 1), repeat=len(unknown)):
+                    row_bits = list(inputs)
+                    for pin, bit in zip(unknown, bits):
+                        row_bits[pin] = bit
+                    row = sum(bit << pin for pin, bit in enumerate(row_bits))
+                    outputs.add((config >> row) & 1)
+                expected = outputs.pop() if len(outputs) == 1 else None
+                assert _eval3(GateType.LUT, config, inputs) == expected
+
+
 class TestImplication:
     def test_full_assignment(self, tiny_comb):
         engine = Implication(tiny_comb)
@@ -68,6 +90,32 @@ class TestImplication:
         engine = Implication(tiny_seq)
         assert "reg1" in engine.startpoints
         assert "a" in engine.startpoints
+
+
+    def test_config_writes_reach_a_built_schedule(self, s27):
+        hybrid = s27.copy("s27_luts")
+        replace_gates_with_luts(hybrid, ["G8", "G12"], program=False)
+        engine = Implication(hybrid)
+        full = {sp: 1 for sp in engine.startpoints}
+        assert engine.run(full)["G8"] is None
+        revision = hybrid.structure_revision
+        hybrid.node("G8").lut_config = 0b1111  # constant 1
+        assert hybrid.structure_revision == revision
+        assert engine.run({})["G8"] == 1
+
+    def test_cone_reimplication_equals_a_full_pass(self, s27):
+        rng = random.Random(5)
+        schedule = _schedule(s27)
+        engine = Implication(s27)
+        for _ in range(50):
+            assignment = {}
+            values = engine.values(assignment)
+            for name in rng.sample(schedule.startpoints, 5):
+                assignment[name] = rng.getrandbits(1)
+                sp = schedule.index[name]
+                values[sp] = assignment[name]
+                _imply(values, schedule.cone_steps(sp))
+                assert values == engine.values(assignment)
 
 
 class TestJustify:

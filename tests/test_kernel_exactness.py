@@ -1,5 +1,5 @@
-"""Bit-exactness pins for the path DFS, the signal-probability pass and
-cone-only candidate timing.
+"""Bit-exactness pins for the path DFS, the signal-probability pass,
+cone-only candidate timing and the attack-grid kernels.
 
 The path DFS shares one ``random.Random`` across every search of a
 :class:`~repro.analysis.PathFinder`, so any change in the draws it makes
@@ -7,24 +7,31 @@ The path DFS shares one ``random.Random`` across every search of a
 Table I rows.  These tests pin the draw itself against CPython's
 ``Random.shuffle``, plus hashes of whole path collections and of exact
 signal probabilities, with golden values recorded before the kernels
-were rewritten over the CSR view.
+were rewritten over the CSR view.  The attack grid is pinned by a hash of
+its canonical rows, recorded before the ML match counters, the config
+packing and the three-valued implication were rewritten.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 
 import pytest
 
 from repro.analysis import PathFinder, signal_probabilities
 from repro.analysis.sta import TimingAnalyzer
+from repro.attacks import candidate_configs
 from repro.circuits import load_benchmark
+from repro.lut import HybridMapper
 from repro.locking import DependentSelection, depth_to_output
 from repro.netlist import GateType, Netlist
 from repro.netlist.csr import csr_view
 from repro.netlist.graph import PathGuide, _shuffle_ids, find_io_path
 from repro.netlist.transform import replace_gates_with_luts
+from repro.sim import CombinationalSimulator, score_keys
+from repro.sweep import SweepRunner, SweepSpec, canonical_row
 
 
 def _digest(obj) -> str:
@@ -211,3 +218,92 @@ def test_cone_timing_with_a_dangling_d_pin(s641):
     broken.touch_structure()
     assert csr_view(broken).dangling
     _assert_cone_timing_exact(broken, seed=23)
+
+
+#: Hash of the canonical rows of one attack grid (s27 x three algorithms
+#: x four attacks, ML at ``batch_width=64``), per selection seed.
+ATTACK_GRID_DIGESTS = {
+    0: "c9548b4066b957b6",
+    1: "c619b5147658f78e",
+    2: "85860742daebc788",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ATTACK_GRID_DIGESTS))
+def test_attack_grid_rows_are_pinned(seed):
+    spec = SweepSpec(
+        circuits=("s27",),
+        algorithms=("independent", "dependent", "parametric"),
+        seeds=(seed,),
+        attacks=("testing", "brute", "sat", "ml"),
+        analyses=(),
+        algorithm_params={"dependent": {"on_degenerate": "fallback"}},
+        attack_params={"ml": {"batch_width": 64}},
+    )
+    rows = [canonical_row(row) for _, row in SweepRunner(workers=1).stream(spec)]
+    assert all(row["status"] == "ok" for row in rows)
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode())
+    assert digest.hexdigest()[:16] == ATTACK_GRID_DIGESTS[seed]
+
+
+def _direct_counts(foundry, keys, patterns, labels, points):
+    """Matched (pattern, point) pairs per key, one programmed copy and one
+    interpreted simulation per key and pattern."""
+    counts = []
+    for key in keys:
+        programmed = foundry.copy("programmed")
+        for name, config in key.items():
+            programmed.node(name).lut_config = config
+        sim = CombinationalSimulator(programmed, backend="interpreted")
+        matched = 0
+        for pattern, label in zip(patterns, labels):
+            values = sim.evaluate(
+                {pi: pattern[pi] for pi in foundry.inputs},
+                {ff: pattern[ff] for ff in foundry.flip_flops},
+                1,
+            )
+            matched += sum(values[p] == label[p] for p in points)
+        counts.append(matched)
+    return counts
+
+
+@pytest.fixture(scope="module")
+def scored_lock():
+    """A locked s27, 140 candidate keys (the true key among them), 40
+    labelled patterns, the observation points and each key's direct
+    count."""
+    rng = random.Random(3)
+    hybrid = load_benchmark("s27").copy("s27_scored")
+    replace_gates_with_luts(hybrid, ["G8", "G12", "G15"], program=True)
+    foundry = HybridMapper().strip_configs(hybrid)
+    luts = sorted(foundry.luts)
+    keys = [
+        {n: rng.choice(candidate_configs(foundry.node(n).n_inputs)) for n in luts}
+        for _ in range(139)
+    ]
+    keys.insert(70, {n: hybrid.node(n).lut_config for n in luts})
+    startpoints = foundry.inputs + foundry.flip_flops
+    patterns = [{sp: rng.getrandbits(1) for sp in startpoints} for _ in range(40)]
+    points = foundry.outputs + [foundry.node(ff).fanin[0] for ff in foundry.flip_flops]
+    truth = CombinationalSimulator(hybrid)
+    labels = [
+        truth.evaluate(
+            {pi: p[pi] for pi in foundry.inputs},
+            {ff: p[ff] for ff in foundry.flip_flops},
+            1,
+        )
+        for p in patterns
+    ]
+    expected = _direct_counts(foundry, keys, patterns, labels, points)
+    return foundry, keys, patterns, labels, points, expected
+
+
+@pytest.mark.parametrize("width", [1, 64, 65, 130])
+def test_score_keys_counts_equal_a_direct_count(scored_lock, width):
+    foundry, keys, patterns, labels, points, expected = scored_lock
+    assert expected[70] == len(patterns) * len(points)  # the true key
+    assert len(set(expected)) > 10
+    counts = score_keys(
+        foundry, keys, patterns, labels, points, batch_width=width
+    )
+    assert counts == expected

@@ -322,6 +322,57 @@ def test_attack_results_identical_with_and_without_tracing():
     assert traced == untraced
 
 
+def test_solver_counters_sum_to_the_final_stats():
+    from repro.sat.solver import Solver
+
+    rng = random.Random(7)
+    solver = Solver()
+    for _ in range(170):
+        solver.add_clause(
+            [rng.choice((-1, 1)) * rng.randint(1, 40) for _ in range(3)]
+        )
+    rec = Recorder()
+    with use_recorder(rec):
+        for _ in range(6):
+            solver.solve([rng.choice((-1, 1)) * rng.randint(1, 40)])
+    assert solver.stats["conflicts"] > 0
+    for name, value in solver.stats.items():
+        assert rec.counters[f"sat.{name}"] == value, name
+
+
+def test_sat_counters_agree_with_the_row():
+    from repro.sweep import Trial, run_trial
+
+    row = run_trial(
+        Trial(circuit="s27", algorithm="independent", seed=0, attack="sat",
+              analyses=())
+    )
+    attack = row["metrics"]["attack"]
+    assert attack["success"] and attack["key_verified"]
+    obs = row["timing"]["obs"]
+    counters = obs["counters"]
+    verify = [s for s in obs["spans"] if s["name"] == "attack.sat.verify"]
+    assert len(verify) == 1 and verify[0]["attrs"]["equivalent"]
+    assert counters["sat.solver_conflicts"] == attack["solver_conflicts"]
+    # The attack's solver plus the key-verification proof: every solve
+    # of the trial.
+    assert counters["sat.conflicts"] == (
+        attack["solver_conflicts"] + verify[0]["attrs"]["solver_conflicts"]
+    )
+    assert counters["sat.decisions"] > 0 and counters["sat.propagations"] > 0
+
+
+def test_justify_counters_count_implications_and_backtracks(s27):
+    from repro.sim import justify
+
+    rec = Recorder()
+    with use_recorder(rec):
+        assert justify(s27, {"G11": 1}, rng=random.Random(0)) is not None
+        assert justify(s27, {"G11": 1, "G10": 1}, rng=random.Random(0)) is None
+    assert rec.counters["justify.implications"] > 2
+    assert rec.counters["justify.backtracks"] > 0
+
+
 def test_lock_algorithm_records_stage_spans():
     from repro.locking import ALGORITHMS
 
