@@ -3,10 +3,10 @@
 The compiled backend (:mod:`repro.sim.compiled`) promises bit-identical
 results to the interpreted reference under every usage pattern the attacks
 exercise: programmed and unprogrammed LUTs, decoy-widened LUTs, override
-dictionaries, mid-stream ``lut_config`` rewrites (which demote folded
-configurations to dynamic — the ``force_dynamic`` path), and multi-cycle
-sequential stepping.  These checks drive both backends with identical
-randomized stimulus and compare the full output dictionaries.
+dictionaries, mid-stream ``lut_config`` rewrites (which bump no revision,
+so a program memoized before the rewrite must read the new configs), and
+multi-cycle sequential stepping.  These checks drive both backends with
+identical randomized stimulus and compare the full output dictionaries.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def _random_stimulus(netlist: Netlist, rng: random.Random, width: int):
     family="sim",
     description="compiled vs interpreted combinational outputs on random "
     "vectors, programmed/widened LUTs, and mid-stream config rewrites "
-    "(the force_dynamic demotion path)",
+    "read by the memoized program",
 )
 def sim_backend_parity(ctx: CheckContext) -> None:
     netlist = ctx.netlist()
@@ -66,8 +66,8 @@ def sim_backend_parity(ctx: CheckContext) -> None:
     compiled = CombinationalSimulator(netlist, backend="compiled")
     for trial in range(ctx.trials):
         if luts and trial % 4 == 3:
-            # Rewrite a folded configuration between evaluations: the
-            # compiled program must rebuild (once) with dynamic configs.
+            # Rewrite a configuration between evaluations: the memoized
+            # program must read it at call time.
             node = netlist.node(rng.choice(luts))
             node.lut_config = rng.getrandbits(1 << node.n_inputs)
         width = rng.choice(_WIDTHS)

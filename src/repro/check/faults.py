@@ -36,15 +36,28 @@ class Fault:
 # the injected defects
 # ----------------------------------------------------------------------
 def _inject_stale_compiled_kernel() -> Callable[[], None]:
-    """Compiled programs stop noticing folded-config rewrites — the bug
-    :meth:`CompiledProgram.is_valid_for` exists to prevent."""
+    """Compiled programs bake each LUT's configuration in at build time.
+    Config writes bump no revision, so the memoized program keeps
+    simulating the configs it was built with."""
+    from types import SimpleNamespace
+
     from ..sim.compiled import CompiledProgram
 
-    original = CompiledProgram.is_valid_for
-    CompiledProgram.is_valid_for = lambda self, netlist: True  # type: ignore[method-assign]
+    original = CompiledProgram.__init__
+
+    def baking_init(self, netlist):
+        original(self, netlist)
+        self.lut_nodes = [
+            SimpleNamespace(
+                name=node.name, n_inputs=node.n_inputs, lut_config=node.lut_config
+            )
+            for node in self.lut_nodes
+        ]
+
+    CompiledProgram.__init__ = baking_init  # type: ignore[method-assign]
 
     def undo() -> None:
-        CompiledProgram.is_valid_for = original  # type: ignore[method-assign]
+        CompiledProgram.__init__ = original  # type: ignore[method-assign]
 
     return undo
 
@@ -356,7 +369,7 @@ FAULTS: List[Fault] = [
     Fault(
         name="stale-compiled-kernel",
         family="sim",
-        description="compiled programs ignore folded-config rewrites",
+        description="compiled programs bake LUT configs in at build time",
         inject=_inject_stale_compiled_kernel,
     ),
     Fault(

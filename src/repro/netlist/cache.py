@@ -76,12 +76,6 @@ def memoized(
         return value
 
 
-def invalidate(netlist: "Netlist") -> None:
-    """Drop every cached view of *netlist* (rarely needed — mutators bump
-    the revision automatically; this is a belt-and-braces escape hatch)."""
-    _CACHES.pop(netlist, None)
-
-
 def cached_keys(netlist: "Netlist") -> List[Hashable]:
     """The view keys currently memoized for *netlist* at its **current**
     revision (empty after any mutation).  Intended for tests."""

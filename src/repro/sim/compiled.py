@@ -13,23 +13,16 @@ dictionaries, no dispatch, no per-gate allocation.
 
 Design points:
 
-* **Constant folding** — the truth table of a programmed LUT is folded at
-  codegen time: configurations matching a primitive function (after
-  pruning decoy don't-care pins) become the primitive expression
-  (``_v3 & _v7``), anything else becomes a precomputed OR of minterm (or
-  complemented maxterm) masks.
-* **Dynamic configurations** — LUTs that are *unprogrammed* at codegen
-  time have their configuration fetched from the node at call time, so
+* **Configurations are runtime data** — every LUT's truth table is read
+  from its node at call time and selects minterm masks branch-free, so
   the attacks' hypothesis sweeps (which rewrite ``lut_config`` thousands
   of times) never trigger a recompile.
-* **Safety under mutation** — a program is keyed on the netlist's one
-  revision counter, ``structure_revision``, which every change to the
-  node set, wiring, outputs or gate types bumps (``replace_with_lut``
-  included), plus a snapshot of the folded configurations.
-  ``lut_config`` writes bump nothing, so if a folded configuration is
-  rewritten after compilation, the program is rebuilt once with *every*
-  LUT demoted to dynamic, after which it stays stable no matter how
-  configurations churn.
+* **One staleness rule** — a program is a derived view like the CSR
+  snapshot: :func:`get_program` memoizes it per netlist on
+  ``structure_revision`` (:func:`repro.netlist.cache.memoized`), which
+  every change to the node set, wiring, outputs or gate types bumps
+  (``replace_with_lut`` included).  ``lut_config`` writes bump nothing
+  and need not: no configuration is baked into a kernel.
 * **Bit-identical results** — masking mirrors the interpreter exactly
   (inverting ops are ``x ^ mask``), and the word-parallel LUT fallback is
   the interpreter's own helper, so ``compiled == interpreted`` bit for
@@ -44,7 +37,7 @@ netlists that actually get fault-simulated.
 A third lazily compiled variant serves the **config-lane axis** (the dual
 of pattern packing): instead of one bit per input pattern, a word carries
 one bit per *candidate LUT configuration*, so a single kernel call scores
-a whole batch of keys against one fixed pattern.  Each dynamic LUT reads a
+a whole batch of keys against one fixed pattern.  Each LUT reads a
 list of per-truth-table-row words (bit *l* of row word *r* = bit *r* of
 lane *l*'s configuration) and selects rows with plain AND/OR — see
 :meth:`CompiledProgram.evaluate_configs` and :mod:`repro.sim.keybatch`
@@ -53,11 +46,11 @@ for the batched hypothesis-screening built on top.
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+from ..netlist.cache import memoized
 from ..netlist.csr import csr_view
-from ..netlist.gates import GateType, truth_table_to_type
+from ..netlist.gates import GateType
 from ..netlist.graph import combinational_order
 from ..netlist.netlist import Netlist, NetlistError, Node
 from ..obs import add_counter, span
@@ -65,43 +58,12 @@ from ..obs import add_counter, span
 #: Valid kernel variants emitted by :meth:`CompiledProgram._generate`.
 _VARIANTS = ("plain", "override", "configs")
 
-#: Dynamic (runtime-config) LUTs up to this fan-in are unrolled inline as a
-#: branch-free select over minterm masks; wider ones call the shared
-#: word-parallel helper to bound generated-code size.
-_DYNAMIC_UNROLL_MAX_INPUTS = 3
+#: LUTs up to this fan-in are unrolled inline as a branch-free select
+#: over minterm masks; wider ones call the shared word-parallel helper to
+#: bound generated-code size.
+_UNROLL_MAX_INPUTS = 3
 
 _EMPTY: Dict[str, int] = {}
-
-
-def _prune_dont_care_pins(config: int, n_inputs: int) -> Tuple[int, List[int]]:
-    """Drop LUT pins the truth table ignores (decoy inputs).
-
-    Returns ``(reduced_config, essential_pins)`` where *essential_pins*
-    are original pin indices in order.  A constant table reduces to zero
-    pins and a 1-bit config.
-    """
-    pins = list(range(n_inputs))
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(pins)):
-            k = len(pins)
-            low = high = 0
-            low_i = high_i = 0
-            for row in range(1 << k):
-                bit = (config >> row) & 1
-                if (row >> j) & 1:
-                    high |= bit << high_i
-                    high_i += 1
-                else:
-                    low |= bit << low_i
-                    low_i += 1
-            if low == high:
-                config = low
-                pins.pop(j)
-                changed = True
-                break
-    return config, pins
 
 
 def _minterm_expr(row: int, pin_vars: List[str]) -> str:
@@ -144,31 +106,7 @@ def _primitive_expr(gate_type: GateType, operands: List[str]) -> str:
     raise NetlistError(f"gate type {gate_type} has no boolean function")
 
 
-def _folded_lut_expr(config: int, pin_vars: List[str]) -> str:
-    """Expression for a LUT whose configuration is a codegen-time constant."""
-    n = len(pin_vars)
-    config &= (1 << (1 << n)) - 1
-    reduced, pins = _prune_dont_care_pins(config, n)
-    vars_ = [pin_vars[p] for p in pins]
-    k = len(pins)
-    rows = 1 << k
-    if k == 0:
-        return "_m" if reduced & 1 else "0"
-    primitive = truth_table_to_type(reduced, k)
-    if primitive is not None:
-        return _primitive_expr(primitive, vars_)
-    set_rows = [r for r in range(rows) if (reduced >> r) & 1]
-    if len(set_rows) * 2 <= rows:
-        return " | ".join(f"({_minterm_expr(r, vars_)})" for r in set_rows)
-    # Dense tables: complement the OR of the *unset* rows.  Minterm masks
-    # partition the pattern word (each pattern selects exactly one row), so
-    # this is exact even with duplicate fan-in nets.
-    clear_rows = [r for r in range(rows) if not (reduced >> r) & 1]
-    inner = " | ".join(f"({_minterm_expr(r, vars_)})" for r in clear_rows)
-    return f"({inner}) ^ _m"
-
-
-def _dynamic_lut_lines(
+def _scalar_lut_lines(
     target: str, cfg_var: str, name: str, pin_vars: List[str]
 ) -> List[str]:
     """Assignment lines for a LUT whose configuration is fetched at runtime.
@@ -182,7 +120,7 @@ def _dynamic_lut_lines(
         f"    raise _err({f'cannot simulate unprogrammed LUT {name!r}'!r})",
     ]
     n = len(pin_vars)
-    if n <= _DYNAMIC_UNROLL_MAX_INPUTS:
+    if n <= _UNROLL_MAX_INPUTS:
         terms = []
         for row in range(1 << n):
             sel = f"{cfg_var} & 1" if row == 0 else f"({cfg_var} >> {row}) & 1"
@@ -225,12 +163,12 @@ def _config_lane_lut_lines(
     """Assignment lines for a LUT in the config-lane kernel.
 
     The per-row config words are packed ahead of the call
-    (:meth:`CompiledProgram.pack_configs`), so — unlike the dynamic
+    (:meth:`CompiledProgram.pack_configs`), so — unlike the
     scalar-config path — no per-row bit extraction happens inside the
     kernel: each row costs one AND with its minterm mask.
     """
     n = len(pin_vars)
-    if n <= _DYNAMIC_UNROLL_MAX_INPUTS:
+    if n <= _UNROLL_MAX_INPUTS:
         terms = [
             f"({rows_var}[{row}] & ({_minterm_expr(row, pin_vars)}))"
             for row in range(1 << n)
@@ -244,7 +182,7 @@ class PackedConfigs:
     """A batch of candidate LUT configurations packed into word lanes.
 
     Built by :meth:`CompiledProgram.pack_configs`; ``rows_by_index[i]``
-    holds, for the *i*-th dynamic LUT, one word per truth-table row whose
+    holds, for the *i*-th LUT, one word per truth-table row whose
     bit *l* is bit *r* of lane *l*'s configuration.
     """
 
@@ -259,11 +197,15 @@ class PackedConfigs:
 
 
 class CompiledProgram:
-    """One netlist's generated evaluation kernel(s) plus validity metadata."""
+    """One netlist's generated evaluation kernels.
 
-    def __init__(self, netlist: Netlist, force_dynamic: bool = False):
-        self.structure_revision = netlist.structure_revision
-        self.force_dynamic = force_dynamic
+    Every LUT reads its configuration at call time: ``lut_nodes[i]`` is
+    the *i*-th LUT in topological order, whose ``lut_config`` the plain
+    and override kernels receive as ``_cfg[i]`` and the config-lane
+    kernel as the row words ``_cfgw[i]``.
+    """
+
+    def __init__(self, netlist: Netlist):
         view = csr_view(netlist)
         self._order = combinational_order(netlist)
         names = view.names
@@ -272,27 +214,20 @@ class CompiledProgram:
         self._var: Dict[str, str] = {}
         for i, name in enumerate(self._pis + self._ffs + self._order):
             self._var[name] = f"_v{i}"
-        # Classify LUTs: unprogrammed ones (and, after a config rewrite is
-        # observed, all of them) read their configuration per call.
-        self.dynamic_nodes: List[Node] = []
-        self._dynamic_index: Dict[str, int] = {}
-        self.folded: List[Tuple[Node, Optional[int]]] = []
-        for name in self._order:
-            node = netlist.node(name)
-            if node.gate_type is not GateType.LUT:
-                continue
-            if force_dynamic or node.lut_config is None:
-                self._dynamic_index[name] = len(self.dynamic_nodes)
-                self.dynamic_nodes.append(node)
-            else:
-                self.folded.append((node, node.lut_config))
         self._nodes = {name: netlist.node(name) for name in self._order}
+        self.lut_nodes: List[Node] = [
+            node
+            for node in self._nodes.values()
+            if node.gate_type is GateType.LUT
+        ]
+        self._lut_index: Dict[str, int] = {
+            node.name: i for i, node in enumerate(self.lut_nodes)
+        }
         with span(
             "sim.codegen",
             circuit=netlist.name,
             gates=len(self._order),
-            dynamic_luts=len(self.dynamic_nodes),
-            force_dynamic=force_dynamic,
+            luts=len(self.lut_nodes),
             kernel="plain",
         ):
             self.source = self._generate("plain")
@@ -308,7 +243,7 @@ class CompiledProgram:
     # codegen
     # ------------------------------------------------------------------
     def _generate(self, variant: str) -> str:
-        """Emit one kernel variant: ``plain`` (scalar dynamic configs),
+        """Emit one kernel variant: ``plain`` (scalar configs),
         ``override`` (net pinning), or ``configs`` (per-lane config words)."""
         if variant not in _VARIANTS:
             raise ValueError(f"unknown kernel variant {variant!r}")
@@ -358,13 +293,10 @@ class CompiledProgram:
         target = self._var[name]
         pin_vars = [self._var[src] for src in node.fanin]
         if node.gate_type is GateType.LUT:
-            idx = self._dynamic_index.get(name)
-            if idx is None:
-                assert node.lut_config is not None
-                return [f"{target} = {_folded_lut_expr(node.lut_config, pin_vars)}"]
+            idx = self._lut_index[name]
             if variant == "configs":
                 return _config_lane_lut_lines(target, f"_cfgw[{idx}]", pin_vars)
-            return _dynamic_lut_lines(target, f"_cfg[{idx}]", name, pin_vars)
+            return _scalar_lut_lines(target, f"_cfg[{idx}]", name, pin_vars)
         return [f"{target} = {_primitive_expr(node.gate_type, pin_vars)}"]
 
     @staticmethod
@@ -383,14 +315,6 @@ class CompiledProgram:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def is_valid_for(self, netlist: Netlist) -> bool:
-        if netlist.structure_revision != self.structure_revision:
-            return False
-        for node, config in self.folded:
-            if node.lut_config != config:
-                return False
-        return True
-
     def evaluate(
         self,
         inputs: Mapping[str, int],
@@ -399,7 +323,7 @@ class CompiledProgram:
         overrides: Optional[Mapping[str, int]] = None,
     ) -> Dict[str, int]:
         mask = (1 << width) - 1
-        cfg = [node.lut_config for node in self.dynamic_nodes]
+        cfg = [node.lut_config for node in self.lut_nodes]
         add_counter("sim.compiled_evaluations")
         if overrides:
             if self._ov_fn is None:
@@ -427,11 +351,9 @@ class CompiledProgram:
     ) -> PackedConfigs:
         """Pack one candidate-configuration assignment per word lane.
 
-        Each element of *configs* maps dynamic-LUT names to a candidate
-        truth table; LUTs an assignment leaves out keep their current
-        ``lut_config`` (which must then be programmed).  Assignments may
-        only name LUTs this program treats as dynamic — sweep a folded
-        LUT through :func:`evaluate_configs`, which demotes first.
+        Each element of *configs* maps LUT names to a candidate truth
+        table; LUTs an assignment leaves out keep their current
+        ``lut_config`` (which must then be programmed).
         """
         lanes = len(configs)
         if lanes == 0:
@@ -442,16 +364,15 @@ class CompiledProgram:
         swept: Set[str] = set()
         for assignment in configs:
             swept.update(assignment)
-        unknown: Set[str] = swept.difference(self._dynamic_index)
+        unknown: Set[str] = swept.difference(self._lut_index)
         if unknown:
             raise NetlistError(
-                f"configuration lanes sweep non-dynamic nodes "
-                f"{sorted(unknown)!r}; use repro.sim.compiled."
-                f"evaluate_configs to demote folded LUTs first"
+                f"config lanes can only sweep LUT nodes; "
+                f"{sorted(unknown)!r} are not LUTs of this netlist"
             )
         lane_bits = [1 << lane for lane in range(lanes)]
         rows_by_index: List[List[int]] = []
-        for node in self.dynamic_nodes:
+        for node in self.lut_nodes:
             n_rows = 1 << node.n_inputs
             full = (1 << n_rows) - 1
             base = node.lut_config
@@ -559,59 +480,26 @@ class CompiledProgram:
         return out
 
 
-_PROGRAMS: "weakref.WeakKeyDictionary[Netlist, CompiledProgram]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def get_program(netlist: Netlist) -> CompiledProgram:
-    """The (cached) compiled kernel for *netlist*, rebuilt when stale.
-
-    A revision change rebuilds from scratch (folding programmed LUTs
-    again); a folded-configuration rewrite rebuilds once with every LUT
-    dynamic, so config-sweeping attacks settle after a single recompile.
-    """
-    program = _PROGRAMS.get(netlist)
-    if program is not None and program.is_valid_for(netlist):
-        return program
-    if (
-        program is not None
-        and program.structure_revision == netlist.structure_revision
-    ):
-        # Same structure epoch, but a folded config moved: the
-        # netlist's configurations are runtime data from now on.
-        program = CompiledProgram(netlist, force_dynamic=True)
-    else:
-        program = CompiledProgram(netlist)
-    _PROGRAMS[netlist] = program
-    return program
+    """The compiled kernels for *netlist*, memoized per structure revision
+    like every other derived view; LUT configurations are read per call,
+    so rewriting them never rebuilds the program."""
+    return memoized(netlist, "compiled", CompiledProgram)
 
 
 def program_for_configs(
     netlist: Netlist, swept: Set[str]
 ) -> CompiledProgram:
-    """The cached program for *netlist*, with every LUT in *swept* dynamic.
-
-    A swept LUT that was programmed (and therefore folded) at codegen time
-    gets the same treatment as a rewritten folded config: the program is
-    rebuilt once with every LUT demoted to dynamic and cached, after which
-    config sweeps are recompile-free.
-    """
+    """The program for *netlist*, after checking that every net in
+    *swept* is a LUT (a name with no net raises the netlist's error)."""
     program = get_program(netlist)
-    demote = False
     for name in swept:
-        if name in program._dynamic_index:
-            continue
-        node = netlist.node(name)
-        if node.gate_type is not GateType.LUT:
+        if name not in program._lut_index:
+            node = netlist.node(name)
             raise NetlistError(
                 f"config lanes can only sweep LUT nodes; {name!r} is "
                 f"{node.gate_type.value}"
             )
-        demote = True
-    if demote:
-        program = CompiledProgram(netlist, force_dynamic=True)
-        _PROGRAMS[netlist] = program
     return program
 
 
@@ -625,9 +513,6 @@ def evaluate_configs(
     """Key-parallel evaluation of *netlist*: one word lane per candidate
     LUT-configuration assignment (see
     :meth:`CompiledProgram.evaluate_configs`).
-
-    Unlike the method, this entry point accepts sweeps over *programmed*
-    (folded) LUTs — the cached program is demoted to all-dynamic first.
     """
     configs = list(configs)
     swept: Set[str] = set()

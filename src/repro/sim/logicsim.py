@@ -11,13 +11,11 @@ Two backends are available (see :data:`BACKENDS`):
   (:mod:`repro.sim.compiled`); bit-identical to the interpreter and ≥5×
   faster on the attack/analysis hot path.
 * ``"interpreted"`` — the reference per-gate loop, kept as the parity
-  baseline and selectable with ``backend="interpreted"`` or the
-  ``REPRO_SIM_BACKEND`` environment variable.
+  baseline and selectable per call with ``backend="interpreted"``.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
@@ -28,9 +26,8 @@ from ..netlist.netlist import Netlist, NetlistError
 #: Recognised simulation backends.
 BACKENDS = ("compiled", "interpreted")
 
-#: Process-wide default backend; override per-simulator with ``backend=``
-#: or globally with the ``REPRO_SIM_BACKEND`` environment variable.
-DEFAULT_BACKEND = os.environ.get("REPRO_SIM_BACKEND", "compiled")
+#: Backend used when a simulator is built without ``backend=``.
+DEFAULT_BACKEND = "compiled"
 
 
 def _eval_lut_word(config: int, fanin_words: Sequence[int], mask: int) -> int:

@@ -18,10 +18,12 @@ from hypothesis import strategies as st
 from repro.circuits import load_benchmark
 from repro.circuits.generator import CircuitSpec, generate
 from repro.netlist import GateType, Netlist, NetlistError
+from repro.netlist.cache import cached_keys
 from repro.netlist.transform import (
     replace_gates_with_luts,
     widen_lut_with_decoys,
 )
+from repro.obs import Recorder, use_recorder
 from repro.sim import (
     BACKENDS,
     CombinationalSimulator,
@@ -199,8 +201,8 @@ class TestLutParity:
         state = {ff: rng.getrandbits(16) for ff in s27.flip_flops}
         first = compiled.evaluate(inputs, state, 16)
         assert first == interpreted.evaluate(inputs, state, 16)
-        program = None
-        for sweep in range(5):
+        program = get_program(s27)
+        for _ in range(5):
             for lut in luts:
                 node = s27.node(lut)
                 # XOR with 1 guarantees the configuration actually changes.
@@ -208,70 +210,79 @@ class TestLutParity:
             assert compiled.evaluate(inputs, state, 16) == interpreted.evaluate(
                 inputs, state, 16
             )
-            if sweep == 0:
-                # The first mismatch demotes the folded LUTs to dynamic —
-                # one rebuild, after which every sweep reuses the program.
-                program = get_program(s27)
-                assert program.force_dynamic
-        assert get_program(s27) is program, "sweeps after demotion must not recompile"
+        assert get_program(s27) is program, "config sweeps must not recompile"
 
 
-class TestDynamicOverrideInvalidation:
-    def test_override_kernel_tracks_config_mutation(self, s27):
-        """The lazy override kernel (``_run_ov``) folds programmed configs
-        like the plain kernel does; an in-place ``lut_config`` rewrite
-        after the override kernel was built must invalidate the program,
-        not serve stale folded constants through either entry point."""
+class TestOneStalenessRule:
+    """A compiled program is a view memoized on ``structure_revision``;
+    LUT configurations are runtime data read at call time."""
+
+    def test_programmed_config_writes_keep_every_kernel(self, s27):
+        """In-place writes to programmed LUTs neither replace the program
+        nor compile anything, and the plain, override and config-lane
+        kernels all read the new configurations."""
         rng = random.Random(11)
-        replace_gates_with_luts(s27, _lockable_gates(s27)[:2], program=True)
-        luts = list(s27.luts)
+        replace_gates_with_luts(s27, _lockable_gates(s27)[:3], program=True)
+        luts = sorted(s27.luts)
         interpreted = CombinationalSimulator(s27, backend="interpreted")
         compiled = CombinationalSimulator(s27, backend="compiled")
         inputs = {pi: rng.getrandbits(8) for pi in s27.inputs}
         state = {ff: rng.getrandbits(8) for ff in s27.flip_flops}
         overrides = {luts[0]: rng.getrandbits(8)}
-        # Build both kernels (plain, then override) on the folded program.
-        assert compiled.evaluate(inputs, state, 8) == interpreted.evaluate(
-            inputs, state, 8
-        )
-        assert compiled.evaluate(
-            inputs, state, 8, overrides=overrides
-        ) == interpreted.evaluate(inputs, state, 8, overrides=overrides)
-        folded = get_program(s27)
-        # Mutate the config of the *non-overridden* LUT in place.
-        node = s27.node(luts[-1])
-        node.lut_config ^= (1 << (1 << node.n_inputs)) - 1
-        assert not folded.is_valid_for(s27)
-        assert compiled.evaluate(
-            inputs, state, 8, overrides=overrides
-        ) == interpreted.evaluate(inputs, state, 8, overrides=overrides)
-        assert compiled.evaluate(inputs, state, 8) == interpreted.evaluate(
-            inputs, state, 8
-        )
-        assert get_program(s27) is not folded
+        pattern = {pi: rng.getrandbits(1) for pi in s27.inputs}
+        bits = {ff: rng.getrandbits(1) for ff in s27.flip_flops}
+        swept = s27.node(luts[1])
+        lanes = [
+            {swept.name: rng.getrandbits(1 << swept.n_inputs)}
+            for _ in range(9)
+        ]
+        rec = Recorder()
+        with use_recorder(rec):
+            assert compiled.evaluate(inputs, state, 8) == interpreted.evaluate(
+                inputs, state, 8
+            )
+            program = get_program(s27)
+            for sweep in range(4):
+                if sweep:
+                    for lut in luts:
+                        node = s27.node(lut)
+                        node.lut_config = rng.getrandbits(1 << node.n_inputs)
+                assert compiled.evaluate(
+                    inputs, state, 8
+                ) == interpreted.evaluate(inputs, state, 8)
+                assert compiled.evaluate(
+                    inputs, state, 8, overrides=overrides
+                ) == interpreted.evaluate(inputs, state, 8, overrides=overrides)
+                assert evaluate_configs(
+                    s27, pattern, lanes, state=bits
+                ) == evaluate_configs(
+                    s27, pattern, lanes, state=bits, backend="interpreted"
+                )
+                assert get_program(s27) is program
+        # one compile per kernel: plain, override, config-lane
+        assert rec.counters["sim.codegen_compiles"] == 3
 
-    def test_demoted_program_serves_overrides_without_recompile(self, s27):
-        """After the config-sweep demotion to force_dynamic, the override
-        kernel must keep working and further sweeps must not recompile."""
-        rng = random.Random(12)
-        replace_gates_with_luts(s27, _lockable_gates(s27)[:2], program=True)
-        luts = list(s27.luts)
-        interpreted = CombinationalSimulator(s27, backend="interpreted")
+    @pytest.mark.parametrize("mutation", ["set_gate_type", "replace_with_lut"])
+    def test_gate_type_rewrite_builds_a_new_program(self, s27, mutation):
+        gate = _lockable_gates(s27)[0]
+        inputs = {pi: 1 for pi in s27.inputs}
         compiled = CombinationalSimulator(s27, backend="compiled")
-        inputs = {pi: rng.getrandbits(4) for pi in s27.inputs}
-        state = {ff: rng.getrandbits(4) for ff in s27.flip_flops}
-        compiled.evaluate(inputs, state, 4)
-        s27.node(luts[0]).lut_config ^= 1  # demote to dynamic
-        compiled.evaluate(inputs, state, 4)
+        compiled.evaluate(inputs, None, 1)
         program = get_program(s27)
-        assert program.force_dynamic
-        for sweep in range(3):
-            s27.node(luts[0]).lut_config ^= 1
-            overrides = {luts[-1]: rng.getrandbits(4)}
-            assert compiled.evaluate(
-                inputs, state, 4, overrides=overrides
-            ) == interpreted.evaluate(inputs, state, 4, overrides=overrides)
-        assert get_program(s27) is program
+        if mutation == "set_gate_type":
+            s27.set_gate_type(gate, GateType.NOT, fanin=[s27.inputs[0]])
+        else:
+            s27.replace_with_lut(gate, program=True)
+        assert get_program(s27) is not program
+        assert compiled.evaluate(inputs, None, 1) == CombinationalSimulator(
+            s27, backend="interpreted"
+        ).evaluate(inputs, None, 1)
+
+    def test_program_lives_in_the_structure_cache(self, s27):
+        get_program(s27)
+        assert "compiled" in cached_keys(s27)
+        s27.add_gate("extra", GateType.NOT, [s27.inputs[0]])
+        assert "compiled" not in cached_keys(s27)
 
 
 class TestSequentialParity:
@@ -352,7 +363,7 @@ def config_lane_scenarios(draw):
     """A generated circuit with unprogrammed (optionally decoy-widened)
     LUTs plus a batch of candidate configurations: the config-lane kernel's
     search space.  Tables mix random, constant-0 and constant-1 entries so
-    the constant-LUT folding inside the lane packer is exercised too."""
+    constant lanes in the lane packer are exercised too."""
     seed = draw(st.integers(0, 31))
     spec = CircuitSpec(
         name=f"cfgprop{seed}",
@@ -369,10 +380,9 @@ def config_lane_scenarios(draw):
     picked = rng.sample(candidates, n_locked)
     replace_gates_with_luts(netlist, picked, program=False)
     if draw(st.booleans()):
-        # Decoy pins create don't-care truth-table rows; the codegen
-        # prunes them (_prune_dont_care_pins) in the folded reference
-        # while the config-lane kernel keeps the full table — the two
-        # must still agree on every lane.
+        # Decoy pins create don't-care truth-table rows; the per-lane
+        # reference and the config-lane kernel both read the full table
+        # and must agree on every lane.
         for lut in sorted(netlist.luts):
             if netlist.node(lut).n_inputs <= 4 and draw(st.booleans()):
                 try:
@@ -411,7 +421,7 @@ class TestConfigLaneProperty:
     def test_every_lane_matches_per_config_folded_evaluation(self, scenario):
         """Property: lane l of ``evaluate_configs`` equals evaluating a
         fresh copy of the netlist with lane l's configs *programmed* —
-        through both the folded compiled kernel and the interpreter."""
+        through both the plain compiled kernel and the interpreter."""
         netlist, inputs, state, configs, width = scenario
         batched = evaluate_configs(
             netlist, inputs, configs, state=state, width=width

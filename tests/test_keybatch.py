@@ -18,7 +18,6 @@ from repro.lut import HybridMapper
 from repro.netlist import NetlistError
 from repro.obs import Recorder, use_recorder
 from repro.sim import (
-    CombinationalSimulator,
     evaluate_configs,
     get_program,
     iter_hypotheses,
@@ -93,29 +92,6 @@ class TestEvaluateConfigs:
                 foundry, pattern, configs, state=state, width=width
             )
             assert chunked == whole, width
-
-    def test_folded_lut_sweep_demotes_once(self, s27):
-        """Sweeping a *programmed* (folded) LUT rebuilds the cached program
-        all-dynamic exactly once, mirroring the rewrite-demotion path."""
-        hybrid, _, record = lock(s27, ["G8"], seed=1)
-        program = get_program(hybrid)
-        assert not program._dynamic_index  # programmed LUT was folded
-        configs = [{"G8": c} for c in candidate_configs(2)]
-        pattern = {pi: 0 for pi in hybrid.inputs}
-        out = evaluate_configs(hybrid, pattern, configs)
-        demoted = get_program(hybrid)
-        assert demoted is not program
-        assert "G8" in demoted._dynamic_index
-        assert get_program(hybrid) is demoted  # stable afterwards
-        # lane values match per-config folded evaluation
-        for lane, assignment in enumerate(configs):
-            reference = hybrid.copy(f"ref{lane}")
-            reference.node("G8").lut_config = assignment["G8"]
-            values = CombinationalSimulator(
-                reference, backend="interpreted"
-            ).evaluate(pattern, None, 1)
-            for net, bit in values.items():
-                assert (out[net] >> lane) & 1 == bit
 
     def test_error_paths(self, s27):
         _, foundry, _ = lock(s27, ["G8"], seed=1)

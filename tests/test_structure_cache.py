@@ -19,7 +19,7 @@ from repro.circuits.generator import CircuitSpec, generate
 from repro.dataflow.cones import extract_key_cone
 from repro.locking.parametric import ParametricSelection
 from repro.netlist import GateType, Netlist
-from repro.netlist.cache import cached_keys, invalidate, memoized
+from repro.netlist.cache import cached_keys, memoized
 from repro.locking.metrics import depth_to_output
 from repro.netlist import csr
 from repro.netlist.csr import csr_view
@@ -60,7 +60,7 @@ class TestMemoization:
         topological_order(s27)
         levelize(s27)
         assert {"topo_order", "levels"} <= set(cached_keys(s27))
-        invalidate(s27)
+        s27.add_gate("probe", GateType.NOT, [s27.inputs[0]])
         assert cached_keys(s27) == []
 
     def test_memoized_recomputes_only_on_revision_change(self, s27):
