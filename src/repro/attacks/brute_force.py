@@ -8,11 +8,10 @@ clocks this needs — ``2^I · P^M · D`` — and this module realises the attac
 so the bound can be validated on small designs.
 
 Hypothesis screening is key-parallel: ``batch_width`` candidate keys share
-one compiled config-lane pass per pattern (:mod:`repro.sim.keybatch`).
-Oracle access — one query per screening/confirm pattern, recorded up front
-— is identical to the serial loop, so the billed cost and the survivor set
-do not depend on the batch width (``batch_width=1`` *is* the serial loop,
-kept as baseline and fallback).
+one compiled config-lane pass per pattern (:mod:`repro.sim.keybatch`; 1
+means one lane per pass).  Oracle access is one query per screening or
+confirm pattern, recorded up front, so the billed cost and the survivor
+set do not depend on the batch width.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from ..netlist.netlist import Netlist
 from ..obs import span
 from ..sim.keybatch import (
     DEFAULT_BATCH_WIDTH,
+    check_batch_width,
     iter_hypotheses,
     screen_hypotheses,
 )
@@ -33,7 +33,9 @@ from .oracle import (
     ConfiguredOracle,
     attribute_cost,
     bump_cost_counters,
+    draw_patterns,
     snapshot_cost,
+    split_pattern,
 )
 
 
@@ -105,8 +107,8 @@ class BruteForceAttack:
         self.screen_patterns = screen_patterns
         self.confirm_patterns = confirm_patterns
         self.max_hypotheses = max_hypotheses
-        #: Candidate keys packed per compiled pass (1 = serial loop).
-        self.batch_width = batch_width
+        #: Candidate keys packed per compiled pass (1 = one lane).
+        self.batch_width = check_batch_width(batch_width)
         self.max_confirm_rounds = max_confirm_rounds
 
     def run(self) -> BruteForceResult:
@@ -136,8 +138,9 @@ class BruteForceAttack:
                 "attack.brute.screen", width=self.batch_width
             ) as screen_span:
                 screen_cost = snapshot_cost(self.oracle)
-                patterns = self._draw_patterns(self.screen_patterns)
-                responses = self._oracle_responses(patterns)
+                patterns, responses = self._query_patterns(
+                    self.screen_patterns
+                )
                 working = self.netlist.copy(f"{self.netlist.name}_bf")
                 points = self.oracle.observation_points()
 
@@ -169,8 +172,9 @@ class BruteForceAttack:
                     width=self.batch_width,
                 ) as confirm_span:
                     confirm_cost = snapshot_cost(self.oracle)
-                    extra = self._draw_patterns(self.confirm_patterns)
-                    extra_responses = self._oracle_responses(extra)
+                    extra, extra_responses = self._query_patterns(
+                        self.confirm_patterns
+                    )
                     survivors = screen_hypotheses(
                         working,
                         survivors,
@@ -242,20 +246,11 @@ class BruteForceAttack:
                 return False
         return True
 
-    def _draw_patterns(self, count: int) -> List[Dict[str, int]]:
-        startpoints = list(self.netlist.inputs) + list(self.netlist.flip_flops)
-        return [
-            {sp: self.rng.getrandbits(1) for sp in startpoints}
-            for _ in range(count)
+    def _query_patterns(self, count: int):
+        """*count* fresh random patterns and the oracle's response to each."""
+        patterns = draw_patterns(self.rng, self.netlist, count)
+        responses = [
+            self.oracle.query(*split_pattern(self.netlist, pattern))
+            for pattern in patterns
         ]
-
-    def _oracle_responses(
-        self, patterns: Sequence[Dict[str, int]]
-    ) -> List[Dict[str, int]]:
-        responses = []
-        inputs, flip_flops = self.netlist.inputs, self.netlist.flip_flops
-        for pattern in patterns:
-            pis = {pi: pattern.get(pi, 0) for pi in inputs}
-            state = {ff: pattern.get(ff, 0) for ff in flip_flops}
-            responses.append(self.oracle.query(pis, state))
-        return responses
+        return patterns, responses

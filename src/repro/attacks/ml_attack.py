@@ -15,11 +15,10 @@ paper's search-space-expansion argument on circuits far beyond brute-force
 reach — while the SAT attack (which needs scan) is fenced off.
 
 Candidate scoring runs through :func:`repro.sim.keybatch.score_keys`.
-With the default ``batch_width=1`` the annealer follows the exact serial
-trajectory (one proposal scored per iteration); ``batch_width=W>1`` runs
-*W* independent annealing chains whose proposals are scored together in
-one key-parallel pass per pattern — same oracle bill (the training set is
-labelled once up front), W× the search throughput per simulation pass.
+``batch_width=W`` runs *W* independent annealing chains whose proposals
+are scored together in one key-parallel pass per pattern (the default,
+1, is one chain scoring one proposal per pass).  The oracle bill does not
+depend on *W*: the training set is labelled once up front.
 """
 
 from __future__ import annotations
@@ -31,14 +30,16 @@ from typing import Dict, List, Optional
 
 from ..netlist.netlist import Netlist
 from ..obs import span
-from ..sim.keybatch import score_keys
+from ..sim.keybatch import check_batch_width, score_keys
 from ..sim.logicsim import CombinationalSimulator
 from .brute_force import candidate_configs
 from .oracle import (
     ConfiguredOracle,
     attribute_cost,
     bump_cost_counters,
+    draw_patterns,
     snapshot_cost,
+    split_pattern,
 )
 
 
@@ -81,9 +82,9 @@ class MlAttack:
         self.iterations_per_restart = iterations_per_restart
         self.restarts = restarts
         self.initial_temperature = initial_temperature
-        #: 1 = the serial annealer; W>1 = W parallel chains whose
-        #: proposals share one key-parallel scoring pass.
-        self.batch_width = batch_width
+        #: Annealing chains, one config lane each; their proposals share
+        #: one key-parallel scoring pass per step.
+        self.batch_width = check_batch_width(batch_width)
 
     def run(self) -> MlAttackResult:
         result = MlAttackResult()
@@ -118,95 +119,20 @@ class MlAttack:
         return result
 
     def _anneal(self, result: MlAttackResult, luts) -> None:
-        patterns, labels = self._collect_training_set()
-        working = self.netlist.copy(f"{self.netlist.name}_ml")
-        points = self.oracle.observation_points()
-        total_bits = len(patterns) * len(points)
-        spaces = {n: candidate_configs(working.node(n).n_inputs) for n in luts}
-        if self.batch_width > 1:
-            self._anneal_chains(
-                result, luts, working, patterns, labels, points, spaces,
-                total_bits,
-            )
-        else:
-            self._anneal_serial(
-                result, luts, working, patterns, labels, points, spaces,
-                total_bits,
-            )
-        # "Exact" means consistent with the training set; verify on fresh
-        # patterns before claiming victory.
-        if result.best_agreement >= 1.0 and result.key is not None:
-            result.exact = self._holdout_check(result.key)
-        result.oracle_queries = self.oracle.queries
-        result.test_clocks = self.oracle.test_clocks
-
-    def _anneal_serial(
-        self, result, luts, working, patterns, labels, points, spaces,
-        total_bits,
-    ) -> None:
-        """The reference annealer: one proposal scored per iteration (the
-        exact pre-batching trajectory — same RNG draws, same accepts)."""
-
-        def agreement(key: Dict[str, int]) -> float:
-            matched = score_keys(
-                working, [key], patterns, labels, points, batch_width=1
-            )[0]
-            return matched / total_bits
-
-        best_key: Optional[Dict[str, int]] = None
-        best_score = -1.0
-        for restart in range(self.restarts):
-            result.restarts = restart + 1
-            with span("attack.ml.restart", restart=restart + 1) as restart_span:
-                key = {n: self.rng.choice(spaces[n]) for n in luts}
-                score = agreement(key)
-                temperature = self.initial_temperature
-                for _ in range(self.iterations_per_restart):
-                    result.iterations += 1
-                    name = self.rng.choice(luts)
-                    proposal = dict(key)
-                    if self.rng.random() < 0.5:
-                        # Candidate-gate jump.
-                        proposal[name] = self.rng.choice(spaces[name])
-                    else:
-                        # Single truth-table-row flip (explores beyond the
-                        # standard-gate set — complex functions included).
-                        rows = 1 << working.node(name).n_inputs
-                        proposal[name] = key[name] ^ (
-                            1 << self.rng.randrange(rows)
-                        )
-                    new_score = agreement(proposal)
-                    delta = new_score - score
-                    if delta >= 0 or self.rng.random() < math.exp(
-                        delta * total_bits / max(temperature, 1e-9)
-                    ):
-                        key, score = proposal, new_score
-                    temperature *= 0.999
-                    if score > best_score:
-                        best_key, best_score = dict(key), score
-                    if score >= 1.0:
-                        break
-                restart_span.set(best_agreement=best_score)
-            if best_score >= 1.0:
-                break
-
-        result.key = best_key
-        result.best_agreement = best_score
-
-    def _anneal_chains(
-        self, result, luts, working, patterns, labels, points, spaces,
-        total_bits,
-    ) -> None:
         """W parallel annealing chains, one config lane each.
 
         Every step scores all W proposals in a single key-parallel pass
         per training pattern; acceptance is per-chain Metropolis.  The
         per-chain iteration count is scaled down by W so the total
-        proposal budget (``result.iterations``) matches the serial
-        annealer, and the cooling rate is compounded per step
-        (``0.999 ** W``) so the temperature schedule covers the same
-        range over the budget.
+        proposal budget (``result.iterations``) does not grow with W, and
+        the cooling rate is compounded per step (``0.999 ** W``) so the
+        temperature schedule covers the same range over the budget.
         """
+        patterns, labels = self._collect_training_set()
+        working = self.netlist.copy(f"{self.netlist.name}_ml")
+        points = self.oracle.observation_points()
+        total_bits = len(patterns) * len(points)
+        spaces = {n: candidate_configs(working.node(n).n_inputs) for n in luts}
         width = self.batch_width
         best_key: Optional[Dict[str, int]] = None
         best_matched = -1
@@ -260,32 +186,28 @@ class MlAttack:
                     temperature *= 0.999**width
                     if best_matched >= total_bits:
                         break
-                restart_span.set(
-                    best_agreement=(
-                        best_matched / total_bits if total_bits else 0.0
-                    )
+                result.best_agreement = (
+                    best_matched / total_bits if total_bits else 0.0
                 )
+                restart_span.set(best_agreement=result.best_agreement)
             if best_matched >= total_bits:
                 break
 
         result.key = best_key
-        result.best_agreement = (
-            best_matched / total_bits if total_bits else 0.0
-        )
+        # "Exact" means consistent with the training set; verify on fresh
+        # patterns before claiming victory.
+        if result.best_agreement >= 1.0 and result.key is not None:
+            result.exact = self._holdout_check(result.key)
+        result.oracle_queries = self.oracle.queries
+        result.test_clocks = self.oracle.test_clocks
 
     # ------------------------------------------------------------------
     def _collect_training_set(self):
-        inputs, flip_flops = self.netlist.inputs, self.netlist.flip_flops
-        startpoints = inputs + flip_flops
-        patterns = [
-            {sp: self.rng.getrandbits(1) for sp in startpoints}
-            for _ in range(self.training_patterns)
+        patterns = draw_patterns(self.rng, self.netlist, self.training_patterns)
+        labels = [
+            self.oracle.query(*split_pattern(self.netlist, pattern))
+            for pattern in patterns
         ]
-        labels = []
-        for pattern in patterns:
-            pis = {pi: pattern.get(pi, 0) for pi in inputs}
-            state = {ff: pattern.get(ff, 0) for ff in flip_flops}
-            labels.append(self.oracle.query(pis, state))
         return patterns, labels
 
     def _holdout_check(self, key: Dict[str, int], patterns: int = 64) -> bool:
@@ -294,12 +216,11 @@ class MlAttack:
             working.node(name).lut_config = config
         sim = CombinationalSimulator(working)
         points = self.oracle.observation_points()
-        inputs, flip_flops = working.inputs, working.flip_flops
-        startpoints = inputs + flip_flops
         for _ in range(patterns):
-            pattern = {sp: self.rng.getrandbits(1) for sp in startpoints}
-            pis = {pi: pattern.get(pi, 0) for pi in inputs}
-            state = {ff: pattern.get(ff, 0) for ff in flip_flops}
+            # One pattern at a time: the first mismatch ends the check
+            # before any further oracle query is billed.
+            (pattern,) = draw_patterns(self.rng, working, 1)
+            pis, state = split_pattern(working, pattern)
             expected = self.oracle.query(pis, state)
             values = sim.evaluate(pis, state, 1)
             if any(values[p] != expected[p] for p in points):

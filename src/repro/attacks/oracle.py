@@ -17,6 +17,7 @@ are provided:
 
 from __future__ import annotations
 
+import random
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..netlist.graph import sequential_depth
@@ -193,6 +194,30 @@ class ConfiguredOracle:
     @property
     def depth(self) -> int:
         return self._depth
+
+
+# ----------------------------------------------------------------------
+# test patterns (shared by every attack)
+# ----------------------------------------------------------------------
+def draw_patterns(
+    rng: random.Random, netlist: Netlist, count: int
+) -> List[Dict[str, int]]:
+    """*count* random startpoint patterns: one ``rng.getrandbits(1)`` per
+    primary input, then per flip-flop, pattern after pattern."""
+    startpoints = list(netlist.inputs) + list(netlist.flip_flops)
+    return [
+        {sp: rng.getrandbits(1) for sp in startpoints} for _ in range(count)
+    ]
+
+
+def split_pattern(
+    netlist: Netlist, pattern: Mapping[str, int]
+) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """``(inputs, state)`` of a startpoint pattern, the two arguments of
+    :meth:`ConfiguredOracle.query`; a net the pattern omits reads 0."""
+    inputs = {pi: pattern.get(pi, 0) for pi in netlist.inputs}
+    state = {ff: pattern.get(ff, 0) for ff in netlist.flip_flops}
+    return inputs, state
 
 
 # ----------------------------------------------------------------------

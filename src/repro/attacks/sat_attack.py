@@ -35,6 +35,7 @@ from .oracle import (
     attribute_cost,
     bump_cost_counters,
     snapshot_cost,
+    split_pattern,
 )
 
 
@@ -182,7 +183,6 @@ class SatAttack:
         self._clause_cursor = len(cnf.clauses)
         di_constraints = result.di_constraints
 
-        inputs, flip_flops = self.netlist.inputs, self.netlist.flip_flops
         while result.iterations < self.max_iterations:
             with span(
                 "attack.sat.iteration", iteration=result.iterations + 1
@@ -201,9 +201,9 @@ class SatAttack:
                     name: int(model.get(var, False))
                     for name, var in shared_inputs.items()
                 }
-                pis = {pi: pattern.get(pi, 0) for pi in inputs}
-                state = {ff: pattern.get(ff, 0) for ff in flip_flops}
-                observed = self.oracle.query(pis, state)
+                observed = self.oracle.query(
+                    *split_pattern(self.netlist, pattern)
+                )
                 response = {point: observed[point] for point in observation}
                 di_constraints.append((pattern, response))
                 # Pin each key hypothesis to the oracle's response on this DI

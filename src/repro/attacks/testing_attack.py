@@ -21,14 +21,14 @@ from typing import Dict, List, Optional
 from ..netlist.gates import GateType, truth_table_to_type
 from ..netlist.netlist import Netlist
 from ..obs import span
+from ..sim.compiled import evaluate_configs
 from ..sim.justify import justify_and_propagate
-from ..sim.keybatch import evaluate_configs
-from ..sim.logicsim import CombinationalSimulator
 from .oracle import (
     ConfiguredOracle,
     attribute_cost,
     bump_cost_counters,
     snapshot_cost,
+    split_pattern,
 )
 
 
@@ -148,7 +148,6 @@ class TestingAttack:
         rows = 1 << node.n_inputs
         config = 0
         learned = 0
-        comb = CombinationalSimulator(working)
         for row in range(rows):
             objectives = {
                 src: (row >> pin) & 1 for pin, src in enumerate(node.fanin)
@@ -165,7 +164,7 @@ class TestingAttack:
             pattern = self._justify_row(working, name, objectives)
             if pattern is None:
                 continue
-            bit = self._deduce_output(working, comb, name, pattern)
+            bit = self._deduce_output(working, name, pattern)
             if bit is None:
                 continue
             config |= bit << row
@@ -209,7 +208,6 @@ class TestingAttack:
     def _deduce_output(
         self,
         working: Netlist,
-        comb: CombinationalSimulator,
         name: str,
         pattern: Dict[str, int],
     ) -> Optional[int]:
@@ -252,11 +250,8 @@ class TestingAttack:
             for i, lut in enumerate(others):
                 assignment[lut] = full[lut] if (lane >> i) & 1 else 0
             configs.append(assignment)
-        pis = {pi: pattern.get(pi, 0) for pi in working.inputs}
-        state = {ff: pattern.get(ff, 0) for ff in working.flip_flops}
-        values = evaluate_configs(
-            working, pis, state=state, configs=configs, backend=comb.backend
-        )
+        pis, state = split_pattern(working, pattern)
+        values = evaluate_configs(working, pis, configs, state=state)
         observed = self.oracle.query(pis, state)
         consistent_low = mask
         consistent_high = mask

@@ -1,39 +1,106 @@
-"""Key-parallel vs serial differential checks.
+"""Config-lane kernel vs per-key reference differential checks.
 
-The config-lane axis (:mod:`repro.sim.keybatch`) promises bit-identical
-results to the one-hypothesis-per-call loops it replaced.  Two checks
-hold it to that:
+The config-lane axis (:mod:`repro.sim.keybatch`) is the only path by
+which the attacks score keys.  Every check here races it against one
+independent reference, :func:`reference_values`: the key programmed into
+a copy of the netlist and simulated one pattern per call on the
+interpreted backend.
 
-* ``keybatch-lane-parity`` — raw simulation: every lane of a batched
-  ``evaluate_configs`` pass must equal a full per-key evaluation on the
-  interpreted reference backend, for random configs, chunk widths, and
-  patterns.
-* ``keybatch-score-parity`` — the ML attack's objective: batched
-  ``score_keys`` match counts (bit-sliced per-lane counters) must equal
-  the serial per-key loop on the interpreted backend, at batch widths
-  that put keys on both sides of every chunk edge, and with the true key
-  among the candidates, so one lane matches every label (or, under
-  inverted labels, none).
-* ``keybatch-brute-parity`` — end to end: a brute-force attack run with
-  ``batch_width=64`` must report the same survivors, the same found key,
-  the same tested/exhausted accounting, and the *same oracle bill* as the
-  serial ``batch_width=1`` run (each side gets a fresh oracle and the
-  same attack seed, so any drift is the batching's fault).
+* ``keybatch-lane-parity`` — raw simulation: every lane of a
+  config-lane ``evaluate_configs`` pass must equal the reference, for
+  random configs, chunk widths, and patterns.
+* ``keybatch-score-parity`` — the ML attack's objective: ``score_keys``
+  match counts (bit-sliced per-lane counters) must equal reference
+  counts at batch widths that put keys on both sides of every chunk
+  edge, with the true key among the candidates, so one lane matches
+  every label (or, under inverted labels, none).
+* ``keybatch-brute-parity`` — screening and the whole attack:
+  ``screen_hypotheses`` survivors and budget accounting (tested,
+  exhausted) at widths 1 and 64 must equal the reference filter over the
+  same patterns and responses; and a brute-force attack run with
+  ``batch_width=64`` must report the same survivors, found key,
+  accounting and *oracle bill* as the ``batch_width=1`` run (each side
+  gets a fresh oracle and the same attack seed).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List
+from typing import Dict, Iterable, List, Mapping, Sequence
 
-from ..attacks.brute_force import BruteForceAttack
-from ..attacks.oracle import ConfiguredOracle
+from ..attacks.brute_force import BruteForceAttack, candidate_configs
+from ..attacks.oracle import ConfiguredOracle, draw_patterns, split_pattern
 from ..lut.mapping import HybridMapper
 from ..netlist.netlist import Netlist
 from ..sim import keybatch
+from ..sim.compiled import evaluate_configs
 from ..sim.logicsim import CombinationalSimulator
 from .checks_attacks import _lock_small
 from .core import CheckContext, register
+
+
+def reference_values(
+    netlist: Netlist,
+    key: Mapping[str, int],
+    patterns: Sequence[Mapping[str, int]],
+) -> List[Dict[str, int]]:
+    """Net values of *netlist* with *key* programmed, one dict of bits per
+    startpoint pattern (a net the pattern omits reads 0).
+
+    The key is written into a copy, never into *netlist*, and the copy is
+    simulated one pattern per call on the interpreted backend: no config
+    lanes, no compiled kernel.
+    """
+    programmed = netlist.copy(f"{netlist.name}_ref")
+    for name, config in key.items():
+        programmed.node(name).lut_config = config
+    sim = CombinationalSimulator(programmed, backend="interpreted")
+    return [
+        sim.evaluate(
+            {pi: pattern.get(pi, 0) & 1 for pi in netlist.inputs},
+            {ff: pattern.get(ff, 0) & 1 for ff in netlist.flip_flops},
+            1,
+        )
+        for pattern in patterns
+    ]
+
+
+def reference_lane_words(
+    netlist: Netlist,
+    configs: Sequence[Mapping[str, int]],
+    pattern: Mapping[str, int],
+) -> Dict[str, int]:
+    """:func:`reference_values` of each config for one *pattern*, packed
+    as lane *k* = ``configs[k]`` — the shape ``evaluate_configs``
+    returns."""
+    words: Dict[str, int] = {}
+    for lane, config in enumerate(configs):
+        (values,) = reference_values(netlist, config, [pattern])
+        for net, bit in values.items():
+            words[net] = words.get(net, 0) | (bit & 1) << lane
+    return words
+
+
+def reference_survivors(
+    netlist: Netlist,
+    hypotheses: Iterable[Mapping[str, int]],
+    patterns: Sequence[Mapping[str, int]],
+    responses: Sequence[Mapping[str, int]],
+    points: Sequence[str],
+) -> List[Mapping[str, int]]:
+    """The hypotheses, in order, whose :func:`reference_values` reproduce
+    every recorded response at every observation point."""
+    return [
+        hypothesis
+        for hypothesis in hypotheses
+        if all(
+            values[p] == response[p]
+            for values, response in zip(
+                reference_values(netlist, hypothesis, patterns), responses
+            )
+            for p in points
+        )
+    ]
 
 
 def _random_configs(
@@ -54,8 +121,8 @@ def _random_configs(
 @register(
     name="keybatch-lane-parity",
     family="keybatch",
-    description="every lane of a batched evaluate_configs pass equals a "
-    "full per-key evaluation on the interpreted reference backend",
+    description="every lane of a config-lane evaluate_configs pass equals "
+    "the per-key interpreted reference",
     trial_divisor=2,
 )
 def keybatch_lane_parity(ctx: CheckContext) -> None:
@@ -65,32 +132,23 @@ def keybatch_lane_parity(ctx: CheckContext) -> None:
         return
     foundry = HybridMapper().strip_configs(hybrid)
     luts = sorted(foundry.luts)
-    startpoints = list(foundry.inputs) + list(foundry.flip_flops)
     for trial in range(ctx.trials):
         lanes = rng.randint(1, 80)
         configs = _random_configs(foundry, luts, rng, lanes)
-        pattern = {sp: rng.getrandbits(1) for sp in startpoints}
-        pis = {pi: pattern[pi] for pi in foundry.inputs}
-        state = {ff: pattern[ff] for ff in foundry.flip_flops}
+        (pattern,) = draw_patterns(rng, foundry, 1)
+        pis, state = split_pattern(foundry, pattern)
         width = rng.choice([None, 1, 7, 16, 64])
-        batched = keybatch.evaluate_configs(
-            foundry, pis, configs, state=state, width=width,
-            backend="compiled",
-        )
-        serial = keybatch.evaluate_configs(
-            foundry, pis, configs, state=state, backend="interpreted"
-        )
         ctx.compare(
-            "key-parallel lane values vs per-key reference evaluation",
-            batched,
-            serial,
+            "config-lane values vs per-key reference evaluation",
+            evaluate_configs(foundry, pis, configs, state=state, width=width),
+            reference_lane_words(foundry, configs, pattern),
             trial=trial,
             lanes=lanes,
             width=width,
         )
 
 
-#: Batch widths of ``keybatch-score-parity``: serial, a width that
+#: Batch widths of ``keybatch-score-parity``: one lane, a width that
 #: leaves a ragged last chunk, one machine word, and one and two words
 #: plus a lane.
 SCORE_WIDTHS = (1, 3, 64, 65, 130)
@@ -99,8 +157,8 @@ SCORE_WIDTHS = (1, 3, 64, 65, 130)
 @register(
     name="keybatch-score-parity",
     family="keybatch",
-    description="batched score_keys match counts equal the serial "
-    "per-key loop on the interpreted backend at widths 1/3/64/65/130",
+    description="score_keys match counts equal per-key interpreted "
+    "reference counts at widths 1/3/64/65/130",
     trial_divisor=4,
 )
 def keybatch_score_parity(ctx: CheckContext) -> None:
@@ -111,41 +169,37 @@ def keybatch_score_parity(ctx: CheckContext) -> None:
             return
         foundry = HybridMapper().strip_configs(hybrid)
         luts = sorted(foundry.luts)
-        startpoints = list(foundry.inputs) + list(foundry.flip_flops)
         points = list(foundry.outputs) + [
             foundry.node(ff).fanin[0] for ff in foundry.flip_flops
         ]
-        patterns = [
-            {sp: rng.getrandbits(1) for sp in startpoints}
-            for _ in range(rng.randint(1, 12))
-        ]
-        truth = CombinationalSimulator(hybrid, backend="interpreted")
+        patterns = draw_patterns(rng, foundry, rng.randint(1, 12))
         invert = round_no % 2  # odd rounds: the true key matches nothing
-        labels = []
-        for pattern in patterns:
-            values = truth.evaluate(
-                {pi: pattern[pi] for pi in foundry.inputs},
-                {ff: pattern[ff] for ff in foundry.flip_flops},
-                1,
-            )
-            labels.append({p: (values[p] & 1) ^ invert for p in points})
+        labels = [
+            {p: (values[p] & 1) ^ invert for p in points}
+            for values in reference_values(hybrid, {}, patterns)
+        ]
         keys = _random_configs(foundry, luts, rng, rng.randint(1, 140))
         keys.insert(
             rng.randrange(len(keys) + 1),
             {name: hybrid.node(name).lut_config for name in luts},
         )
-        serial = keybatch.score_keys(
-            foundry, keys, patterns, labels, points,
-            batch_width=1, backend="interpreted",
-        )
+        reference = [
+            sum(
+                values[p] == label[p]
+                for values, label in zip(
+                    reference_values(foundry, key, patterns), labels
+                )
+                for p in points
+            )
+            for key in keys
+        ]
         for width in SCORE_WIDTHS:
             ctx.compare(
-                "batched score_keys counts vs serial per-key loop",
+                "score_keys counts vs per-key reference counts",
                 keybatch.score_keys(
-                    foundry, keys, patterns, labels, points,
-                    batch_width=width, backend="compiled",
+                    foundry, keys, patterns, labels, points, batch_width=width
                 ),
-                serial,
+                reference,
                 round=round_no,
                 width=width,
                 keys=len(keys),
@@ -157,9 +211,10 @@ def keybatch_score_parity(ctx: CheckContext) -> None:
 @register(
     name="keybatch-brute-parity",
     family="keybatch",
-    description="brute-force screening with batch_width=64 reports the "
-    "same survivors, found key, accounting, and oracle bill as the "
-    "serial batch_width=1 run",
+    description="screen_hypotheses survivors and tested/exhausted "
+    "accounting equal the per-key reference filter at widths 1 and 64, "
+    "and brute force at batch_width=64 reports the same survivors, found "
+    "key, accounting and oracle bill as at batch_width=1",
     trial_divisor=8,
 )
 def keybatch_brute_parity(ctx: CheckContext) -> None:
@@ -171,6 +226,7 @@ def keybatch_brute_parity(ctx: CheckContext) -> None:
         foundry = HybridMapper().strip_configs(hybrid)
         attack_seed = rng.randrange(1 << 30)
         budget = rng.choice([2_000_000, 10])
+        _screen_vs_reference(ctx, rng, hybrid, foundry, budget, round_no)
         outcomes = {}
         for width in (1, 64):
             oracle = ConfiguredOracle(hybrid, scan=True)
@@ -182,42 +238,73 @@ def keybatch_brute_parity(ctx: CheckContext) -> None:
                 max_hypotheses=budget,
                 batch_width=width,
             ).run()
-        serial, batched = outcomes[1], outcomes[64]
-        ctx.compare(
-            "brute-force survivor sets (serial vs key-parallel)",
-            serial.survivors,
-            batched.survivors,
-            round=round_no,
-            budget=budget,
-        )
-        ctx.compare(
-            "brute-force found key (serial vs key-parallel)",
-            serial.found,
-            batched.found,
-            round=round_no,
-            budget=budget,
-        )
-        ctx.compare(
-            "brute-force accounting (tested/exhausted/confirm flags)",
+        for fact, field in (
+            ("survivor sets", lambda r: r.survivors),
+            ("found key", lambda r: r.found),
             (
-                serial.hypotheses_tested,
-                serial.exhausted_budget,
-                serial.confirm_rounds_exhausted,
-                serial.interchangeable_survivors,
+                "accounting (tested/exhausted/confirm flags)",
+                lambda r: (
+                    r.hypotheses_tested,
+                    r.exhausted_budget,
+                    r.confirm_rounds_exhausted,
+                    r.interchangeable_survivors,
+                ),
             ),
             (
-                batched.hypotheses_tested,
-                batched.exhausted_budget,
-                batched.confirm_rounds_exhausted,
-                batched.interchangeable_survivors,
+                "oracle bill (queries/test_clocks)",
+                lambda r: (r.oracle_queries, r.test_clocks),
             ),
-            round=round_no,
-            budget=budget,
+        ):
+            ctx.compare(
+                f"brute-force {fact} (width 1 vs 64)",
+                field(outcomes[1]),
+                field(outcomes[64]),
+                round=round_no,
+                budget=budget,
+            )
+
+
+def _screen_vs_reference(
+    ctx: CheckContext,
+    rng: random.Random,
+    hybrid: Netlist,
+    foundry: Netlist,
+    budget: int,
+    round_no: int,
+) -> None:
+    """``screen_hypotheses`` at widths 1 and 64 vs the reference filter:
+    the first *budget* hypotheses in enumeration order, kept iff every
+    pattern reproduces the chip's response at every observation point."""
+    luts = sorted(foundry.luts)
+    spaces = [candidate_configs(foundry.node(n).n_inputs) for n in luts]
+    hypotheses = list(keybatch.iter_hypotheses(luts, spaces))
+    # Few patterns keep many hypotheses alive, so a mask that drops one
+    # observation point or one lane changes the survivor set.
+    patterns = draw_patterns(rng, foundry, rng.randint(1, 8))
+    points = ConfiguredOracle(hybrid, scan=True).observation_points()
+    responses = reference_values(hybrid, {}, patterns)
+    tested = hypotheses[:budget]
+    reference = (
+        reference_survivors(foundry, tested, patterns, responses, points),
+        len(tested),
+        len(hypotheses) > budget,
+    )
+    for width in (1, 64):
+        outcome = keybatch.screen_hypotheses(
+            foundry,
+            iter(hypotheses),
+            patterns,
+            responses,
+            points,
+            batch_width=width,
+            max_hypotheses=budget,
         )
         ctx.compare(
-            "brute-force oracle bill (queries/test_clocks)",
-            (serial.oracle_queries, serial.test_clocks),
-            (batched.oracle_queries, batched.test_clocks),
+            "screen survivors/tested/exhausted vs per-key reference filter",
+            (outcome.survivors, outcome.tested, outcome.exhausted),
+            reference,
             round=round_no,
+            width=width,
             budget=budget,
+            patterns=len(patterns),
         )

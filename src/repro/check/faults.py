@@ -6,8 +6,8 @@ layer the checks guard (a stale compiled kernel, a stale netlist view,
 wiring kernels shared across different wiring, a lying SAT solver, a
 non-canonical SAT-attack key, a tampered sweep-cache row, an oracle
 that forgets to bill memoized replays, a simplify pass that miswires a
-gate, a short ML match counter, an implication schedule that misses
-config writes), runs the corresponding check family, and demands at
+gate, a short ML match counter, a key screen that skips an observation
+point, an implication schedule that misses config writes), runs the corresponding check family, and demands at
 least one divergence.  The faults are installed by monkeypatching the real code
 paths — the checks themselves are byte-for-byte the ones the normal run
 uses.
@@ -35,6 +35,13 @@ class Fault:
 # ----------------------------------------------------------------------
 # the injected defects
 # ----------------------------------------------------------------------
+def _install(owner: Any, attr: str, replacement: Any) -> Callable[[], None]:
+    """Set ``owner.attr`` to *replacement*; returns the undo."""
+    original = getattr(owner, attr)
+    setattr(owner, attr, replacement)
+    return lambda: setattr(owner, attr, original)
+
+
 def _inject_stale_compiled_kernel() -> Callable[[], None]:
     """Compiled programs bake each LUT's configuration in at build time.
     Config writes bump no revision, so the memoized program keeps
@@ -54,12 +61,7 @@ def _inject_stale_compiled_kernel() -> Callable[[], None]:
             for node in self.lut_nodes
         ]
 
-    CompiledProgram.__init__ = baking_init  # type: ignore[method-assign]
-
-    def undo() -> None:
-        CompiledProgram.__init__ = original  # type: ignore[method-assign]
-
-    return undo
+    return _install(CompiledProgram, "__init__", baking_init)
 
 
 def _inject_sat_always_unsat() -> Callable[[], None]:
@@ -67,13 +69,7 @@ def _inject_sat_always_unsat() -> Callable[[], None]:
     miter 'equivalent' — the SAT layer silently lying."""
     from ..sat.solver import Solver
 
-    original = Solver.solve
-    Solver.solve = lambda self, assumptions=(): False  # type: ignore[method-assign]
-
-    def undo() -> None:
-        Solver.solve = original  # type: ignore[method-assign]
-
-    return undo
+    return _install(Solver, "solve", lambda self, assumptions=(): False)
 
 
 def _inject_sweep_cache_tamper() -> Callable[[], None]:
@@ -91,12 +87,7 @@ def _inject_sweep_cache_tamper() -> Callable[[], None]:
             row["metrics"]["tampered"] = True
         return row
 
-    ResultCache.get = tampered_get  # type: ignore[method-assign]
-
-    def undo() -> None:
-        ResultCache.get = original  # type: ignore[method-assign]
-
-    return undo
+    return _install(ResultCache, "get", tampered_get)
 
 
 def _inject_oracle_free_replays() -> Callable[[], None]:
@@ -115,12 +106,7 @@ def _inject_oracle_free_replays() -> Callable[[], None]:
             self.test_clocks -= width * (1 if self.scan else self.depth)
         return result
 
-    ConfiguredOracle.query = unbilled_query  # type: ignore[method-assign]
-
-    def undo() -> None:
-        ConfiguredOracle.query = original  # type: ignore[method-assign]
-
-    return undo
+    return _install(ConfiguredOracle, "query", unbilled_query)
 
 
 def _inject_broken_simplify() -> Callable[[], None]:
@@ -148,12 +134,7 @@ def _inject_broken_simplify() -> Callable[[], None]:
                 break
         return stats
 
-    simplify.sweep = broken_sweep
-
-    def undo() -> None:
-        simplify.sweep = original
-
-    return undo
+    return _install(simplify, "sweep", broken_sweep)
 
 
 def _inject_non_canonical_key() -> Callable[[], None]:
@@ -161,8 +142,6 @@ def _inject_non_canonical_key() -> Callable[[], None]:
     key that still matches every DI response, but not the canonical one
     the extraction contract promises."""
     from ..attacks import sat_attack
-
-    original = sat_attack.extract_canonical_key
 
     def lex_max_key(solver, keys, assumptions=()):
         ordered = sorted(keys.items())
@@ -175,18 +154,13 @@ def _inject_non_canonical_key() -> Callable[[], None]:
             key[lut] = key.get(lut, 0) | (int(lit > 0) << row)
         return key
 
-    sat_attack.extract_canonical_key = lex_max_key
-
-    def undo() -> None:
-        sat_attack.extract_canonical_key = original
-
-    return undo
+    return _install(sat_attack, "extract_canonical_key", lex_max_key)
 
 
 def _inject_keybatch_lane_corruption() -> Callable[[], None]:
-    """Batched screening corrupts lane 0 of every survivor mask (an
-    off-by-one in the lane→hypothesis mapping): the serial path is
-    untouched, so the keybatch parity checks must diverge."""
+    """Screening corrupts lane 0 of every survivor mask (an off-by-one in
+    the lane→hypothesis mapping), so survivors no longer match the
+    per-key reference filter."""
     from ..sim import keybatch
 
     original = keybatch.surviving_lanes
@@ -194,16 +168,25 @@ def _inject_keybatch_lane_corruption() -> Callable[[], None]:
     def corrupted(alive: int, lanes: int):
         return original(alive ^ 1, lanes)
 
-    keybatch.surviving_lanes = corrupted
+    return _install(keybatch, "surviving_lanes", corrupted)
 
-    def undo() -> None:
-        keybatch.surviving_lanes = original
 
-    return undo
+def _inject_screen_skips_last_point() -> Callable[[], None]:
+    """The screen's kill-mask loop ignores the last observation point, at
+    every width: width 1 and width 64 agree with each other, so only the
+    per-key reference filter can see the extra survivors."""
+    from ..sim import keybatch
+
+    original = keybatch._screen_batch
+
+    def short(program, batch, pis, states, responses, points):
+        return original(program, batch, pis, states, responses, points[:-1])
+
+    return _install(keybatch, "_screen_batch", short)
 
 
 def _inject_score_count_corruption() -> Callable[[], None]:
-    """Batched ML scoring drops the top counter plane, so every count at
+    """ML scoring drops the top counter plane, so every count at
     or above its power of two loses it (a counter one plane too short)."""
     from ..sim import keybatch
 
@@ -212,12 +195,7 @@ def _inject_score_count_corruption() -> Callable[[], None]:
     def truncated(planes, lanes):
         return original(planes[:-1], lanes)
 
-    keybatch.lane_counts = truncated
-
-    def undo() -> None:
-        keybatch.lane_counts = original
-
-    return undo
+    return _install(keybatch, "lane_counts", truncated)
 
 
 def _inject_implication_stale_config() -> Callable[[], None]:
@@ -239,12 +217,7 @@ def _inject_implication_stale_config() -> Callable[[], None]:
             for step in self.steps
         ]
 
-    _Schedule.__init__ = folding_init  # type: ignore[method-assign]
-
-    def undo() -> None:
-        _Schedule.__init__ = original  # type: ignore[method-assign]
-
-    return undo
+    return _install(_Schedule, "__init__", folding_init)
 
 
 def _inject_dataflow_verdict_corruption() -> Callable[[], None]:
@@ -273,12 +246,7 @@ def _inject_dataflow_verdict_corruption() -> Callable[[], None]:
                 bit.dont_care = True
         return report
 
-    engine.KeyLeakAnalyzer.analyze = corrupted_analyze  # type: ignore[method-assign]
-
-    def undo() -> None:
-        engine.KeyLeakAnalyzer.analyze = original  # type: ignore[method-assign]
-
-    return undo
+    return _install(engine.KeyLeakAnalyzer, "analyze", corrupted_analyze)
 
 
 def _inject_csr_edge_corruption() -> Callable[[], None]:
@@ -314,12 +282,7 @@ def _inject_csr_edge_corruption() -> Callable[[], None]:
                     self.fanin_idx[k] = startpoint
                     return
 
-    CsrView.__init__ = corrupted_init  # type: ignore[method-assign]
-
-    def undo() -> None:
-        CsrView.__init__ = original  # type: ignore[method-assign]
-
-    return undo
+    return _install(CsrView, "__init__", corrupted_init)
 
 
 def _inject_stale_view() -> Callable[[], None]:
@@ -336,12 +299,7 @@ def _inject_stale_view() -> Callable[[], None]:
         self._structure_revision = revision
         return node
 
-    Netlist.replace_with_lut = unbumped  # type: ignore[method-assign]
-
-    def undo() -> None:
-        Netlist.replace_with_lut = original  # type: ignore[method-assign]
-
-    return undo
+    return _install(Netlist, "replace_with_lut", unbumped)
 
 
 def _inject_wiring_share_collision() -> Callable[[], None]:
@@ -357,12 +315,7 @@ def _inject_wiring_share_collision() -> Callable[[], None]:
         key = original(view)
         return key[:2] + key[3:]
 
-    csr._wiring_key = collision_prone_key
-
-    def undo() -> None:
-        csr._wiring_key = original
-
-    return undo
+    return _install(csr, "_wiring_key", collision_prone_key)
 
 
 FAULTS: List[Fault] = [
@@ -413,13 +366,20 @@ FAULTS: List[Fault] = [
     Fault(
         name="keybatch-lane-corruption",
         family="keybatch",
-        description="batched screening corrupts lane 0 of every survivor mask",
+        description="screening corrupts lane 0 of every survivor mask",
         inject=_inject_keybatch_lane_corruption,
+    ),
+    Fault(
+        name="screen-skips-last-point",
+        family="keybatch",
+        description="the screen's kill-mask loop ignores the last "
+        "observation point at every width",
+        inject=_inject_screen_skips_last_point,
     ),
     Fault(
         name="score-count-corruption",
         family="keybatch",
-        description="batched score_keys drops the top bit-sliced counter "
+        description="score_keys drops the top bit-sliced counter "
         "plane",
         inject=_inject_score_count_corruption,
     ),

@@ -41,7 +41,7 @@ from .locking import (
 from .lut import HybridMapper, bitstream
 from .netlist import bench_io
 from .obs import Recorder, span, to_chrome_trace, use_recorder
-from .sim.keybatch import DEFAULT_BATCH_WIDTH
+from .sim.keybatch import DEFAULT_BATCH_WIDTH, check_batch_width
 from .reporting import format_scientific, format_table
 
 
@@ -639,6 +639,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _lane_count(text: str) -> int:
+    """argparse type of ``--batch-width``: an integer of at least 1."""
+    try:
+        return check_batch_width(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1: {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lock",
@@ -699,10 +707,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("--no-scan", action="store_true")
     p_attack.add_argument(
         "--batch-width",
-        type=int,
+        type=_lane_count,
         default=DEFAULT_BATCH_WIDTH,
         help="candidate LUT configurations packed per compiled pass for "
-        "the brute/ml attacks (1 = serial per-key loop)",
+        "the brute/ml attacks (1 = one lane)",
     )
     p_attack.set_defaults(func=cmd_attack)
 

@@ -14,6 +14,7 @@ from .compiled import (
     CompiledProgram,
     PackedConfigs,
     compiled_source,
+    evaluate_configs,
     get_program,
     program_for_configs,
 )
@@ -21,7 +22,6 @@ from .keybatch import (
     DEFAULT_BATCH_WIDTH,
     Hypothesis,
     ScreenOutcome,
-    evaluate_configs,
     iter_hypotheses,
     score_keys,
     screen_hypotheses,

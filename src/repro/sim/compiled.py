@@ -515,10 +515,7 @@ def evaluate_configs(
     :meth:`CompiledProgram.evaluate_configs`).
     """
     configs = list(configs)
-    swept: Set[str] = set()
-    for assignment in configs:
-        swept.update(assignment)
-    program = program_for_configs(netlist, swept)
+    program = program_for_configs(netlist, set().union(*configs))
     return program.evaluate_configs(inputs, configs, state, width)
 
 

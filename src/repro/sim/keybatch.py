@@ -1,52 +1,41 @@
-"""Key-parallel batched hypothesis screening (the config-lane axis).
+"""Key-parallel hypothesis screening and scoring (the config-lane axis).
 
-PR 1's compiled kernels pack *input patterns* into word bits; this module
+The compiled kernels pack *input patterns* into word bits; this module
 packs *candidate LUT configurations* (keys) into word lanes, so one kernel
 call scores a whole batch of key hypotheses against a fixed pattern — the
 workload behind the paper's resilience numbers (Eq. 1–3), where attacker
-cost is "candidate keys scored per second".
+cost is "candidate keys scored per second".  It is the only path by
+which the brute-force and ML attacks score keys:
 
-Three layers:
-
-* :func:`evaluate_configs` — backend-aware single-pattern, many-configs
-  evaluation (compiled config-lane kernel, or a per-lane reference loop on
-  the interpreted backend).
 * :func:`screen_hypotheses` — drain a hypothesis iterator in batches of
   ``batch_width`` lanes, keep the hypotheses consistent with recorded
-  oracle responses, honour a ``max_hypotheses`` budget.  The survivor set,
-  the tested count, and the exhaustion flag are **bit-identical** to the
-  serial one-hypothesis-per-call loop the attacks used before (the serial
-  path is kept as the ``batch_width<=1`` / interpreted-backend fallback
-  and as the benchmark baseline).
+  oracle responses, honour a ``max_hypotheses`` budget.  The survivor
+  set, the tested count and the exhaustion flag do not depend on the
+  width (1 means one lane per pass).
 * :func:`score_keys` — matched-observation-bit counts per candidate key
   (the ML attack's objective function), batched the same way.
 
+Single-pattern many-config evaluation is
+:func:`repro.sim.compiled.evaluate_configs`.  The per-key reference that
+:mod:`repro.check`'s ``keybatch`` family races these functions against
+(one programmed copy per key on the interpreted backend) lives in the
+check suite, not here.
+
 Oracle billing is untouched by design: every function here consumes
 *recorded* responses — the caller queries the oracle once per pattern,
-exactly as the serial loops did, so ``queries``/``test_clocks`` bills
-cannot drift between the two paths.
+so ``queries``/``test_clocks`` bills cannot depend on the batch width.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-)
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
-from ..netlist.netlist import Netlist, NetlistError
+from ..netlist.netlist import Netlist
 from ..obs import add_counter, span
 from .compiled import CompiledProgram, PackedConfigs, program_for_configs
-from .compiled import evaluate_configs as _compiled_evaluate_configs
-from .logicsim import BACKENDS, DEFAULT_BACKEND, CombinationalSimulator
 
 #: Default number of candidate configurations packed per compiled pass.
 #: 64 keeps the lane words within one machine word on CPython, where
@@ -58,6 +47,14 @@ DEFAULT_BATCH_WIDTH = 64
 Hypothesis = Dict[str, int]
 
 _SENTINEL = object()
+
+
+def check_batch_width(batch_width: int) -> int:
+    """Return *batch_width*; raise :class:`ValueError` when it is below
+    one lane."""
+    if batch_width < 1:
+        raise ValueError(f"batch_width must be at least 1, got {batch_width}")
+    return batch_width
 
 
 def iter_hypotheses(
@@ -99,63 +96,6 @@ class ScreenOutcome:
     lanes_wasted: int = 0
 
 
-def evaluate_configs(
-    netlist: Netlist,
-    inputs: Mapping[str, int],
-    configs: Sequence[Mapping[str, int]],
-    state: Optional[Mapping[str, int]] = None,
-    width: Optional[int] = None,
-    backend: Optional[str] = None,
-) -> Dict[str, int]:
-    """Backend-aware key-parallel evaluation.
-
-    The compiled backend runs the config-lane kernel
-    (:func:`repro.sim.compiled.evaluate_configs`); the interpreted backend
-    falls back to one full reference evaluation per lane — slower, but
-    the parity baseline the differential checks compare against.
-    """
-    backend = backend or DEFAULT_BACKEND
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown simulation backend {backend!r}; choose from {BACKENDS}"
-        )
-    configs = list(configs)
-    if backend == "compiled":
-        return _compiled_evaluate_configs(netlist, inputs, configs, state, width)
-    return _evaluate_configs_serial(netlist, inputs, configs, state, backend)
-
-
-def _evaluate_configs_serial(
-    netlist: Netlist,
-    inputs: Mapping[str, int],
-    configs: Sequence[Mapping[str, int]],
-    state: Optional[Mapping[str, int]],
-    backend: str,
-) -> Dict[str, int]:
-    if not configs:
-        raise NetlistError(
-            "config-lane evaluation needs at least one configuration lane"
-        )
-    sim = CombinationalSimulator(netlist, backend=backend)
-    pis = {pi: value & 1 for pi, value in inputs.items()}
-    st = {ff: value & 1 for ff, value in (state or {}).items()}
-    out: Dict[str, int] = {}
-    saved: Dict[str, Optional[int]] = {}
-    try:
-        for lane, assignment in enumerate(configs):
-            for name, config in assignment.items():
-                if name not in saved:
-                    saved[name] = netlist.node(name).lut_config
-                netlist.node(name).lut_config = config
-            values = sim.evaluate(pis, st, 1)
-            for net, bit in values.items():
-                out[net] = out.get(net, 0) | ((bit & 1) << lane)
-    finally:
-        for name, config in saved.items():
-            netlist.node(name).lut_config = config
-    return out
-
-
 def screen_hypotheses(
     netlist: Netlist,
     hypotheses: Iterable[Hypothesis],
@@ -165,33 +105,23 @@ def screen_hypotheses(
     *,
     batch_width: int = DEFAULT_BATCH_WIDTH,
     max_hypotheses: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> ScreenOutcome:
     """Keep the hypotheses consistent with recorded oracle *responses*.
 
     Each hypothesis programs the named (unprogrammed) LUTs of *netlist*
     and survives iff every pattern reproduces the recorded response at
     every observation point.  ``batch_width`` configurations share one
-    compiled pass per pattern; ``batch_width<=1`` (or a non-compiled
-    backend) runs the reference serial loop instead.  Survivors, tested
-    count, and the budget-exhaustion flag are identical either way —
-    :mod:`repro.check`'s ``keybatch`` family proves it continuously.
+    compiled pass per pattern.  Survivors, the tested count and the
+    budget-exhaustion flag are the same at every width — the first
+    ``max_hypotheses`` hypotheses are tested, in order — and
+    :mod:`repro.check`'s ``keybatch`` family checks them against a
+    per-key reference filter.  *netlist* is never written.
     """
-    backend = backend or DEFAULT_BACKEND
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown simulation backend {backend!r}; choose from {BACKENDS}"
-        )
-    width = max(1, batch_width)
-    batched = batch_width > 1 and backend == "compiled"
+    width = check_batch_width(batch_width)
+    budget = math.inf if max_hypotheses is None else max_hypotheses
     outcome = ScreenOutcome()
     it = iter(hypotheses)
-    inputs, flip_flops = netlist.inputs, netlist.flip_flops
-    pis = [{pi: p.get(pi, 0) & 1 for pi in inputs} for p in patterns]
-    states = [{ff: p.get(ff, 0) & 1 for ff in flip_flops} for p in patterns]
-    sim = (
-        None if batched else CombinationalSimulator(netlist, backend=backend)
-    )
+    pis, states = _split_patterns(netlist, patterns)
     with span(
         "sim.keybatch.screen",
         circuit=netlist.name,
@@ -199,33 +129,16 @@ def screen_hypotheses(
         patterns=len(patterns),
         points=len(points),
     ) as screen_span:
-        drained = False
-        while not drained:
-            room = width
-            if max_hypotheses is not None:
-                room = min(room, max_hypotheses - outcome.tested)
-            if room <= 0:
-                break
+        while outcome.tested < budget:
+            room = min(width, budget - outcome.tested)
             batch = list(itertools.islice(it, room))
             if not batch:
-                drained = True
                 break
-            if batched:
-                program = program_for_configs(
-                    netlist, set().union(*batch)
-                )
-                alive = _screen_batch_compiled(
-                    program, batch, pis, states, responses, points
-                )
-                outcome.survivors.extend(
-                    batch[lane] for lane in surviving_lanes(alive, len(batch))
-                )
-            else:
-                outcome.survivors.extend(
-                    _screen_batch_serial(
-                        netlist, sim, batch, pis, states, responses, points
-                    )
-                )
+            program = program_for_configs(netlist, set().union(*batch))
+            alive = _screen_batch(program, batch, pis, states, responses, points)
+            outcome.survivors.extend(
+                batch[lane] for lane in surviving_lanes(alive, len(batch))
+            )
             outcome.tested += len(batch)
             outcome.batches += 1
             outcome.lanes_filled += len(batch)
@@ -234,15 +147,10 @@ def screen_hypotheses(
             add_counter("sim.keybatch.lanes_filled", len(batch))
             add_counter("sim.keybatch.lanes_wasted", width - len(batch))
             if len(batch) < room:
-                drained = True
-        if (
-            not drained
-            and max_hypotheses is not None
-            and outcome.tested >= max_hypotheses
-        ):
-            # Budget hit mid-stream: peek whether anything was left, so the
-            # flag matches the serial loop's "stopped before testing the
-            # next hypothesis" semantics exactly.
+                break
+        else:
+            # Budget hit: peek whether anything was left, so the flag
+            # means "stopped before testing the next hypothesis".
             outcome.exhausted = next(it, _SENTINEL) is not _SENTINEL
         screen_span.set(
             tested=outcome.tested,
@@ -254,7 +162,16 @@ def screen_hypotheses(
     return outcome
 
 
-def _screen_batch_compiled(
+def _split_patterns(netlist: Netlist, patterns: Sequence[Mapping[str, int]]):
+    """Per-pattern primary-input and flip-flop bit maps (missing nets
+    read 0)."""
+    inputs, flip_flops = netlist.inputs, netlist.flip_flops
+    pis = [{pi: p.get(pi, 0) & 1 for pi in inputs} for p in patterns]
+    states = [{ff: p.get(ff, 0) & 1 for ff in flip_flops} for p in patterns]
+    return pis, states
+
+
+def _screen_batch(
     program: CompiledProgram,
     batch: Sequence[Hypothesis],
     pis: Sequence[Mapping[str, int]],
@@ -275,39 +192,6 @@ def _screen_batch_compiled(
     return alive
 
 
-def _screen_batch_serial(
-    netlist: Netlist,
-    sim: CombinationalSimulator,
-    batch: Sequence[Hypothesis],
-    pis: Sequence[Mapping[str, int]],
-    states: Sequence[Mapping[str, int]],
-    responses: Sequence[Mapping[str, int]],
-    points: Sequence[str],
-) -> List[Hypothesis]:
-    survivors: List[Hypothesis] = []
-    for hypothesis in batch:
-        saved = {
-            name: netlist.node(name).lut_config for name in hypothesis
-        }
-        for name, config in hypothesis.items():
-            netlist.node(name).lut_config = config
-        try:
-            consistent = True
-            for inputs, state, expected in zip(pis, states, responses):
-                values = sim.evaluate(inputs, state, 1)
-                if any(
-                    values[point] != expected[point] for point in points
-                ):
-                    consistent = False
-                    break
-        finally:
-            for name, config in saved.items():
-                netlist.node(name).lut_config = config
-        if consistent:
-            survivors.append(hypothesis)
-    return survivors
-
-
 def score_keys(
     netlist: Netlist,
     keys: Sequence[Hypothesis],
@@ -316,28 +200,19 @@ def score_keys(
     points: Sequence[str],
     *,
     batch_width: int = DEFAULT_BATCH_WIDTH,
-    backend: Optional[str] = None,
 ) -> List[int]:
     """Matched-observation-bit count per candidate key.
 
     ``counts[k]`` is the number of (pattern, observation-point) pairs on
     which ``keys[k]`` reproduces the recorded label — the ML attack's
-    agreement numerator.  Serial and batched paths count identically.
+    agreement numerator.  Counts do not depend on ``batch_width``.
     """
-    backend = backend or DEFAULT_BACKEND
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown simulation backend {backend!r}; choose from {BACKENDS}"
-        )
+    width = check_batch_width(batch_width)
     keys = list(keys)
     counts = [0] * len(keys)
     if not keys:
         return counts
-    width = max(1, batch_width)
-    batched = batch_width > 1 and backend == "compiled"
-    inputs, flip_flops = netlist.inputs, netlist.flip_flops
-    pis = [{pi: p.get(pi, 0) & 1 for pi in inputs} for p in patterns]
-    states = [{ff: p.get(ff, 0) & 1 for ff in flip_flops} for p in patterns]
+    pis, states = _split_patterns(netlist, patterns)
     with span(
         "sim.keybatch.score",
         circuit=netlist.name,
@@ -345,30 +220,7 @@ def score_keys(
         width=width,
         patterns=len(patterns),
     ):
-        if not batched:
-            sim = CombinationalSimulator(netlist, backend=backend)
-            for index, key in enumerate(keys):
-                saved = {
-                    name: netlist.node(name).lut_config for name in key
-                }
-                for name, config in key.items():
-                    netlist.node(name).lut_config = config
-                try:
-                    matched = 0
-                    for inputs, state, label in zip(pis, states, labels):
-                        values = sim.evaluate(inputs, state, 1)
-                        for point in points:
-                            if values[point] == label[point]:
-                                matched += 1
-                finally:
-                    for name, config in saved.items():
-                        netlist.node(name).lut_config = config
-                counts[index] = matched
-            return counts
-        swept: Set[str] = set()
-        for key in keys:
-            swept.update(key)
-        program = program_for_configs(netlist, swept)
+        program = program_for_configs(netlist, set().union(*keys))
         n_planes = (len(pis) * len(points)).bit_length()
         for start in range(0, len(keys), width):
             chunk = keys[start : start + width]

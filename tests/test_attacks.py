@@ -234,8 +234,8 @@ class TestBruteForce:
         assert not result.confirm_rounds_exhausted
 
     def test_serial_and_batched_paths_are_bit_identical(self, s27):
-        """batch_width=1 (the old per-key loop) and the key-parallel path
-        must agree on every reported field and on the oracle bill."""
+        """One lane per pass (batch_width=1) and 64 lanes per pass must
+        agree on every reported field and on the oracle bill."""
         hybrid, foundry, record = lock(s27, ["G8", "G13"])
         results = {}
         for width in (1, 64):
@@ -252,6 +252,13 @@ class TestBruteForce:
             batched.oracle_queries,
             batched.test_clocks,
         )
+
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_width_below_one_lane_rejected(self, s27, width):
+        hybrid, foundry, _ = lock(s27, ["G8"])
+        oracle = ConfiguredOracle(hybrid, scan=True)
+        with pytest.raises(ValueError, match="batch_width"):
+            BruteForceAttack(foundry, oracle, batch_width=width)
 
     def test_masked_gate_yields_interchangeable_success(self):
         """Regression for a bug found by the differential check harness:

@@ -130,6 +130,20 @@ class TestMlAttackCommand:
         main(["attack", str(foundry), str(out), "--attack", "ml", "--seed", "2"])
         assert "ml attack" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("width", ["0", "-3", "two"])
+    def test_batch_width_below_one_rejected_at_parse_time(
+        self, s27_file, tmp_path, capsys, width
+    ):
+        out = tmp_path / "h.bench"
+        main(["lock", str(s27_file), "--algorithm", "independent", "--out", str(out)])
+        foundry = out.with_name("h_foundry.bench")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["attack", str(foundry), str(out), "--attack", "ml",
+                  "--batch-width", width])
+        assert exit_info.value.code == 2
+        assert "--batch-width" in capsys.readouterr().err
+
 
 class TestLintCommand:
     def test_lint_clean_benchmark_exits_zero(self, capsys):

@@ -246,6 +246,30 @@ def test_attack_grid_rows_are_pinned(seed):
     assert digest.hexdigest()[:16] == ATTACK_GRID_DIGESTS[seed]
 
 
+#: Hash of the canonical ML rows of s27 x three algorithms x seeds 0-2 at
+#: the default ``batch_width`` (300 iterations per restart, 2 restarts),
+#: recorded while width 1 still ran a separate one-proposal annealer.
+#: Several trials converge after one iteration.
+ML_DEFAULT_WIDTH_DIGEST = "bf051f315837317b"
+
+
+def test_ml_rows_at_default_width_are_pinned():
+    spec = SweepSpec(
+        circuits=("s27",),
+        algorithms=("independent", "dependent", "parametric"),
+        seeds=(0, 1, 2),
+        attacks=("ml",),
+        analyses=(),
+        algorithm_params={"dependent": {"on_degenerate": "fallback"}},
+        attack_params={"ml": {"iterations_per_restart": 300, "restarts": 2}},
+    )
+    rows = [canonical_row(row) for _, row in SweepRunner(workers=1).stream(spec)]
+    assert all(row["status"] == "ok" for row in rows)
+    assert min(row["metrics"]["attack"]["iterations"] for row in rows) == 1
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode())
+    assert digest.hexdigest()[:16] == ML_DEFAULT_WIDTH_DIGEST
+
+
 def _direct_counts(foundry, keys, patterns, labels, points):
     """Matched (pattern, point) pairs per key, one programmed copy and one
     interpreted simulation per key and pattern."""

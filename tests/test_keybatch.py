@@ -1,9 +1,11 @@
 """Key-parallel batched simulation (`repro.sim.keybatch`) and the
 config-lane axis of the compiled kernels.
 
-The contract under test everywhere: the batched path is a *throughput*
-change only — survivor sets, lane values, score counts, budget accounting,
-and oracle bills are bit-identical to the serial per-key loop.
+The contract under test everywhere: the batch width is a *throughput*
+knob only — survivor sets, lane values, score counts, budget accounting,
+and oracle bills are the same at every width and equal the per-key
+reference of :mod:`repro.check.checks_keybatch` (one programmed copy per
+key on the interpreted backend).
 """
 
 from __future__ import annotations
@@ -14,8 +16,14 @@ import random
 import pytest
 
 from repro.attacks import ConfiguredOracle, candidate_configs
+from repro.check.checks_keybatch import (
+    reference_lane_words,
+    reference_survivors,
+    reference_values,
+)
 from repro.lut import HybridMapper
 from repro.netlist import NetlistError
+from repro.netlist.netlist import Node
 from repro.obs import Recorder, use_recorder
 from repro.sim import (
     evaluate_configs,
@@ -75,10 +83,9 @@ class TestEvaluateConfigs:
         pattern = {pi: rng.getrandbits(1) for pi in foundry.inputs}
         state = {ff: rng.getrandbits(1) for ff in foundry.flip_flops}
         batched = evaluate_configs(foundry, pattern, configs, state=state)
-        serial = evaluate_configs(
-            foundry, pattern, configs, state=state, backend="interpreted"
+        assert batched == reference_lane_words(
+            foundry, configs, {**pattern, **state}
         )
-        assert batched == serial
 
     def test_width_chunking_is_invisible(self, s27):
         _, foundry, _ = lock(s27, ["G8"], seed=1)
@@ -107,15 +114,25 @@ class TestEvaluateConfigs:
             program = get_program(foundry)
             program.pack_configs([{}])
 
-    def test_unknown_backend_rejected(self, s27):
+    def test_reference_runs_no_compiled_kernel(self, s27):
+        """The reference side is independent of the config-lane kernel:
+        it compiles nothing and evaluates no config lanes, and it leaves
+        the netlist unprogrammed."""
         _, foundry, _ = lock(s27, ["G8"], seed=1)
-        with pytest.raises(ValueError, match="unknown simulation backend"):
-            evaluate_configs(
-                foundry,
-                {pi: 0 for pi in foundry.inputs},
-                [{"G8": 1}],
-                backend="quantum",
-            )
+        pattern = {sp: 1 for sp in foundry.inputs + foundry.flip_flops}
+        configs = [{"G8": c} for c in candidate_configs(2)]
+        rec = Recorder()
+        with use_recorder(rec):
+            reference = reference_lane_words(foundry, configs, pattern)
+        assert "sim.codegen_compiles" not in rec.counters
+        assert "sim.compiled_config_evaluations" not in rec.counters
+        assert foundry.node("G8").lut_config is None
+        assert reference == evaluate_configs(
+            foundry,
+            {pi: 1 for pi in foundry.inputs},
+            configs,
+            state={ff: 1 for ff in foundry.flip_flops},
+        )
 
 
 class TestSurvivingLanes:
@@ -132,8 +149,12 @@ class TestScreenHypotheses:
     def test_batched_matches_serial(self, screening):
         foundry, record, patterns, responses, points, luts, spaces = screening
         working = foundry.copy("w")
-        outcomes = {
-            width: screen_hypotheses(
+        reference = reference_survivors(
+            foundry, iter_hypotheses(luts, spaces), patterns, responses, points
+        )
+        assert record.configs in reference
+        for width in (1, 3, 64, 256):
+            outcome = screen_hypotheses(
                 working,
                 iter_hypotheses(luts, spaces),
                 patterns,
@@ -141,79 +162,95 @@ class TestScreenHypotheses:
                 points,
                 batch_width=width,
             )
-            for width in (1, 3, 64, 256)
-        }
-        reference = outcomes[1]
-        assert reference.tested == 36
-        assert record.configs in reference.survivors
-        for width, outcome in outcomes.items():
-            assert outcome.survivors == reference.survivors, width
-            assert outcome.tested == reference.tested, width
+            assert outcome.survivors == reference, width
+            assert outcome.tested == 36, width
             assert not outcome.exhausted
 
     def test_budget_accounting_matches_serial(self, screening):
         foundry, _, patterns, responses, points, luts, spaces = screening
         working = foundry.copy("w")
+        hypotheses = list(iter_hypotheses(luts, spaces))
         total = 36
         for budget in (0, 1, 10, total - 1, total, total + 1):
-            serial = screen_hypotheses(
-                working,
-                iter_hypotheses(luts, spaces),
-                patterns,
-                responses,
-                points,
-                batch_width=1,
-                max_hypotheses=budget,
+            reference = reference_survivors(
+                foundry, hypotheses[:budget], patterns, responses, points
             )
-            batched = screen_hypotheses(
-                working,
-                iter_hypotheses(luts, spaces),
-                patterns,
-                responses,
-                points,
-                batch_width=64,
-                max_hypotheses=budget,
-            )
-            assert serial.tested == batched.tested == min(total, budget)
-            assert serial.exhausted == batched.exhausted == (budget < total)
-            assert serial.survivors == batched.survivors
+            for width in (1, 64):
+                outcome = screen_hypotheses(
+                    working,
+                    iter(hypotheses),
+                    patterns,
+                    responses,
+                    points,
+                    batch_width=width,
+                    max_hypotheses=budget,
+                )
+                assert outcome.tested == min(total, budget)
+                assert outcome.exhausted == (budget < total)
+                assert outcome.survivors == reference
 
-    def test_interpreted_backend_falls_back_to_serial(self, screening):
+    def test_one_lane_screen_matches_reference_filter(self, screening):
+        """Width 1 is the same kernel with one lane: one batch per
+        hypothesis, no lane wasted, the reference's survivors."""
         foundry, _, patterns, responses, points, luts, spaces = screening
-        working = foundry.copy("w")
-        compiled = screen_hypotheses(
-            working,
-            iter_hypotheses(luts, spaces),
-            patterns,
-            responses,
-            points,
-            batch_width=64,
-        )
-        interpreted = screen_hypotheses(
-            working,
-            iter_hypotheses(luts, spaces),
-            patterns,
-            responses,
-            points,
-            batch_width=64,
-            backend="interpreted",
-        )
-        assert interpreted.survivors == compiled.survivors
-        assert interpreted.batches == 1  # one serial "batch" of 36
-
-    def test_screening_restores_working_configs(self, screening):
-        foundry, _, patterns, responses, points, luts, spaces = screening
-        working = foundry.copy("w")
-        screen_hypotheses(
-            working,
+        outcome = screen_hypotheses(
+            foundry.copy("w"),
             iter_hypotheses(luts, spaces),
             patterns,
             responses,
             points,
             batch_width=1,
         )
+        assert outcome.survivors == reference_survivors(
+            foundry, iter_hypotheses(luts, spaces), patterns, responses, points
+        )
+        assert outcome.batches == outcome.lanes_filled == 36
+        assert outcome.lanes_wasted == 0
+
+    @pytest.mark.parametrize("width", [1, 64])
+    def test_screening_never_writes_lut_config(
+        self, screening, monkeypatch, width
+    ):
+        foundry, _, patterns, responses, points, luts, spaces = screening
+        working = foundry.copy("w")
+        watched = {id(working.node(name)) for name in luts}
+        writes = []
+        original = Node.__setattr__
+
+        def spy(node, attr, value):
+            if attr == "lut_config" and id(node) in watched:
+                writes.append((node.name, value))
+            original(node, attr, value)
+
+        monkeypatch.setattr(Node, "__setattr__", spy)
+        screen_hypotheses(
+            working,
+            iter_hypotheses(luts, spaces),
+            patterns,
+            responses,
+            points,
+            batch_width=width,
+        )
+        assert writes == []
         for name in luts:
             assert working.node(name).lut_config is None
+
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_width_below_one_lane_rejected(self, screening, width):
+        foundry, _, patterns, responses, points, luts, spaces = screening
+        with pytest.raises(ValueError, match="batch_width"):
+            screen_hypotheses(
+                foundry,
+                iter_hypotheses(luts, spaces),
+                patterns,
+                responses,
+                points,
+                batch_width=width,
+            )
+        with pytest.raises(ValueError, match="batch_width"):
+            score_keys(
+                foundry, [{}], patterns, responses, points, batch_width=width
+            )
 
     def test_lane_counters_and_span(self, screening):
         foundry, _, patterns, responses, points, luts, spaces = screening
@@ -246,15 +283,22 @@ class TestScoreKeys:
             dict(zip(luts, assignment))
             for assignment in itertools.product(*spaces)
         ]
-        serial = score_keys(
-            working, keys, patterns, responses, points, batch_width=1
-        )
-        for width in (7, 64):
+        reference = [
+            sum(
+                values[p] == response[p]
+                for values, response in zip(
+                    reference_values(foundry, key, patterns), responses
+                )
+                for p in points
+            )
+            for key in keys
+        ]
+        for width in (1, 7, 64):
             batched = score_keys(
                 working, keys, patterns, responses, points, batch_width=width
             )
-            assert batched == serial, width
-        assert max(serial) == len(patterns) * len(points)  # true key present
+            assert batched == reference, width
+        assert max(reference) == len(patterns) * len(points)  # true key present
 
     def test_empty_keys(self, screening):
         foundry, _, patterns, responses, points, _, _ = screening

@@ -88,21 +88,12 @@ class TestMlAttack:
         assert functional_match(hybrid, recovered, cycles=16, width=32)
         assert result.oracle_queries > 0
 
-    def test_serial_path_is_default_and_unchanged(self, s27):
-        """batch_width=1 (the default) must keep the exact legacy RNG
-        trajectory: two runs with the same seed are identical, and an
-        explicit batch_width=1 matches the default."""
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_width_below_one_chain_rejected(self, s27, width):
         hybrid, foundry, _ = lock(s27, ["G8"])
-
-        def run(**kwargs):
-            oracle = ConfiguredOracle(hybrid, scan=True)
-            return MlAttack(foundry, oracle, seed=5, **kwargs).run()
-
-        default = run()
-        explicit = run(batch_width=1)
-        assert default.key == explicit.key
-        assert default.iterations == explicit.iterations
-        assert default.best_agreement == explicit.best_agreement
+        oracle = ConfiguredOracle(hybrid, scan=True)
+        with pytest.raises(ValueError, match="batch_width"):
+            MlAttack(foundry, oracle, batch_width=width)
 
     def test_holdout_rejects_overfit_key(self, s27):
         """A key that only matches the training set must not be reported as
