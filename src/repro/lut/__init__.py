@@ -1,5 +1,8 @@
 """STT LUT cells: configuration words, gate→LUT mapping, bitstreams."""
 
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from .lutcell import (
     LutConfigError,
     config_from_gate,
@@ -16,7 +19,13 @@ from .lutcell import (
     widen_config,
 )
 from .mapping import HybridMapper, ProvisioningRecord
-from . import bitstream
+
+if TYPE_CHECKING:
+    from . import bitstream
+
+# Provisioning bitstreams are written by the flow, never by a trial: the
+# module loads on first use.
+__getattr__ = lazy_exports(__name__, {"bitstream": ".bitstream"})
 
 __all__ = [
     "LutConfigError",

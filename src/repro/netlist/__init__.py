@@ -1,5 +1,8 @@
 """Gate-level netlist substrate: data structures, I/O, graph analysis."""
 
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from .gates import (
     CANDIDATE_TYPES,
     COMBINATIONAL_TYPES,
@@ -26,7 +29,6 @@ from .graph import (
     logic_depth,
     sequential_depth,
     split_into_timing_paths,
-    to_networkx,
     topological_order,
     transitive_fanin,
     transitive_fanout,
@@ -39,25 +41,53 @@ from .transform import (
     replace_gates_with_luts,
     widen_lut_with_decoys,
 )
-from .scan import (
-    SCAN_ENABLE,
-    SCAN_IN,
-    SCAN_OUT,
-    disable_scan,
-    has_scan_chain,
-    insert_scan_chain,
-    lock_scan_enable,
-    scan_chain_order,
+from . import bench_io, cache
+
+if TYPE_CHECKING:
+    from . import verilog_io
+    from .scan import (
+        SCAN_ENABLE,
+        SCAN_IN,
+        SCAN_OUT,
+        disable_scan,
+        has_scan_chain,
+        insert_scan_chain,
+        lock_scan_enable,
+        scan_chain_order,
+    )
+    from .simplify import (
+        SweepStats,
+        collapse_buffers,
+        propagate_constants,
+        remove_dead_logic,
+        sweep,
+    )
+    from .techmap import decompose_to_max_fanin, fanin_histogram, map_to_nand
+
+# Scan insertion, logic clean-up, technology mapping and Verilog I/O run in
+# no trial: they load on first use.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "SCAN_ENABLE": ".scan",
+        "SCAN_IN": ".scan",
+        "SCAN_OUT": ".scan",
+        "disable_scan": ".scan",
+        "has_scan_chain": ".scan",
+        "insert_scan_chain": ".scan",
+        "lock_scan_enable": ".scan",
+        "scan_chain_order": ".scan",
+        "SweepStats": ".simplify",
+        "collapse_buffers": ".simplify",
+        "propagate_constants": ".simplify",
+        "remove_dead_logic": ".simplify",
+        "sweep": ".simplify",
+        "decompose_to_max_fanin": ".techmap",
+        "fanin_histogram": ".techmap",
+        "map_to_nand": ".techmap",
+        "verilog_io": ".verilog_io",
+    },
 )
-from .simplify import (
-    SweepStats,
-    collapse_buffers,
-    propagate_constants,
-    remove_dead_logic,
-    sweep,
-)
-from .techmap import decompose_to_max_fanin, fanin_histogram, map_to_nand
-from . import bench_io, cache, verilog_io
 
 __all__ = [
     "CANDIDATE_TYPES",
@@ -87,7 +117,6 @@ __all__ = [
     "logic_depth",
     "sequential_depth",
     "split_into_timing_paths",
-    "to_networkx",
     "topological_order",
     "transitive_fanin",
     "transitive_fanout",

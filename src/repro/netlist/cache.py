@@ -1,6 +1,6 @@
 """Memoized structural views of a netlist.
 
-Topological order, levelization, and networkx views are pure functions of
+Topological order, levelization, and the CSR views are pure functions of
 the netlist *structure*, yet the locking flows re-derive them after every
 query: selection algorithms, the simulators, STA, power, CNF translation,
 and the attacks all call :func:`~repro.netlist.graph.topological_order` —

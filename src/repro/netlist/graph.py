@@ -11,17 +11,12 @@ Two views of the same netlist matter to the paper's algorithms:
 Every traversal here runs over the int-indexed flat-array snapshot from
 :mod:`repro.netlist.csr` (one shared :class:`~repro.netlist.csr.CsrView`
 per structure revision); this module keeps the historical name-based API
-on top.  The networkx ``DiGraph`` remains available via
-:func:`to_networkx` as a *compatibility/debug view* — it is built from
-the CSR arrays, frozen, and is the only sanctioned place to hand a
-netlist to networkx (ruff TID251 bans the import elsewhere).
+on top.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
 
 from ..obs import add_counter
 from .cache import memoized
@@ -42,58 +37,10 @@ __all__ = [
     "reachable_between",
     "sequential_depth",
     "split_into_timing_paths",
-    "to_networkx",
     "topological_order",
     "transitive_fanin",
     "transitive_fanout",
 ]
-
-
-def to_networkx(
-    netlist: Netlist, cut_flip_flops: bool = False, copy: bool = False
-) -> nx.DiGraph:
-    """A :class:`networkx.DiGraph` view of the netlist, memoized per
-    structure revision.
-
-    Edges run driver → reader.  With ``cut_flip_flops=True`` the edges into
-    DFF D-pins are dropped, yielding the acyclic combinational view.  The
-    returned graph is a shared cached view and is **frozen**
-    (:func:`networkx.freeze`) — mutating it would silently poison the memo
-    for every later reader, so mutation raises; pass ``copy=True`` for a
-    private mutable copy.
-    """
-    key = "nx_cut" if cut_flip_flops else "nx_full"
-    compute = _build_networkx_cut if cut_flip_flops else _build_networkx_full
-    graph = memoized(netlist, key, compute)
-    return graph.copy() if copy else graph
-
-
-def _build_networkx_full(netlist: Netlist) -> nx.DiGraph:
-    return _build_networkx(netlist, cut_flip_flops=False)
-
-
-def _build_networkx_cut(netlist: Netlist) -> nx.DiGraph:
-    return _build_networkx(netlist, cut_flip_flops=True)
-
-
-def _build_networkx(netlist: Netlist, cut_flip_flops: bool) -> nx.DiGraph:
-    view = csr_view(netlist)
-    names = view.names
-    graph = nx.DiGraph(name=netlist.name)
-    for i in range(view.n):
-        graph.add_node(names[i], gate_type=view.gate_types[i])
-    fi_ptr, fi_idx = view.fanin_ptr, view.fanin_idx
-    for i in range(view.n):
-        if cut_flip_flops and view.is_seq[i]:
-            continue
-        base = fi_ptr[i]
-        for k in range(base, fi_ptr[i + 1]):
-            j = fi_idx[k]
-            # Dangling references become attribute-less nodes, exactly as
-            # ``add_edge`` used to create them from the name-based walk.
-            src = names[j] if j >= 0 else view.dangling[(i, k - base)]
-            graph.add_edge(src, names[i])
-    return nx.freeze(graph)
 
 
 def topological_order(netlist: Netlist) -> List[str]:

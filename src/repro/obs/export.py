@@ -12,7 +12,7 @@ counter (``"ph": "C"``) event per recorded counter and an instant
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .core import Recorder
 
@@ -89,7 +89,8 @@ def to_chrome_trace(source: Payload) -> Dict[str, Any]:
 
 
 def summarize_chrome_trace(document: Dict[str, Any]) -> str:
-    """Aggregate a Chrome trace document into a per-span-name table.
+    """Aggregate a Chrome trace document into a per-span-name table,
+    sorted by self time (:func:`span_self_seconds`).
 
     Accepts both the dict form (``{"traceEvents": [...]}``) and the bare
     event-array form the format also permits.
@@ -99,36 +100,38 @@ def summarize_chrome_trace(document: Dict[str, Any]) -> str:
         if isinstance(document, dict)
         else list(document)
     )
+    complete = [event for event in events if event.get("ph") == "X"]
     rows: Dict[str, Dict[str, float]] = {}
-    counters: List[tuple] = []
-    errors = 0
-    for event in events:
-        phase = event.get("ph")
-        if phase == "X":
-            entry = rows.setdefault(
-                event.get("name", "?"), {"count": 0, "total": 0.0, "max": 0.0}
-            )
-            dur = float(event.get("dur", 0.0)) / 1e6
-            entry["count"] += 1
-            entry["total"] += dur
-            entry["max"] = max(entry["max"], dur)
-        elif phase == "C":
-            counters.append(
-                (event.get("name", "?"), event.get("args", {}).get("value"))
-            )
-        elif phase == "i":
-            errors += 1
-    lines = ["span summary (by total time):"]
-    header = f"  {'span':<36} {'count':>6} {'total s':>10} {'mean s':>10} {'max s':>10}"
+    for event, self_s in zip(complete, span_self_seconds(complete)):
+        entry = rows.setdefault(
+            event.get("name", "?"),
+            {"count": 0, "self": 0.0, "total": 0.0, "max": 0.0},
+        )
+        dur = float(event.get("dur", 0.0)) / 1e6
+        entry["count"] += 1
+        entry["self"] += self_s
+        entry["total"] += dur
+        entry["max"] = max(entry["max"], dur)
+    counters = [
+        (event.get("name", "?"), event.get("args", {}).get("value"))
+        for event in events
+        if event.get("ph") == "C"
+    ]
+    errors = sum(1 for event in events if event.get("ph") == "i")
+    lines = ["span summary (by self time):"]
+    header = (
+        f"  {'span':<36} {'count':>6} {'self s':>10} {'total s':>10} "
+        f"{'mean s':>10} {'max s':>10}"
+    )
     lines.append(header)
     lines.append("  " + "-" * (len(header) - 2))
     for name, entry in sorted(
-        rows.items(), key=lambda item: -item[1]["total"]
+        rows.items(), key=lambda item: (-item[1]["self"], item[0])
     ):
         mean = entry["total"] / entry["count"] if entry["count"] else 0.0
         lines.append(
-            f"  {name:<36} {int(entry['count']):>6} {entry['total']:>10.3f} "
-            f"{mean:>10.4f} {entry['max']:>10.3f}"
+            f"  {name:<36} {int(entry['count']):>6} {entry['self']:>10.3f} "
+            f"{entry['total']:>10.3f} {mean:>10.4f} {entry['max']:>10.3f}"
         )
     if counters:
         lines.append("counters:")
@@ -137,6 +140,37 @@ def summarize_chrome_trace(document: Dict[str, Any]) -> str:
     if errors:
         lines.append(f"errors: {errors} (see 'i' events in the trace)")
     return "\n".join(lines)
+
+
+def span_self_seconds(events: List[Dict[str, Any]]) -> List[float]:
+    """Each complete event's self time in seconds: its ``dur`` minus the
+    parts of its interval covered by its child events on the same
+    pid/tid.
+
+    A child is an event that starts inside another's interval.  A stack
+    walk in start order finds each event's parent; an event that starts
+    inside a child becomes that child's child, so the children of one
+    event never overlap.  A child running past its parent's end (rounded
+    timestamps) counts only up to that end.
+    """
+    starts = [float(event.get("ts", 0.0)) for event in events]
+    durs = [float(event.get("dur", 0.0)) for event in events]
+    lanes: Dict[tuple, List[int]] = {}
+    for k, event in enumerate(events):
+        lanes.setdefault((event.get("pid", 0), event.get("tid", 0)), []).append(k)
+    self_us = list(durs)
+    for ids in lanes.values():
+        ids.sort(key=lambda k: (starts[k], -durs[k]))
+        enclosing: List[Tuple[int, float]] = []  # (index, end), innermost last
+        for k in ids:
+            start, end = starts[k], starts[k] + durs[k]
+            while enclosing and enclosing[-1][1] <= start:
+                enclosing.pop()
+            if enclosing:
+                parent, parent_end = enclosing[-1]
+                self_us[parent] -= min(end, parent_end) - start
+            enclosing.append((k, end))
+    return [value / 1e6 for value in self_us]
 
 
 # ----------------------------------------------------------------------

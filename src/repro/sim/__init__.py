@@ -1,6 +1,9 @@
 """Logic simulation substrate: bit-parallel combinational/sequential
 simulation and ATPG-style justification/propagation."""
 
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from .logicsim import (
     BACKENDS,
     DEFAULT_BACKEND,
@@ -28,21 +31,38 @@ from .keybatch import (
     surviving_lanes,
 )
 from .seqsim import SequentialSimulator, ToggleStats, functional_match
-from .faults import (
-    CoverageReport,
-    Fault,
-    FaultSimulator,
-    enumerate_faults,
-    fault_coverage,
-    random_pattern_coverage,
-)
-from .vcd import VcdWriter, dump_vcd
 from .justify import (
     Implication,
     is_observable,
     justify,
     justify_and_propagate,
     random_observable_pattern,
+)
+
+if TYPE_CHECKING:
+    from .faults import (
+        CoverageReport,
+        Fault,
+        FaultSimulator,
+        enumerate_faults,
+        fault_coverage,
+        random_pattern_coverage,
+    )
+    from .vcd import VcdWriter, dump_vcd
+
+# Fault simulation and VCD dumps run in no trial: they load on first use.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "CoverageReport": ".faults",
+        "Fault": ".faults",
+        "FaultSimulator": ".faults",
+        "enumerate_faults": ".faults",
+        "fault_coverage": ".faults",
+        "random_pattern_coverage": ".faults",
+        "VcdWriter": ".vcd",
+        "dump_vcd": ".vcd",
+    },
 )
 
 __all__ = [

@@ -32,16 +32,9 @@ Quickstart::
     print(result.stats.summary())
 """
 
-from .aggregate import (
-    RunningStat,
-    StreamSummary,
-    group_rows,
-    overhead_report,
-    render_csv,
-    render_table,
-    security_report,
-    summarize,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from .backends import WorkStealingJob, work_stealing_worker
 from .cache import RESULT_SCHEMA, ResultCache, netlist_sha, trial_key
 from .runner import (
@@ -59,6 +52,34 @@ from .spec import (
     derive_seed,
 )
 from .trial import canonical_row, circuit_sha, load_circuit, run_trial
+
+if TYPE_CHECKING:
+    from .aggregate import (
+        RunningStat,
+        StreamSummary,
+        group_rows,
+        overhead_report,
+        render_csv,
+        render_table,
+        security_report,
+        summarize,
+    )
+
+# The aggregates fold rows after a sweep, never inside a trial: they load
+# on first use.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "RunningStat": ".aggregate",
+        "StreamSummary": ".aggregate",
+        "group_rows": ".aggregate",
+        "overhead_report": ".aggregate",
+        "render_csv": ".aggregate",
+        "render_table": ".aggregate",
+        "security_report": ".aggregate",
+        "summarize": ".aggregate",
+    },
+)
 
 __all__ = [
     "KNOWN_ANALYSES",

@@ -27,7 +27,6 @@ Job layout, under ``<cache>/jobs/<job_id>/``:
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import socket
 import time
@@ -276,6 +275,10 @@ def run_lease_workers(
     of them crashed), the coordinator runs the worker loop itself, so
     the sweep always completes.
     """
+    # Only a multi-worker sweep spawns processes: an inline sweep never
+    # pays for importing the multiprocessing machinery.
+    import multiprocessing
+
     procs: List[multiprocessing.Process] = []
     for n in range(workers):
         proc = multiprocessing.Process(

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import socket
 import tempfile
@@ -47,7 +46,13 @@ from typing import Any, Dict, Iterator, Optional, Union
 
 from .spec import Trial, canonical_json
 
-logger = logging.getLogger(__name__)
+
+def _warn(message: str, *args: object) -> None:
+    """Log a store-repair warning.  Repairs are rare, so the logging
+    machinery loads here on first use, never on a trial's import path."""
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
 
 #: Bump when the row schema changes shape, or when the values a trial
 #: produces change; part of every cache key.
@@ -179,7 +184,7 @@ class ResultCache:
                     except OSError:
                         continue  # racing reaper or live writer finishing
         if reaped:
-            logger.warning(
+            _warn(
                 "reaped %d stale temp orphan(s) under %s "
                 "(writers killed mid-replace)",
                 reaped,
@@ -217,7 +222,7 @@ class ResultCache:
             os.replace(path, target)
         except OSError:
             return  # racing reader already moved it
-        logger.warning(
+        _warn(
             "quarantined corrupt cache entry %s -> %s (%s); "
             "the trial will be recomputed",
             path,

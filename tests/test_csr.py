@@ -4,7 +4,7 @@ The ``graph`` check family confronts the CSR kernels with networkx and
 per-node oracles on random circuits; these tests pin the
 *contracts* on hand-built netlists where every expected value is written
 out by hand — id↔name mapping, pin order, dangling encoding, fan-out
-name-sorting, memo identity, and the frozen ``to_networkx`` view.
+name-sorting and memo identity.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.netlist.csr import (
     CsrView,
     csr_view,
 )
-from repro.netlist.graph import to_networkx
 
 
 def build_seq() -> Netlist:
@@ -199,47 +198,15 @@ class TestMemoization:
         assert after.is_lut[after.id_of("g3")]
 
 
-class TestFrozenNetworkxView:
-    def test_cached_graph_is_frozen(self):
-        n = build_seq()
-        graph = to_networkx(n)
-        with pytest.raises(Exception, match="[Ff]rozen"):
-            graph.add_edge("a", "g3")
-        with pytest.raises(Exception, match="[Ff]rozen"):
-            graph.remove_node("g1")
-
-    def test_cached_identity_preserved(self):
-        n = build_seq()
-        assert to_networkx(n) is to_networkx(n)
-        assert to_networkx(n, cut_flip_flops=True) is to_networkx(
-            n, cut_flip_flops=True
-        )
-
-    def test_copy_is_mutable_and_private(self):
-        n = build_seq()
-        private = to_networkx(n, copy=True)
-        private.add_edge("b", "g3")  # must not raise
-        assert not to_networkx(n).has_edge("b", "g3")
-
-    def test_structure_matches_csr(self):
-        n = build_seq()
-        view = csr_view(n)
-        graph = to_networkx(n)
-        assert set(graph.nodes) == set(view.names)
-        assert graph.number_of_edges() == view.n_edges
-        cut = to_networkx(n, cut_flip_flops=True)
-        assert not list(cut.predecessors("ff"))
-
-
 # ----------------------------------------------------------------------
 # the networkx ban (belt to the ruff TID251 braces)
 # ----------------------------------------------------------------------
 def test_no_networkx_outside_sanctioned_modules():
     """Traversals run on the CSR views; ``networkx`` imports are allowed
-    only in the frozen debug view (``netlist/graph.py``) and the graph
-    checks' independent oracles (``check/checks_graph.py``)."""
+    only in the graph checks' independent oracles
+    (``check/checks_graph.py``)."""
     src = Path(__file__).resolve().parent.parent / "src" / "repro"
-    allowed = {"netlist/graph.py", "check/checks_graph.py"}
+    allowed = {"check/checks_graph.py"}
     offenders = [
         rel
         for path in sorted(src.rglob("*.py"))

@@ -18,11 +18,11 @@ from repro.netlist import (
     logic_depth,
     sequential_depth,
     split_into_timing_paths,
-    to_networkx,
     topological_order,
     transitive_fanin,
     transitive_fanout,
 )
+from repro.check.checks_graph import nx_graph
 from repro.netlist.graph import PathGuide, reachable_between
 
 
@@ -159,13 +159,16 @@ class TestTimingPathSplit:
 
 
 class TestNetworkx:
+    """The graph checks' networkx oracle: driver → reader edges, with the
+    DFF D-pin edges dropped in the cut view."""
+
     def test_full_view_edges(self, tiny_seq):
-        g = to_networkx(tiny_seq)
+        g = nx_graph(tiny_seq)
         assert g.has_edge("x", "reg1")
         assert g.has_edge("reg1", "m")
 
     def test_cut_view_drops_dff_inputs(self, tiny_seq):
-        g = to_networkx(tiny_seq, cut_flip_flops=True)
+        g = nx_graph(tiny_seq, cut_flip_flops=True)
         assert not g.has_edge("x", "reg1")
         assert g.has_edge("reg1", "m")
 

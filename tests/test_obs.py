@@ -26,6 +26,7 @@ from repro.obs import (
     to_json,
     use_recorder,
 )
+from repro.obs.export import span_self_seconds
 
 pytestmark = pytest.mark.obs
 
@@ -210,6 +211,41 @@ def test_summarize_accepts_dict_and_bare_array_forms():
         assert "attack.testing" in text
         assert "oracle.test_clocks" in text
         assert "errors: 1" in text
+
+
+def _x(name, ts_s, dur_s, tid=1):
+    return {"name": name, "ph": "X", "ts": ts_s * 1e6, "dur": dur_s * 1e6,
+            "pid": 0, "tid": tid}
+
+
+def test_self_time_subtracts_children_on_the_same_lane():
+    # Lane 1: outer [0, 4] holds mid [1, 3] (which holds leaf [1.5, 2])
+    # and tail [3.2, 3.45]; a second outer [10, 11] with a child [10.5,
+    # 11.5] that overruns it.  Lane 2: side [0, 3], overlapping outer in
+    # time but on another thread, so it is nobody's child.
+    events = [
+        _x("outer", 0.0, 4.0),
+        _x("mid", 1.0, 2.0),
+        _x("leaf", 1.5, 0.5),
+        _x("tail", 3.2, 0.25),
+        _x("side", 0.0, 3.0, tid=2),
+        _x("outer", 10.0, 1.0),
+        _x("late", 10.5, 1.0),
+    ]
+    expected = [1.75, 1.5, 0.5, 0.25, 3.0, 0.5, 1.0]
+    assert span_self_seconds(events) == pytest.approx(expected)
+
+    text = summarize_chrome_trace({"traceEvents": events})
+    header, rule, *rows = text.splitlines()[1:]
+    assert header.split()[:4] == ["span", "count", "self", "s"]
+    table = {row.split()[0]: [float(v) for v in row.split()[1:]] for row in rows}
+    # count, self s, total s, mean s, max s
+    assert table["outer"] == pytest.approx([2, 2.25, 5.0, 2.5, 4.0])
+    assert table["side"] == pytest.approx([1, 3.0, 3.0, 3.0, 3.0])
+    # Sorted by self time, not by total time (outer's 5 s lead).
+    assert [row.split()[0] for row in rows] == [
+        "side", "outer", "mid", "late", "leaf", "tail"
+    ]
 
 
 def test_render_text_tree_and_json_round_trip():

@@ -28,7 +28,6 @@ from repro.netlist.graph import (
     combinational_order,
     flip_flop_depths,
     levelize,
-    to_networkx,
     topological_order,
 )
 from repro.netlist.scan import disable_scan, insert_scan_chain, lock_scan_enable
@@ -48,13 +47,7 @@ class TestMemoization:
         assert topological_order(s27) is topological_order(s27)
         assert combinational_order(s27) is combinational_order(s27)
         assert levelize(s27) is levelize(s27)
-        assert to_networkx(s27) is to_networkx(s27)
-
-    def test_copy_flag_returns_private_graph(self, s27):
-        shared = to_networkx(s27)
-        private = to_networkx(s27, copy=True)
-        assert private is not shared
-        assert set(private.nodes) == set(shared.nodes)
+        assert csr_view(s27) is csr_view(s27)
 
     def test_cached_keys_and_invalidate(self, s27):
         topological_order(s27)
@@ -314,19 +307,18 @@ def _consumer_facts(netlist: Netlist, timing: TimingAnalyzer) -> dict:
     values = CombinationalSimulator(netlist, backend="compiled").evaluate(
         inputs, state, width=64
     )
-    graphs = {
-        cut: (
-            sorted((v, d["gate_type"].value) for v, d in g.nodes(data=True)),
-            sorted(g.edges),
-        )
-        for cut in (False, True)
-        for g in [to_networkx(netlist, cut_flip_flops=cut)]
-    }
     return {
         "csr gate types": {
             names[i]: view.gate_types[i].value for i in range(view.n)
         },
         "csr LUT column": sorted(names[i] for i in range(view.n) if view.is_lut[i]),
+        "csr fan-in": {
+            names[i]: [names[j] if j >= 0 else None for j in view.fanin_ids(i)]
+            for i in range(view.n)
+        },
+        "csr fan-out": {
+            names[i]: view.names_of(view.fanout_ids(i)) for i in range(view.n)
+        },
         "csr topo_order": view.names_of(view.topo_order()),
         "csr levels": dict(zip(names, view.levels())),
         "csr forward cones": {
@@ -347,7 +339,6 @@ def _consumer_facts(netlist: Netlist, timing: TimingAnalyzer) -> dict:
             lut: extract_key_cone(netlist, lut).signature
             for lut in sorted(netlist.luts)
         },
-        "to_networkx": graphs,
         "ff depths": flip_flop_depths(netlist),
         "depth_to_output": dict(depth_to_output(netlist)),
         "guide to_startpoint": guide.to_startpoint,
