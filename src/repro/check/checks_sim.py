@@ -4,9 +4,11 @@ The compiled backend (:mod:`repro.sim.compiled`) promises bit-identical
 results to the interpreted reference under every usage pattern the attacks
 exercise: programmed and unprogrammed LUTs, decoy-widened LUTs, override
 dictionaries, mid-stream ``lut_config`` rewrites (which bump no revision,
-so a program memoized before the rewrite must read the new configs), and
-multi-cycle sequential stepping.  These checks drive both backends with
-identical randomized stimulus and compare the full output dictionaries.
+so a program memoized before the rewrite must read the new configs),
+views of equal wiring and different gate types in one process (whose
+compiled code must not be shared), and multi-cycle sequential stepping.
+These checks drive both backends with identical randomized stimulus and
+compare the full output dictionaries.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import random
 from typing import List
 
+from ..netlist.gates import GateType
 from ..netlist.netlist import Netlist
 from ..netlist.transform import replace_gates_with_luts, widen_lut_with_decoys
 from ..sim.logicsim import CombinationalSimulator
@@ -55,15 +58,28 @@ def _random_stimulus(netlist: Netlist, rng: random.Random, width: int):
     name="sim-backend-parity",
     family="sim",
     description="compiled vs interpreted combinational outputs on random "
-    "vectors, programmed/widened LUTs, and mid-stream config rewrites "
-    "read by the memoized program",
+    "vectors, programmed/widened LUTs, mid-stream config rewrites read by "
+    "the memoized program, and a twin of equal wiring and other gate "
+    "types simulated in the same process",
 )
 def sim_backend_parity(ctx: CheckContext) -> None:
     netlist = ctx.netlist()
     rng = ctx.rng
     luts = _lock_some(netlist, rng)
-    interpreted = CombinationalSimulator(netlist, backend="interpreted")
-    compiled = CombinationalSimulator(netlist, backend="compiled")
+    # Equal wiring, other gate types: the compiled code of the two must
+    # not be shared.  The twin is simulated first, so a kernel shared by
+    # wiring alone would hand the hybrid the twin's XORs.
+    twin = netlist.copy(f"{netlist.name}_twin")
+    for lut in luts:
+        twin.set_gate_type(lut, GateType.XOR)
+    pairs = [
+        (
+            view,
+            CombinationalSimulator(view, backend="interpreted"),
+            CombinationalSimulator(view, backend="compiled"),
+        )
+        for view in (twin, netlist)
+    ]
     for trial in range(ctx.trials):
         if luts and trial % 4 == 3:
             # Rewrite a configuration between evaluations: the memoized
@@ -72,15 +88,17 @@ def sim_backend_parity(ctx: CheckContext) -> None:
             node.lut_config = rng.getrandbits(1 << node.n_inputs)
         width = rng.choice(_WIDTHS)
         inputs, state = _random_stimulus(netlist, rng, width)
-        expected = interpreted.evaluate(inputs, state, width)
-        actual = compiled.evaluate(inputs, state, width)
-        ctx.compare(
-            "combinational outputs (compiled vs interpreted)",
-            actual,
-            expected,
-            trial=trial,
-            width=width,
-        )
+        for view, interpreted, compiled in pairs:
+            expected = interpreted.evaluate(inputs, state, width)
+            actual = compiled.evaluate(inputs, state, width)
+            ctx.compare(
+                "combinational outputs (compiled vs interpreted)",
+                actual,
+                expected,
+                trial=trial,
+                width=width,
+                view=view.name,
+            )
 
 
 @register(

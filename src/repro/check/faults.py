@@ -3,7 +3,8 @@
 A differential check that never fires is worse than no check — it
 launders confidence.  Each :class:`Fault` here deliberately breaks one
 layer the checks guard (a stale compiled kernel, a stale netlist view,
-wiring kernels shared across different wiring, a lying SAT solver, a
+wiring kernels shared across different wiring, simulation code shared
+across different gate types, a lying SAT solver, a
 non-canonical SAT-attack key, a tampered sweep-cache row, an oracle
 that forgets to bill memoized replays, a simplify pass that miswires a
 gate, a short ML match counter, a key screen that skips an observation
@@ -318,6 +319,15 @@ def _inject_wiring_share_collision() -> Callable[[], None]:
     return _install(csr, "_wiring_key", collision_prone_key)
 
 
+def _inject_kernel_share_collision() -> Callable[[], None]:
+    """The compiled-kernel key drops the gate-type column: every view of
+    one wiring runs the code of whichever gate types compiled first, so
+    a hybrid simulates its original's gates (or another lock's LUTs)."""
+    from ..sim import compiled
+
+    return _install(compiled, "_kernel_key", lambda view: ())
+
+
 FAULTS: List[Fault] = [
     Fault(
         name="stale-compiled-kernel",
@@ -410,6 +420,13 @@ FAULTS: List[Fault] = [
         description="the wiring-share key ignores fanin_idx, so a rewired "
         "copy inherits its original's wiring kernels",
         inject=_inject_wiring_share_collision,
+    ),
+    Fault(
+        name="kernel-share-collision",
+        family="sim",
+        description="the compiled-kernel key ignores gate types, so views "
+        "of equal wiring run one another's simulation code",
+        inject=_inject_kernel_share_collision,
     ),
 ]
 

@@ -30,19 +30,19 @@ from .attacks import (
     TestingAttack,
 )
 from .circuits import PAPER_BENCHMARK_ORDER, load_benchmark
-from .lint import Category, LintConfig, Linter, Severity, Suppressions, all_rules
-from .locking import (
-    ALGORITHMS,
-    SecurityAnalyzer,
-    SecurityDrivenFlow,
-    SecurityLevel,
-    SecurityRequirement,
-)
+from .locking import ALGORITHMS, SecurityAnalyzer
 from .lut import HybridMapper, bitstream
 from .netlist import bench_io
 from .obs import Recorder, span, to_chrome_trace, use_recorder
 from .sim.keybatch import DEFAULT_BATCH_WIDTH, check_batch_width
 from .reporting import format_scientific, format_table
+
+#: ``--category`` choices: the values of :class:`repro.lint.Category`, and
+#: ``--level`` choices: the values of :class:`repro.locking.SecurityLevel`.
+#: Spelled out so that building the parser loads neither the lint engine
+#: nor the Fig. 2 flow; ``tests/test_cli.py`` checks they match.
+LINT_CATEGORIES = ("structural", "security", "timing")
+SECURITY_LEVELS = ("basic", "strong", "strong-timing-aware")
 
 
 def _load(path_or_name: str):
@@ -52,6 +52,8 @@ def _load(path_or_name: str):
     — every finding at once, instead of the first :class:`NetlistError` the
     old ``netlist.validate()`` call would have raised.
     """
+    from .lint import Category, Linter
+
     path = Path(path_or_name)
     if path.exists():
         text = path.read_text()
@@ -218,6 +220,12 @@ def cmd_program(args: argparse.Namespace) -> int:
 
 
 def cmd_flow(args: argparse.Namespace) -> int:
+    from .locking.flow import (
+        SecurityDrivenFlow,
+        SecurityLevel,
+        SecurityRequirement,
+    )
+
     netlist = _load(args.circuit)
     requirement = SecurityRequirement(
         level=SecurityLevel(args.level),
@@ -233,6 +241,15 @@ def cmd_flow(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
+    from .lint import (
+        Category,
+        LintConfig,
+        Linter,
+        Severity,
+        Suppressions,
+        all_rules,
+    )
+
     if args.list_rules:
         for rule in all_rules():
             print(
@@ -727,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument(
         "--level",
         default="strong-timing-aware",
-        choices=[lvl.value for lvl in SecurityLevel],
+        choices=SECURITY_LEVELS,
     )
     p_flow.add_argument("--out-dir", default=None)
     p_flow.add_argument("--seed", type=int, default=0)
@@ -844,7 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "--category",
         action="append",
-        choices=[c.value for c in Category],
+        choices=LINT_CATEGORIES,
         help="restrict to a rule family (repeatable)",
     )
     p_lint.add_argument(

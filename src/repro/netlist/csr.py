@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import weakref
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs import add_counter, span
 from .cache import memoized
@@ -664,7 +664,9 @@ class Wiring:
     view the holder an existing view already filled.  Holders live in
     :data:`_WIRINGS`, keyed by the wiring arrays themselves
     (:func:`_wiring_key`); a slot is filled at most once and never
-    written again.
+    written again.  ``kernels`` maps each gate-type column seen on this
+    wiring to its compiled simulation code (:mod:`repro.sim.compiled`);
+    an entry, once added, is never replaced.
     """
 
     __slots__ = (
@@ -679,6 +681,7 @@ class Wiring:
         "seq_rank",
         "keys_fwd",
         "keys_bwd",
+        "kernels",
         "__weakref__",
     )
 
@@ -696,6 +699,7 @@ class Wiring:
         self.seq_rank: Optional[List[int]] = None
         self.keys_fwd: Optional[Tuple[List[int], List[int]]] = None
         self.keys_bwd: Optional[Tuple[List[int], List[int]]] = None
+        self.kernels: Dict[tuple, Dict[str, Any]] = {}
 
 
 #: Wiring key -> the holder its views share.  A key compares its arrays

@@ -23,6 +23,14 @@ Design points:
   every change to the node set, wiring, outputs or gate types bumps
   (``replace_with_lut`` included).  ``lut_config`` writes bump nothing
   and need not: no configuration is baked into a kernel.
+* **One compile per structure** — the generated code depends only on
+  the wiring and the gate types, so it is stored on the CSR view's
+  shared :class:`~repro.netlist.csr.Wiring` holder, keyed by the
+  gate-type column.  A :class:`CompiledProgram` is a per-netlist binding
+  of its LUT nodes to that code: a copy, a foundry view and an oracle's
+  hybrid of one lock compile each kernel variant once between them
+  (``sim.codegen_compiles``; a kernel found in the store counts
+  ``sim.codegen_shared``).
 * **Bit-identical results** — masking mirrors the interpreter exactly
   (inverting ops are ``x ^ mask``), and the word-parallel LUT fallback is
   the interpreter's own helper, so ``compiled == interpreted`` bit for
@@ -46,17 +54,16 @@ for the batched hypothesis-screening built on top.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..netlist.cache import memoized
-from ..netlist.csr import csr_view
+from ..netlist.csr import CsrView, csr_view
 from ..netlist.gates import GateType
-from ..netlist.graph import combinational_order
 from ..netlist.netlist import Netlist, NetlistError, Node
 from ..obs import add_counter, span
 
-#: Valid kernel variants emitted by :meth:`CompiledProgram._generate`.
-_VARIANTS = ("plain", "override", "configs")
+#: Kernel variant -> the entry point :func:`_generate` emits for it.
+_ENTRIES = {"plain": "_run", "override": "_run_ov", "configs": "_run_cfg"}
 
 #: LUTs up to this fan-in are unrolled inline as a branch-free select
 #: over minterm masks; wider ones call the shared word-parallel helper to
@@ -64,6 +71,14 @@ _VARIANTS = ("plain", "override", "configs")
 _UNROLL_MAX_INPUTS = 3
 
 _EMPTY: Dict[str, int] = {}
+
+
+def check_batch_width(batch_width: int) -> int:
+    """Return *batch_width*; raise :class:`ValueError` when it is below
+    one lane."""
+    if batch_width < 1:
+        raise ValueError(f"batch_width must be at least 1, got {batch_width}")
+    return batch_width
 
 
 def _minterm_expr(row: int, pin_vars: List[str]) -> str:
@@ -196,121 +211,151 @@ class PackedConfigs:
         self.rows_by_index = rows_by_index
 
 
-class CompiledProgram:
-    """One netlist's generated evaluation kernels.
+def _kernel_key(view: CsrView) -> tuple:
+    """What the generated code reads beyond the view's
+    :class:`~repro.netlist.csr.Wiring`: the gate-type column.  The wiring
+    key already fixes names, fan-in, inputs, flip-flops and the
+    evaluation order."""
+    return tuple(view.gate_types)
 
-    Every LUT reads its configuration at call time: ``lut_nodes[i]`` is
-    the *i*-th LUT in topological order, whose ``lut_config`` the plain
-    and override kernels receive as ``_cfg[i]`` and the config-lane
-    kernel as the row words ``_cfgw[i]``.
+
+def _generate(view: CsrView, variant: str) -> str:
+    """Emit one kernel variant for *view*: ``plain`` (scalar configs),
+    ``override`` (net pinning), or ``configs`` (per-lane config words)."""
+    if variant not in _ENTRIES:
+        raise ValueError(f"unknown kernel variant {variant!r}")
+    with_overrides = variant == "override"
+    names, gate_types = view.names, view.gate_types
+    fanin_ptr, fanin_idx = view.fanin_ptr, view.fanin_idx
+    pis = [i for i in range(view.n) if view.is_input[i]]
+    order = view.comb_order()
+    var: Dict[int, str] = {}
+    for k, i in enumerate(pis + view.ff_ids + order):
+        var[i] = f"_v{k}"
+    lines: List[str] = []
+    add = lines.append
+    cfg_arg = "_cfgw" if variant == "configs" else "_cfg"
+    args = f"_in, _st, _m, {cfg_arg}" + (", _ov" if with_overrides else "")
+    add(f"def {_ENTRIES[variant]}({args}):")
+    if pis:
+        add("    try:")
+        for i in pis:
+            add(f"        {var[i]} = _in[{names[i]!r}] & _m")
+        add("    except KeyError as _e:")
+        add(
+            "        raise _err('missing value for primary input '"
+            " + repr(_e.args[0]))"
+        )
+    for i in view.ff_ids:
+        add(f"    {var[i]} = _st.get({names[i]!r}, 0) & _m")
+    if with_overrides:
+        for i in pis + view.ff_ids:
+            add(f"    _t = _ov.get({names[i]!r})")
+            add("    if _t is not None:")
+            add(f"        {var[i]} = _t & _m")
+    n_luts = 0
+    for i in order:
+        target = var[i]
+        pin_vars = [var[j] for j in fanin_idx[fanin_ptr[i] : fanin_ptr[i + 1]]]
+        gate_type = gate_types[i]
+        if gate_type is not GateType.LUT:
+            gate_lines = [f"{target} = {_primitive_expr(gate_type, pin_vars)}"]
+        elif variant == "configs":
+            gate_lines = _config_lane_lut_lines(
+                target, f"_cfgw[{n_luts}]", pin_vars
+            )
+            n_luts += 1
+        else:
+            gate_lines = _scalar_lut_lines(
+                target, f"_cfg[{n_luts}]", names[i], pin_vars
+            )
+            n_luts += 1
+        if with_overrides:
+            add(f"    _t = _ov.get({names[i]!r})")
+            add("    if _t is not None:")
+            add(f"        {target} = _t & _m")
+            add("    else:")
+            for line in gate_lines:
+                add(f"        {line}")
+        else:
+            for line in gate_lines:
+                add(f"    {line}")
+    items = ", ".join(f"{names[i]!r}: {v}" for i, v in var.items())
+    add(f"    return {{{items}}}")
+    return "\n".join(lines) + "\n"
+
+
+def _compile(source: str, entry: str, netlist_name: str):
+    from .logicsim import _eval_lut_word
+
+    namespace: Dict[str, object] = {
+        "_err": NetlistError,
+        "_lut": _eval_lut_word,
+        "_lutrows": _eval_lut_rows_word,
+    }
+    code = compile(source, f"<compiled-sim:{netlist_name}>", "exec")
+    exec(code, namespace)
+    return namespace[entry]
+
+
+class CompiledProgram:
+    """One netlist's binding to the generated kernels of its structure.
+
+    The code lives on the view's :class:`~repro.netlist.csr.Wiring`
+    holder, keyed by the gate-type column (:func:`_kernel_key`), so a
+    copy, a foundry view and an oracle's hybrid of one lock share it;
+    only the LUT nodes are per netlist.  Every LUT reads its
+    configuration at call time: ``lut_nodes[i]`` is the *i*-th LUT in
+    topological order, whose ``lut_config`` the plain and override
+    kernels receive as ``_cfg[i]`` and the config-lane kernel as the row
+    words ``_cfgw[i]``.
     """
 
     def __init__(self, netlist: Netlist):
         view = csr_view(netlist)
-        self._order = combinational_order(netlist)
-        names = view.names
-        self._pis = [names[i] for i in range(view.n) if view.is_input[i]]
-        self._ffs = [names[i] for i in range(view.n) if view.is_seq[i]]
-        self._var: Dict[str, str] = {}
-        for i, name in enumerate(self._pis + self._ffs + self._order):
-            self._var[name] = f"_v{i}"
-        self._nodes = {name: netlist.node(name) for name in self._order}
+        self._view = view
+        self._netlist_name = netlist.name
+        # variant -> (source, compiled entry point), shared by every
+        # program of this structure; a variant is added on first use and
+        # never replaced.
+        self._kernels: Dict[str, Tuple[str, Callable]] = (
+            view.wiring.kernels.setdefault(_kernel_key(view), {})
+        )
+        names, is_lut = view.names, view.is_lut
         self.lut_nodes: List[Node] = [
-            node
-            for node in self._nodes.values()
-            if node.gate_type is GateType.LUT
+            netlist.node(names[i]) for i in view.comb_order() if is_lut[i]
         ]
         self._lut_index: Dict[str, int] = {
             node.name: i for i, node in enumerate(self.lut_nodes)
         }
+        self._fast = self._kernel("plain", luts=len(self.lut_nodes))
+        self._ov_fn: Optional[Callable] = None
+        self._cfg_fn: Optional[Callable] = None
+
+    @property
+    def source(self) -> str:
+        """The generated plain-kernel source (debugging aid)."""
+        return self._kernels["plain"][0]
+
+    def _kernel(self, variant: str, **attrs: object) -> Callable:
+        """The shared *variant* kernel, generated and compiled only when
+        no program of this structure has compiled it yet."""
+        shared = self._kernels.get(variant)
+        if shared is not None:
+            add_counter("sim.codegen_shared")
+            return shared[1]
         with span(
             "sim.codegen",
-            circuit=netlist.name,
-            gates=len(self._order),
-            luts=len(self.lut_nodes),
-            kernel="plain",
+            circuit=self._netlist_name,
+            gates=len(self._view.comb_order()),
+            kernel=variant,
+            **attrs,
         ):
-            self.source = self._generate("plain")
-            self._fast = self._compile(self.source, "_run", netlist.name)
+            source = _generate(self._view, variant)
+            fn = _compile(source, _ENTRIES[variant], self._netlist_name)
+        self._kernels[variant] = (source, fn)
         add_counter("sim.codegen_compiles")
-        self.override_source: Optional[str] = None
-        self._ov_fn = None
-        self.config_source: Optional[str] = None
-        self._cfg_fn = None
-        self._netlist_name = netlist.name
-
-    # ------------------------------------------------------------------
-    # codegen
-    # ------------------------------------------------------------------
-    def _generate(self, variant: str) -> str:
-        """Emit one kernel variant: ``plain`` (scalar configs),
-        ``override`` (net pinning), or ``configs`` (per-lane config words)."""
-        if variant not in _VARIANTS:
-            raise ValueError(f"unknown kernel variant {variant!r}")
-        with_overrides = variant == "override"
-        lines: List[str] = []
-        add = lines.append
-        entry = {"plain": "_run", "override": "_run_ov", "configs": "_run_cfg"}
-        cfg_arg = "_cfgw" if variant == "configs" else "_cfg"
-        args = f"_in, _st, _m, {cfg_arg}" + (", _ov" if with_overrides else "")
-        add(f"def {entry[variant]}({args}):")
-        if self._pis:
-            add("    try:")
-            for pi in self._pis:
-                add(f"        {self._var[pi]} = _in[{pi!r}] & _m")
-            add("    except KeyError as _e:")
-            add(
-                "        raise _err('missing value for primary input '"
-                " + repr(_e.args[0]))"
-            )
-        for ff in self._ffs:
-            add(f"    {self._var[ff]} = _st.get({ff!r}, 0) & _m")
-        if with_overrides:
-            for name in self._pis + self._ffs:
-                add(f"    _t = _ov.get({name!r})")
-                add("    if _t is not None:")
-                add(f"        {self._var[name]} = _t & _m")
-        for name in self._order:
-            gate_lines = self._gate_lines(name, variant)
-            if with_overrides:
-                add(f"    _t = _ov.get({name!r})")
-                add("    if _t is not None:")
-                add(f"        {self._var[name]} = _t & _m")
-                add("    else:")
-                for line in gate_lines:
-                    add(f"        {line}")
-            else:
-                for line in gate_lines:
-                    add(f"    {line}")
-        items = ", ".join(
-            f"{name!r}: {var}" for name, var in self._var.items()
-        )
-        add(f"    return {{{items}}}")
-        return "\n".join(lines) + "\n"
-
-    def _gate_lines(self, name: str, variant: str = "plain") -> List[str]:
-        node = self._nodes[name]
-        target = self._var[name]
-        pin_vars = [self._var[src] for src in node.fanin]
-        if node.gate_type is GateType.LUT:
-            idx = self._lut_index[name]
-            if variant == "configs":
-                return _config_lane_lut_lines(target, f"_cfgw[{idx}]", pin_vars)
-            return _scalar_lut_lines(target, f"_cfg[{idx}]", name, pin_vars)
-        return [f"{target} = {_primitive_expr(node.gate_type, pin_vars)}"]
-
-    @staticmethod
-    def _compile(source: str, entry: str, netlist_name: str):
-        from .logicsim import _eval_lut_word
-
-        namespace: Dict[str, object] = {
-            "_err": NetlistError,
-            "_lut": _eval_lut_word,
-            "_lutrows": _eval_lut_rows_word,
-        }
-        code = compile(source, f"<compiled-sim:{netlist_name}>", "exec")
-        exec(code, namespace)
-        return namespace[entry]
+        return fn
 
     # ------------------------------------------------------------------
     # execution
@@ -327,19 +372,9 @@ class CompiledProgram:
         add_counter("sim.compiled_evaluations")
         if overrides:
             if self._ov_fn is None:
-                with span(
-                    "sim.codegen",
-                    circuit=self._netlist_name,
-                    gates=len(self._order),
-                    override_kernel=True,
-                    kernel="override",
-                    width=width,
-                ):
-                    self.override_source = self._generate("override")
-                    self._ov_fn = self._compile(
-                        self.override_source, "_run_ov", self._netlist_name
-                    )
-                add_counter("sim.codegen_compiles")
+                self._ov_fn = self._kernel(
+                    "override", override_kernel=True, width=width
+                )
             return self._ov_fn(inputs, state or _EMPTY, mask, cfg, overrides)
         return self._fast(inputs, state or _EMPTY, mask, cfg)
 
@@ -420,18 +455,7 @@ class CompiledProgram:
         programmed by ``configs[l]``).
         """
         if self._cfg_fn is None:
-            with span(
-                "sim.codegen",
-                circuit=self._netlist_name,
-                gates=len(self._order),
-                kernel="configs",
-                lanes=packed.lanes,
-            ):
-                self.config_source = self._generate("configs")
-                self._cfg_fn = self._compile(
-                    self.config_source, "_run_cfg", self._netlist_name
-                )
-            add_counter("sim.codegen_compiles")
+            self._cfg_fn = self._kernel("configs", lanes=packed.lanes)
         mask = packed.mask
         in_words = {pi: -(value & 1) & mask for pi, value in inputs.items()}
         state_words = (
@@ -460,11 +484,14 @@ class CompiledProgram:
             width: lanes packed per kernel pass; batches of *width* are
                 evaluated and stitched back together, so results are
                 independent of the chosen width.  ``None`` packs all
-                lanes into a single pass.
+                lanes into a single pass; a width below one lane raises
+                :class:`ValueError`.
         """
         configs = list(configs)
         lanes = len(configs)
-        if width is None or width <= 0 or width >= lanes:
+        if width is not None:
+            check_batch_width(width)
+        if width is None or width >= lanes:
             return self.evaluate_packed(
                 inputs, self.pack_configs(configs), state
             )

@@ -35,7 +35,12 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from ..netlist.netlist import Netlist
 from ..obs import add_counter, span
-from .compiled import CompiledProgram, PackedConfigs, program_for_configs
+from .compiled import (
+    CompiledProgram,
+    PackedConfigs,
+    check_batch_width,
+    program_for_configs,
+)
 
 #: Default number of candidate configurations packed per compiled pass.
 #: 64 keeps the lane words within one machine word on CPython, where
@@ -47,14 +52,6 @@ DEFAULT_BATCH_WIDTH = 64
 Hypothesis = Dict[str, int]
 
 _SENTINEL = object()
-
-
-def check_batch_width(batch_width: int) -> int:
-    """Return *batch_width*; raise :class:`ValueError` when it is below
-    one lane."""
-    if batch_width < 1:
-        raise ValueError(f"batch_width must be at least 1, got {batch_width}")
-    return batch_width
 
 
 def iter_hypotheses(

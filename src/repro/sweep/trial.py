@@ -8,8 +8,12 @@ pays the expensive setup once:
 
 * ``_NETLIST_MEMO`` — each circuit is generated/parsed once per process;
   the netlist instance stays alive, which keeps its memoized structural
-  views (:mod:`repro.netlist.cache`) and compiled simulation kernel
-  (:mod:`repro.sim.compiled`) warm across trials of the same circuit;
+  views (:mod:`repro.netlist.cache`) warm across trials of the same
+  circuit.  Its CSR view is built as it is memoized, so the
+  :class:`~repro.netlist.csr.Wiring` holder all its copies share — with
+  the wiring kernels and the compiled simulation code
+  (:mod:`repro.sim.compiled`) of each lock on it — lives as long as the
+  memo, and a trial compiles only kernels no earlier trial compiled;
 * ``_ANALYZERS`` — the PPA/security analyzers (and their technology
   libraries) are built once per process.
 
@@ -27,6 +31,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from ..netlist import bench_io
+from ..netlist.csr import csr_view
 from ..netlist.netlist import Netlist
 from ..obs import Recorder, Stopwatch, span, use_recorder
 from .cache import RESULT_SCHEMA, netlist_sha
@@ -58,6 +63,7 @@ def load_circuit(circuit: str, gen_seed: int = 2016) -> Netlist:
                     f"{circuit!r} is neither a file nor a known benchmark"
                 )
             netlist = load_benchmark(circuit, seed=gen_seed)
+        csr_view(netlist)
         _NETLIST_MEMO[memo_key] = netlist
     return netlist
 

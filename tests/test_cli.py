@@ -206,6 +206,42 @@ class TestLintCommand:
             main(["lock", str(broken)])
         assert "NL101" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "attack"])
+    def test_two_netlist_commands_run_the_preflight(
+        self, command, tmp_path, capsys
+    ):
+        broken = tmp_path / "broken.bench"
+        broken.write_text("INPUT(a)\nOUTPUT(y)\ny = AND(a, ghost)\n")
+        with pytest.raises(SystemExit):
+            main([command, str(broken), str(broken)])
+        assert "NL101" in capsys.readouterr().err
+
+    def test_parser_choices_match_the_enums(self):
+        """The parser spells out the ``--category``/``--level`` choices so
+        building it loads neither the lint engine nor the flow."""
+        import argparse
+
+        from repro.cli import LINT_CATEGORIES, SECURITY_LEVELS, build_parser
+        from repro.lint import Category, Severity
+        from repro.locking import SecurityLevel
+
+        assert LINT_CATEGORIES == tuple(c.value for c in Category)
+        assert SECURITY_LEVELS == tuple(lvl.value for lvl in SecurityLevel)
+        (sub,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        choices = {
+            (command, action.dest): tuple(action.choices)
+            for command in ("lint", "flow")
+            for action in sub.choices[command]._actions
+            if action.choices is not None
+        }
+        assert choices[("lint", "category")] == LINT_CATEGORIES
+        assert choices[("lint", "fail_on")] == tuple(s.value for s in Severity)
+        assert choices[("flow", "level")] == SECURITY_LEVELS
+
 
 class TestReport:
     def test_report_lists_benches(self, capsys):

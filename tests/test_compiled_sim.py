@@ -223,6 +223,10 @@ class TestOneStalenessRule:
         nor compile anything, and the plain, override and config-lane
         kernels all read the new configurations."""
         rng = random.Random(11)
+        # Kernels are shared per structure for the whole process: a probe
+        # net no other test adds makes this structure compile cold.
+        s27.add_gate("staleness_probe", GateType.NOT, [s27.inputs[0]])
+        s27.add_output("staleness_probe")
         replace_gates_with_luts(s27, _lockable_gates(s27)[:3], program=True)
         luts = sorted(s27.luts)
         interpreted = CombinationalSimulator(s27, backend="interpreted")
@@ -282,6 +286,51 @@ class TestOneStalenessRule:
         assert "compiled" in cached_keys(s27)
         s27.add_gate("extra", GateType.NOT, [s27.inputs[0]])
         assert "compiled" not in cached_keys(s27)
+
+
+class TestSharedKernels:
+    """Compiled code is shared by every view of one structure (wiring
+    plus gate types) and by nothing else."""
+
+    def test_second_trial_on_the_same_lock_compiles_nothing(self):
+        from repro.sweep.spec import Trial
+        from repro.sweep.trial import run_trial
+
+        rows = [
+            run_trial(Trial("s27", "independent", 3, attack=attack, analyses=()))
+            for attack in ("brute", "ml")
+        ]
+        assert [row["status"] for row in rows] == ["ok", "ok"]
+        counters = rows[1]["timing"]["obs"]["counters"]
+        assert counters.get("sim.codegen_compiles", 0) == 0
+        assert counters["sim.codegen_shared"] >= 2
+
+    def test_copy_shares_and_hybrid_does_not(self, s27):
+        from repro.netlist.csr import csr_view
+
+        copy = s27.copy("s27_copy")
+        hybrid = s27.copy("s27_hybrid")
+        replace_gates_with_luts(
+            hybrid, _lockable_gates(hybrid)[-2:], program=True
+        )
+        assert csr_view(hybrid).wiring is csr_view(s27).wiring
+        original = get_program(s27)
+        assert get_program(copy)._fast is original._fast
+        locked = get_program(hybrid)
+        assert locked._fast is not original._fast
+        assert locked.source != original.source
+        rng = random.Random(5)
+        for netlist in (s27, hybrid, s27, hybrid):
+            for lut in netlist.luts:
+                node = netlist.node(lut)
+                node.lut_config = rng.getrandbits(1 << node.n_inputs)
+            inputs = {pi: rng.getrandbits(64) for pi in netlist.inputs}
+            state = {ff: rng.getrandbits(64) for ff in netlist.flip_flops}
+            assert CombinationalSimulator(netlist).evaluate(
+                inputs, state, 64
+            ) == CombinationalSimulator(
+                netlist, backend="interpreted"
+            ).evaluate(inputs, state, 64)
 
 
 class TestSequentialParity:

@@ -57,21 +57,43 @@ PACKAGES = (
 )
 
 
-def test_trial_packages_leave_off_path_modules_unloaded():
-    script = (
-        "import importlib, json, sys\n"
-        f"for name in {TRIAL_PACKAGES!r}:\n"
-        "    importlib.import_module(name)\n"
-        f"print(json.dumps([m for m in {OFF_PATH!r} if m in sys.modules]))\n"
-    )
+def _loaded_after(script: str, modules) -> list:
+    """The *modules* found in ``sys.modules`` after *script* runs in a
+    fresh interpreter."""
     done = subprocess.run(
-        [sys.executable, "-c", script],
+        [
+            sys.executable,
+            "-c",
+            f"{script}\nimport json, sys\n"
+            f"print(json.dumps([m for m in {tuple(modules)!r} "
+            "if m in sys.modules]))\n",
+        ],
         env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1"),
         capture_output=True,
         text=True,
         check=True,
     )
-    assert json.loads(done.stdout) == []
+    return json.loads(done.stdout)
+
+
+def test_trial_packages_leave_off_path_modules_unloaded():
+    script = (
+        "import importlib\n"
+        f"for name in {TRIAL_PACKAGES!r}:\n"
+        "    importlib.import_module(name)\n"
+    )
+    assert _loaded_after(script, OFF_PATH) == []
+
+
+def test_cli_leaves_lint_engine_and_flow_unloaded():
+    """``repro-lock sweep`` and ``sweep-worker`` build the whole parser;
+    the lint engine and the Fig. 2 flow load only in the commands that
+    run them."""
+    deferred = ("repro.lint", "repro.locking.flow")
+    assert _loaded_after("import repro.cli", deferred) == []
+    assert _loaded_after(
+        "from repro.cli import build_parser; build_parser()", deferred
+    ) == []
 
 
 @pytest.mark.parametrize("package", PACKAGES)

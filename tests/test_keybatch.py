@@ -23,6 +23,7 @@ from repro.check.checks_keybatch import (
 )
 from repro.lut import HybridMapper
 from repro.netlist import NetlistError
+from repro.netlist.gates import GateType
 from repro.netlist.netlist import Node
 from repro.obs import Recorder, use_recorder
 from repro.sim import (
@@ -109,6 +110,18 @@ class TestEvaluateConfigs:
             evaluate_configs(foundry, pattern, [{"nope": 1}])
         with pytest.raises(NetlistError, match="only sweep LUT"):
             evaluate_configs(foundry, pattern, [{foundry.inputs[0]: 1}])
+        # widths below one lane are rejected like keybatch's batch_width;
+        # None still means one pass over every lane
+        for width in (0, -3):
+            with pytest.raises(ValueError, match="at least 1"):
+                evaluate_configs(foundry, pattern, [{"G8": 1}], width=width)
+            with pytest.raises(ValueError, match="at least 1"):
+                get_program(foundry).evaluate_configs(
+                    pattern, [{"G8": 1}], width=width
+                )
+        assert evaluate_configs(
+            foundry, pattern, [{"G8": 1}], width=None
+        ) == evaluate_configs(foundry, pattern, [{"G8": 1}], width=1)
         # an unprogrammed LUT must be covered by every lane
         with pytest.raises(NetlistError, match="unprogrammed"):
             program = get_program(foundry)
@@ -309,18 +322,26 @@ class TestCodegenSpanAttrs:
     """Satellite: `sim.codegen` spans must carry kernel/width/lanes attrs
     so traces can tell pattern-packed from key-packed compiles apart."""
 
+    @staticmethod
+    def _drive(program, foundry):
+        pattern = {pi: 0 for pi in foundry.inputs}
+        foundry.node("G8").lut_config = 0b1000
+        program.evaluate(pattern, width=4, overrides={"G8": 0})
+        foundry.node("G8").lut_config = None
+        program.evaluate_configs(
+            pattern, [{"G8": c} for c in candidate_configs(2)]
+        )
+
     def test_plain_override_and_config_kernels_are_distinguishable(self, s27):
-        hybrid, foundry, _ = lock(s27, ["G8"], seed=1)
+        # Kernels are shared per structure for the whole process: a probe
+        # net no other test adds makes this structure compile cold.
+        probe = s27.copy("s27_codegen_probe")
+        probe.add_gate("codegen_probe", GateType.NOT, [probe.inputs[0]])
+        probe.add_output("codegen_probe")
+        _, foundry, _ = lock(probe, ["G8"], seed=1)
         rec = Recorder()
         with use_recorder(rec):
-            program = CompiledProgram(foundry)
-            pattern = {pi: 0 for pi in foundry.inputs}
-            foundry.node("G8").lut_config = 0b1000
-            program.evaluate(pattern, width=4, overrides={"G8": 0})
-            foundry.node("G8").lut_config = None
-            program.evaluate_configs(
-                pattern, [{"G8": c} for c in candidate_configs(2)]
-            )
+            self._drive(CompiledProgram(foundry), foundry)
         kernels = [
             s.attrs.get("kernel")
             for s in rec.find("sim.codegen")
@@ -331,3 +352,14 @@ class TestCodegenSpanAttrs:
         assert by_kernel["configs"].attrs["lanes"] == 6
         assert rec.counters["sim.codegen_compiles"] == 3
         assert rec.counters["sim.compiled_config_evaluations"] == 1
+        assert "sim.codegen_shared" not in rec.counters
+
+        # A second view of the same structure compiles nothing: each
+        # variant is found in the store once.
+        twin = foundry.copy("s27_codegen_probe_twin")
+        rec = Recorder()
+        with use_recorder(rec):
+            self._drive(CompiledProgram(twin), twin)
+        assert rec.find("sim.codegen") == []
+        assert "sim.codegen_compiles" not in rec.counters
+        assert rec.counters["sim.codegen_shared"] == 3

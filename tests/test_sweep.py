@@ -520,9 +520,17 @@ def test_parallel_traced_run_merges_worker_spans(tmp_path):
     for trial_span in trial_spans:
         child_names = [c.name for c in recorder.children(trial_span.index)]
         assert "trial.lock" in child_names
-    # Counters from both workers sum into the parent recorder.
+    # Counters from both workers sum into the parent recorder.  Every
+    # trial builds CSR views (its hybrid's at least); compiled kernels
+    # may all come warm from a forked worker's store, so codegen counts
+    # would depend on which tests ran before.
     assert recorder.counters.get("oracle.test_clocks", 0) > 0
-    assert recorder.counters.get("sim.codegen_compiles", 0) >= 2
+    builds = [
+        row["timing"]["obs"]["counters"].get("netlist.csr.builds", 0)
+        for row in result.rows
+    ]
+    assert all(count >= 1 for count in builds)
+    assert recorder.counters.get("netlist.csr.builds", 0) >= sum(builds)
     assert recorder.gauges["sweep.wall_seconds"] == pytest.approx(
         result.stats.wall_seconds
     )
