@@ -1,10 +1,12 @@
-"""Simulation throughput: compiled kernels vs the interpreter.
+"""Simulation throughput: compiled kernels vs the per-gate reference.
 
 Every attack in the package is simulation-bound — the brute-force sweep,
 the testing-based justification search, and the ML hypothesis scoring all
 sit in a loop around ``CombinationalSimulator.evaluate``.  This bench
-measures patterns/second for both backends across the ISCAS'89 suite and
-writes ``BENCH_sim.json`` so the speedup is tracked over time.
+measures patterns/second for the compiled program and for
+``reference_evaluate`` (recorded under its old ``interpreted`` key)
+across the ISCAS'89 suite and writes ``BENCH_sim.json`` so the speedup is
+tracked over time.
 
 Two workloads per circuit:
 
@@ -26,6 +28,7 @@ import os
 import random
 import sys
 import time
+from functools import partial
 from pathlib import Path
 from typing import Dict
 
@@ -34,29 +37,34 @@ import pytest
 from repro.circuits import benchmark_suite
 from repro.netlist import GateType, Netlist
 from repro.netlist.transform import replace_gates_with_luts
-from repro.sim import CombinationalSimulator
+from repro.sim import CombinationalSimulator, reference_evaluate
 
 pytestmark = pytest.mark.bench
 
-#: Minimum speedup the compiled backend must deliver on the attack-shaped
+#: Minimum speedup the compiled kernels must deliver on the attack-shaped
 #: workload (the ISSUE target); the word-parallel shape must at least not
 #: regress below the same bar on the suite geomean.
 TARGET_SPEEDUP = 5.0
 
 _RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
 
-#: Wall-clock budget per (circuit, backend, workload) measurement.
+#: Wall-clock budget per (circuit, engine, workload) measurement.
 _BUDGET_S = 0.4
 
+#: Engine name (as recorded in ``BENCH_sim.json``) -> netlist -> evaluate.
+_ENGINES = {
+    "interpreted": lambda netlist: partial(reference_evaluate, netlist),
+    "compiled": lambda netlist: CombinationalSimulator(netlist).evaluate,
+}
 
-def _time_patterns(sim_factory, inputs, state, width) -> float:
+
+def _time_patterns(evaluate_factory, inputs, state, width) -> float:
     """Patterns/second for repeated evaluate calls within the budget."""
-    sim = sim_factory()
-    sim.evaluate(inputs, state, width)  # warm-up: compile + prime caches
+    evaluate_factory()(inputs, state, width)  # warm-up: compile + prime caches
     iterations = 0
     start = time.perf_counter()
     while time.perf_counter() - start < _BUDGET_S:
-        sim_factory().evaluate(inputs, state, width)
+        evaluate_factory()(inputs, state, width)
         iterations += 1
     elapsed = time.perf_counter() - start
     return width * iterations / elapsed
@@ -102,10 +110,10 @@ def test_sim_throughput():
         width = 64
         inputs = {pi: rng.getrandbits(width) for pi in netlist.inputs}
         state = {ff: rng.getrandbits(width) for ff in netlist.flip_flops}
-        for backend in ("interpreted", "compiled"):
-            sim = CombinationalSimulator(netlist, backend=backend)
-            entry[f"word_{backend}_pps"] = _time_patterns(
-                lambda sim=sim: sim, inputs, state, width
+        for engine, make in _ENGINES.items():
+            evaluate = make(netlist)
+            entry[f"word_{engine}_pps"] = _time_patterns(
+                lambda evaluate=evaluate: evaluate, inputs, state, width
             )
         entry["word_speedup"] = (
             entry["word_compiled_pps"] / entry["word_interpreted_pps"]
@@ -115,14 +123,9 @@ def test_sim_throughput():
         # testing-attack justification idiom — exercises the program cache).
         inputs1 = {pi: rng.getrandbits(1) for pi in netlist.inputs}
         state1 = {ff: rng.getrandbits(1) for ff in netlist.flip_flops}
-        for backend in ("interpreted", "compiled"):
-            entry[f"attack_{backend}_pps"] = _time_patterns(
-                lambda netlist=netlist, backend=backend: CombinationalSimulator(
-                    netlist, backend=backend
-                ),
-                inputs1,
-                state1,
-                1,
+        for engine, make in _ENGINES.items():
+            entry[f"attack_{engine}_pps"] = _time_patterns(
+                partial(make, netlist), inputs1, state1, 1
             )
         entry["attack_speedup"] = (
             entry["attack_compiled_pps"] / entry["attack_interpreted_pps"]

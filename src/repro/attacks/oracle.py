@@ -53,12 +53,7 @@ class ConfiguredOracle:
     memo.
     """
 
-    def __init__(
-        self,
-        programmed: Netlist,
-        scan: bool = True,
-        backend: Optional[str] = None,
-    ):
+    def __init__(self, programmed: Netlist, scan: bool = True):
         for name in programmed.luts:
             if programmed.node(name).lut_config is None:
                 raise NetlistError(
@@ -72,7 +67,7 @@ class ConfiguredOracle:
         self.sim_evaluations = 0
         self.cache_hits = 0
         self._depth = max(sequential_depth(programmed), 1)
-        self._comb = CombinationalSimulator(programmed, backend=backend)
+        self._comb = CombinationalSimulator(programmed)
         self._memo: Dict[tuple, Dict[str, int]] = {}
         self._lut_nodes = [programmed.node(name) for name in programmed.luts]
         self._lut_revision = programmed.structure_revision

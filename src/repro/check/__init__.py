@@ -1,7 +1,7 @@
 """Differential verification: cross-check every redundant pair in the stack.
 
 The reproduction deliberately keeps redundant implementations of its core
-facts — compiled vs interpreted simulation, SAT equivalence vs exhaustive
+facts — compiled vs reference simulation, SAT equivalence vs exhaustive
 simulation, serial vs parallel vs cached sweep rows, attack-reported costs
 vs an external re-count, transformed netlists vs their originals.  This
 package confronts each pair on randomized inputs:

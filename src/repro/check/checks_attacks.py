@@ -15,10 +15,12 @@ cross-checked against independent computations:
 
 The testing attack's three-valued implication
 (:class:`~repro.sim.justify.Implication`) is raced against the dual-rail
-:class:`~repro.dataflow.TernaryPropagator`, an independent implementation
-of the same Kleene semantics, before and after ``lut_config`` writes
-(which bump no revision, so a schedule that folded configs would go
-stale).
+:class:`~repro.dataflow.TernaryPropagator`, the reference interpreter of
+the Kleene lattice both run on.  The implication is the lattice's
+specialisation — a memoized CSR schedule with inline controlled-value,
+NOT and BUF steps — and must agree with the reference before and after
+``lut_config`` writes (which bump no revision, so a schedule that folded
+configs would go stale).
 
 The circuits are locked with a small hand-placed LUT set (not a full
 selection algorithm) so the brute-force hypothesis space stays tiny and
@@ -209,10 +211,6 @@ def attack_oracle_equivalence(ctx: CheckContext) -> None:
                     attack=attack_name,
                     survivors=len(outcome.survivors),
                 )
-
-
-def _lut_names(netlist: Netlist) -> List[str]:
-    return sorted(netlist.luts)
 
 
 def _ternary_values(

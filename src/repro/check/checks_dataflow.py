@@ -15,7 +15,8 @@ independent ground truth to check against:
 
 The first two replay the same machinery ``repro-lock audit`` uses
 (:func:`repro.dataflow.verify_report`); the third drives the propagator
-directly against the interpreted simulator.
+directly against the reference simulator
+(:func:`~repro.sim.logicsim.reference_evaluate`).
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def dataflow_dontcare_sat(ctx: CheckContext) -> None:
 def dataflow_ternary_soundness(ctx: CheckContext) -> None:
     from ..dataflow import TernaryPropagator, TernaryWord
     from ..lut.mapping import HybridMapper
-    from ..sim.logicsim import CombinationalSimulator
+    from ..sim.logicsim import reference_evaluate
 
     rng = ctx.rng
     for round_no in range(ctx.trials):
@@ -192,9 +193,7 @@ def dataflow_ternary_soundness(ctx: CheckContext) -> None:
             node = completed.node(name)
             if node.lut_config is None:
                 node.lut_config = rng.randrange(1 << (1 << node.n_inputs))
-        sim = CombinationalSimulator(completed).evaluate(
-            concrete_in, state=concrete_state, width=1
-        )
+        sim = reference_evaluate(completed, concrete_in, concrete_state)
 
         violations = [
             net

@@ -3,8 +3,8 @@
 The config-lane axis (:mod:`repro.sim.keybatch`) is the only path by
 which the attacks score keys.  Every check here races it against one
 independent reference, :func:`reference_values`: the key programmed into
-a copy of the netlist and simulated one pattern per call on the
-interpreted backend.
+a copy of the netlist and simulated one pattern per call by
+:func:`~repro.sim.logicsim.reference_evaluate`.
 
 * ``keybatch-lane-parity`` — raw simulation: every lane of a
   config-lane ``evaluate_configs`` pass must equal the reference, for
@@ -34,7 +34,7 @@ from ..lut.mapping import HybridMapper
 from ..netlist.netlist import Netlist
 from ..sim import keybatch
 from ..sim.compiled import evaluate_configs
-from ..sim.logicsim import CombinationalSimulator
+from ..sim.logicsim import reference_evaluate
 from .checks_attacks import _lock_small
 from .core import CheckContext, register
 
@@ -48,15 +48,15 @@ def reference_values(
     startpoint pattern (a net the pattern omits reads 0).
 
     The key is written into a copy, never into *netlist*, and the copy is
-    simulated one pattern per call on the interpreted backend: no config
-    lanes, no compiled kernel.
+    simulated one pattern per call by :func:`reference_evaluate`: no
+    config lanes, no compiled kernel.
     """
     programmed = netlist.copy(f"{netlist.name}_ref")
     for name, config in key.items():
         programmed.node(name).lut_config = config
-    sim = CombinationalSimulator(programmed, backend="interpreted")
     return [
-        sim.evaluate(
+        reference_evaluate(
+            programmed,
             {pi: pattern.get(pi, 0) & 1 for pi in netlist.inputs},
             {ff: pattern.get(ff, 0) & 1 for ff in netlist.flip_flops},
             1,
@@ -122,7 +122,7 @@ def _random_configs(
     name="keybatch-lane-parity",
     family="keybatch",
     description="every lane of a config-lane evaluate_configs pass equals "
-    "the per-key interpreted reference",
+    "the per-key reference simulation",
     trial_divisor=2,
 )
 def keybatch_lane_parity(ctx: CheckContext) -> None:
@@ -157,8 +157,8 @@ SCORE_WIDTHS = (1, 3, 64, 65, 130)
 @register(
     name="keybatch-score-parity",
     family="keybatch",
-    description="score_keys match counts equal per-key interpreted "
-    "reference counts at widths 1/3/64/65/130",
+    description="score_keys match counts equal per-key reference "
+    "simulation counts at widths 1/3/64/65/130",
     trial_divisor=4,
 )
 def keybatch_score_parity(ctx: CheckContext) -> None:

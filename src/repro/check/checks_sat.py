@@ -24,7 +24,7 @@ from ..netlist.gates import GateType
 from ..netlist.netlist import Netlist
 from ..netlist.transform import extract_cone, replace_gates_with_luts
 from ..sat.equivalence import check_equivalence
-from ..sim.logicsim import CombinationalSimulator, exhaustive_input_words
+from ..sim.logicsim import exhaustive_input_words, reference_evaluate
 from .core import CheckContext, register
 
 #: One recorded SAT-attack round: (DI pattern, oracle response).
@@ -84,12 +84,8 @@ def _exhaustively_equal(left: Netlist, right: Netlist) -> Tuple[bool, dict, dict
     """Ground truth by brute force: every input pattern in one word."""
     words = exhaustive_input_words(left)
     width = 1 << len(left.inputs)
-    a = CombinationalSimulator(left, backend="interpreted").evaluate(
-        words, width=width
-    )
-    b = CombinationalSimulator(right, backend="interpreted").evaluate(
-        words, width=width
-    )
+    a = reference_evaluate(left, words, width=width)
+    b = reference_evaluate(right, words, width=width)
     left_obs = {po: a[po] for po in left.outputs}
     right_obs = {po: b[po] for po in right.outputs}
     return left_obs == right_obs, left_obs, right_obs
@@ -134,12 +130,8 @@ def sat_vs_exhaustive(ctx: CheckContext) -> None:
         )
         if not verdict.equivalent and verdict.counterexample is not None:
             cex = verdict.counterexample
-            a = CombinationalSimulator(left, backend="interpreted").evaluate(
-                cex, width=1
-            )
-            b = CombinationalSimulator(right, backend="interpreted").evaluate(
-                cex, width=1
-            )
+            a = reference_evaluate(left, cex)
+            b = reference_evaluate(right, cex)
             ctx.require(
                 "counterexample distinguishes the designs",
                 any(a[po] != b[po] for po in left.outputs),
@@ -157,7 +149,7 @@ def consistent_keys(
     responses, by enumeration.
 
     Each key is programmed into a copy of the foundry view, and all DI
-    patterns are simulated in one word on the interpreted backend.  Keys
+    patterns are simulated in one word by :func:`reference_evaluate`.  Keys
     come out in lexicographic order of their bits taken in sorted
     ``(lut, row)`` order, 0 before 1, so the first one is the lex-min key.
     Only for tiny locks: the loop visits ``2 ** (total LUT rows)`` keys.
@@ -183,7 +175,6 @@ def consistent_keys(
     }
     points = di_constraints[0][1] if di_constraints else {}
     expected = {pt: word(r[pt] for _, r in di_constraints) for pt in points}
-    sim = CombinationalSimulator(candidate, backend="interpreted")
     found: List[Dict[str, int]] = []
     for code in range(1 << len(bits)):
         key = dict.fromkeys(candidate.luts, 0)
@@ -192,7 +183,7 @@ def consistent_keys(
                 key[lut] |= 1 << row
         for lut, config in key.items():
             candidate.node(lut).lut_config = config
-        values = sim.evaluate(inputs, state, width)
+        values = reference_evaluate(candidate, inputs, state, width)
         if all(values[pt] == w for pt, w in expected.items()):
             found.append(key)
     return found

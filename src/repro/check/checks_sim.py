@@ -1,14 +1,15 @@
-"""Simulation-backend differential checks.
+"""Compiled-kernel vs reference-simulation differential checks.
 
-The compiled backend (:mod:`repro.sim.compiled`) promises bit-identical
-results to the interpreted reference under every usage pattern the attacks
-exercise: programmed and unprogrammed LUTs, decoy-widened LUTs, override
+The compiled kernels (:mod:`repro.sim.compiled`) promise bit-identical
+results to :func:`~repro.sim.logicsim.reference_evaluate`, the per-gate
+walk, under every usage pattern the attacks exercise: programmed and
+unprogrammed LUTs, decoy-widened LUTs, override
 dictionaries, mid-stream ``lut_config`` rewrites (which bump no revision,
 so a program memoized before the rewrite must read the new configs),
 views of equal wiring and different gate types in one process (whose
 compiled code must not be shared), and multi-cycle sequential stepping.
-These checks drive both backends with identical randomized stimulus and
-compare the full output dictionaries.
+These checks drive both with identical randomized stimulus and compare
+the full output dictionaries.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import List
 from ..netlist.gates import GateType
 from ..netlist.netlist import Netlist
 from ..netlist.transform import replace_gates_with_luts, widen_lut_with_decoys
-from ..sim.logicsim import CombinationalSimulator
+from ..sim.logicsim import CombinationalSimulator, reference_evaluate
 from ..sim.seqsim import SequentialSimulator
 from .core import CheckContext, register
 
@@ -57,7 +58,7 @@ def _random_stimulus(netlist: Netlist, rng: random.Random, width: int):
 @register(
     name="sim-backend-parity",
     family="sim",
-    description="compiled vs interpreted combinational outputs on random "
+    description="compiled vs reference combinational outputs on random "
     "vectors, programmed/widened LUTs, mid-stream config rewrites read by "
     "the memoized program, and a twin of equal wiring and other gate "
     "types simulated in the same process",
@@ -72,14 +73,7 @@ def sim_backend_parity(ctx: CheckContext) -> None:
     twin = netlist.copy(f"{netlist.name}_twin")
     for lut in luts:
         twin.set_gate_type(lut, GateType.XOR)
-    pairs = [
-        (
-            view,
-            CombinationalSimulator(view, backend="interpreted"),
-            CombinationalSimulator(view, backend="compiled"),
-        )
-        for view in (twin, netlist)
-    ]
+    views = [(view, CombinationalSimulator(view)) for view in (twin, netlist)]
     for trial in range(ctx.trials):
         if luts and trial % 4 == 3:
             # Rewrite a configuration between evaluations: the memoized
@@ -88,11 +82,11 @@ def sim_backend_parity(ctx: CheckContext) -> None:
             node.lut_config = rng.getrandbits(1 << node.n_inputs)
         width = rng.choice(_WIDTHS)
         inputs, state = _random_stimulus(netlist, rng, width)
-        for view, interpreted, compiled in pairs:
-            expected = interpreted.evaluate(inputs, state, width)
+        for view, compiled in views:
+            expected = reference_evaluate(view, inputs, state, width)
             actual = compiled.evaluate(inputs, state, width)
             ctx.compare(
-                "combinational outputs (compiled vs interpreted)",
+                "combinational outputs (compiled vs reference)",
                 actual,
                 expected,
                 trial=trial,
@@ -104,7 +98,7 @@ def sim_backend_parity(ctx: CheckContext) -> None:
 @register(
     name="sim-override-parity",
     family="sim",
-    description="compiled vs interpreted with override dictionaries "
+    description="compiled vs reference with override dictionaries "
     "(fault-injection / hypothesis pinning), including config rewrites "
     "after the override kernel is compiled",
 )
@@ -115,8 +109,7 @@ def sim_override_parity(ctx: CheckContext) -> None:
     overridable = luts + rng.sample(
         netlist.gates, min(4, len(netlist.gates))
     )
-    interpreted = CombinationalSimulator(netlist, backend="interpreted")
-    compiled = CombinationalSimulator(netlist, backend="compiled")
+    compiled = CombinationalSimulator(netlist)
     for trial in range(ctx.trials):
         if luts and trial % 3 == 2:
             # The lazily compiled override kernel must track live configs.
@@ -126,12 +119,12 @@ def sim_override_parity(ctx: CheckContext) -> None:
         inputs, state = _random_stimulus(netlist, rng, width)
         chosen = rng.sample(overridable, rng.randint(1, len(overridable)))
         overrides = {name: rng.getrandbits(width) for name in chosen}
-        expected = interpreted.evaluate(
-            inputs, state, width, overrides=overrides
+        expected = reference_evaluate(
+            netlist, inputs, state, width, overrides=overrides
         )
         actual = compiled.evaluate(inputs, state, width, overrides=overrides)
         ctx.compare(
-            "overridden outputs (compiled vs interpreted)",
+            "overridden outputs (compiled vs reference)",
             actual,
             expected,
             trial=trial,
@@ -143,31 +136,34 @@ def sim_override_parity(ctx: CheckContext) -> None:
 @register(
     name="sim-sequential-parity",
     family="sim",
-    description="multi-cycle sequential traces: compiled vs interpreted "
-    "stepping must agree on outputs and register state every cycle",
+    description="multi-cycle sequential traces: compiled stepping vs the "
+    "reference with its own latched state must agree on outputs and "
+    "register state every cycle",
 )
 def sim_sequential_parity(ctx: CheckContext) -> None:
     netlist = ctx.netlist()
     rng = ctx.rng
     _lock_some(netlist, rng, n=2)
     width = 16
-    interpreted = SequentialSimulator(netlist, width=width, backend="interpreted")
-    compiled = SequentialSimulator(netlist, width=width, backend="compiled")
+    compiled = SequentialSimulator(netlist, width=width)
+    state = {ff: 0 for ff in netlist.flip_flops}
+    d_pins = {ff: netlist.node(ff).fanin[0] for ff in netlist.flip_flops}
     for cycle in range(ctx.trials):
         inputs = {pi: rng.getrandbits(width) for pi in netlist.inputs}
-        expected = interpreted.step(inputs)
+        expected = reference_evaluate(netlist, inputs, state, width)
+        state = {ff: expected[d] for ff, d in d_pins.items()}
         actual = compiled.step(inputs)
         if not ctx.compare(
-            "sequential step outputs (compiled vs interpreted)",
+            "sequential step outputs (compiled vs reference)",
             actual,
             expected,
             cycle=cycle,
         ):
             return  # states have forked; later cycles add no information
         if not ctx.compare(
-            "sequential register state (compiled vs interpreted)",
+            "sequential register state (compiled vs reference)",
             compiled.state,
-            interpreted.state,
+            state,
             cycle=cycle,
         ):
             return

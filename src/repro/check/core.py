@@ -1,7 +1,7 @@
 """Differential-check core: registry, context, runner, and report.
 
 A *check* pits two independent computations of the same fact against each
-other on randomized inputs — compiled vs interpreted simulation, a SAT
+other on randomized inputs — compiled vs reference simulation, a SAT
 verdict vs exhaustive simulation, a parallel sweep vs a serial one, an
 attack's reported bill vs an external re-count.  The redundancy is the
 oracle: when the implementations agree the fact is (probabilistically)

@@ -22,22 +22,56 @@ Every claim stronger than ``opaque`` is designed to be *checkable*:
 provisioned ground truth and SAT-proves claimed don't-care rows
 redundant, and the ``dataflow`` family in :mod:`repro.check` keeps the
 analyzer honest continuously.  See ``docs/DATAFLOW.md``.
+
+:mod:`repro.dataflow.lattice` is also the three-valued spec the testing
+attack's implication (:mod:`repro.sim.justify`) runs on, so every
+submodule loads on first use: a trial that imports the lattice does not
+load the audit engine.
 """
 
-from .cones import KeyCone, closure_gaps, cone_signature, extract_key_cone
-from .engine import (
-    AuditConfig,
-    AuditReport,
-    KeyBitReport,
-    KeyLeakAnalyzer,
-    LutAudit,
-    Verdict,
-    Witness,
-    audit_netlist,
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .absint import TernaryPropagator, structural_constants
+    from .cones import KeyCone, closure_gaps, cone_signature, extract_key_cone
+    from .engine import (
+        AuditConfig,
+        AuditReport,
+        KeyBitReport,
+        KeyLeakAnalyzer,
+        LutAudit,
+        Verdict,
+        Witness,
+        audit_netlist,
+    )
+    from .lattice import TernaryWord
+    from .verify import BitVerification, VerificationReport, verify_report
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "TernaryPropagator": ".absint",
+        "structural_constants": ".absint",
+        "KeyCone": ".cones",
+        "closure_gaps": ".cones",
+        "cone_signature": ".cones",
+        "extract_key_cone": ".cones",
+        "AuditConfig": ".engine",
+        "AuditReport": ".engine",
+        "KeyBitReport": ".engine",
+        "KeyLeakAnalyzer": ".engine",
+        "LutAudit": ".engine",
+        "Verdict": ".engine",
+        "Witness": ".engine",
+        "audit_netlist": ".engine",
+        "TernaryWord": ".lattice",
+        "BitVerification": ".verify",
+        "VerificationReport": ".verify",
+        "verify_report": ".verify",
+    },
 )
-from .absint import TernaryPropagator, structural_constants
-from .lattice import TernaryWord
-from .verify import BitVerification, VerificationReport, verify_report
 
 __all__ = [
     "AuditConfig",

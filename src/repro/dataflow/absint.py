@@ -16,7 +16,7 @@ unreachable (don't-care key bits).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from ..netlist.gates import GateType
 from ..netlist.graph import combinational_order
@@ -28,14 +28,13 @@ from .lattice import TernaryWord, eval_gate3, eval_lut3, unknown_lut3
 class TernaryPropagator:
     """Forward abstract interpretation of one netlist's combinational part.
 
-    The evaluation order is snapshotted at construction (like the
-    interpreted simulator); build a fresh propagator after structural
-    edits.
+    The reference interpreter of the lattice: each :meth:`propagate` call
+    reads the evaluation order from :func:`combinational_order`, so a
+    propagator built before a structural edit agrees with a fresh one.
     """
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        self._order: List[str] = combinational_order(netlist)
 
     def propagate(
         self,
@@ -66,7 +65,7 @@ class TernaryPropagator:
         for name, forced in overrides.items():
             if name in values:
                 values[name] = forced
-        for name in self._order:
+        for name in combinational_order(self.netlist):
             if name in overrides:
                 values[name] = overrides[name]
                 continue

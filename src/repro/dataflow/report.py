@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+from ..reporting.sarif import sarif_log
 from .engine import AuditReport, KeyBitReport, LutAudit, Verdict
 
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 TOOL_NAME = "repro-audit"
 
 #: SARIF rule catalogue: one rule per reportable verdict class.
@@ -161,8 +160,6 @@ def _sarif_result(
 
 
 def to_sarif_dict(report: AuditReport) -> dict:
-    from .. import __version__
-
     reportable = [
         (audit, bit)
         for audit in report.luts
@@ -174,25 +171,9 @@ def to_sarif_dict(report: AuditReport) -> dict:
         rule for rule in AUDIT_RULES if rule["id"] in referenced
     ]
     rule_index = {rule["id"]: i for i, rule in enumerate(rules)}
-    return {
-        "$schema": SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": TOOL_NAME,
-                        "version": __version__,
-                        "informationUri": (
-                            "https://example.org/repro/docs/DATAFLOW.md"
-                        ),
-                        "rules": rules,
-                    }
-                },
-                "results": [
-                    _sarif_result(audit, bit, rule_index)
-                    for audit, bit in reportable
-                ],
-            }
-        ],
-    }
+    return sarif_log(
+        TOOL_NAME,
+        "https://example.org/repro/docs/DATAFLOW.md",
+        rules,
+        [_sarif_result(audit, bit, rule_index) for audit, bit in reportable],
+    )

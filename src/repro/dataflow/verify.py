@@ -26,7 +26,7 @@ from ..netlist.netlist import Netlist, NetlistError
 from ..netlist.transform import extract_cone
 from ..obs import add_counter, span
 from ..sat.equivalence import EquivalenceSession
-from ..sim.logicsim import CombinationalSimulator
+from ..sim.logicsim import reference_evaluate
 from .engine import AuditReport, KeyBitReport, LutAudit, Verdict
 
 
@@ -114,9 +114,8 @@ def recover_bit(
     cone = extract_cone(
         provisioned, audit.observation_points, name=f"{bit.lut}:verify"
     )
-    simulator = CombinationalSimulator(cone, backend="interpreted")
     inputs = {name: witness.pattern.get(name, 0) for name in cone.inputs}
-    response = simulator.evaluate(inputs)[witness.observe] & 1
+    response = reference_evaluate(cone, inputs)[witness.observe] & 1
     if response == witness.value_if_one and response != witness.value_if_zero:
         recovered: Optional[int] = 1
     elif response == witness.value_if_zero:
@@ -197,17 +196,6 @@ class DontCareProver:
                 f"counterexample {result.counterexample}"
             ),
         )
-
-
-def prove_dont_care(
-    provisioned: Netlist, audit: LutAudit, bit: KeyBitReport
-) -> BitVerification:
-    """SAT-prove that flipping the claimed don't-care bit changes nothing.
-
-    One-shot form of :class:`DontCareProver` (which amortizes the cone
-    encoding across all of an audit's claimed bits).
-    """
-    return DontCareProver(provisioned, audit).prove(bit)
 
 
 def verify_report(

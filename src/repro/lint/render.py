@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from ..reporting.sarif import sarif_log
 from .core import RULES, Finding, LintReport, Severity
 
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 TOOL_NAME = "repro-lint"
 
 
@@ -112,28 +111,13 @@ def to_sarif_dict(report: LintReport) -> dict:
             referenced.append(finding.rule_id)
     referenced.sort()
     rule_index = {rule_id: i for i, rule_id in enumerate(referenced)}
-    from .. import __version__
-
-    return {
-        "$schema": SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": TOOL_NAME,
-                        "version": __version__,
-                        "informationUri": (
-                            "https://example.org/repro/docs/LINTING.md"
-                        ),
-                        "rules": [_sarif_rule(r) for r in referenced],
-                    }
-                },
-                "results": [
-                    _sarif_result(f, rule_index, report.artifact)
-                    for f in report.findings
-                    if f.rule_id in rule_index
-                ],
-            }
+    return sarif_log(
+        TOOL_NAME,
+        "https://example.org/repro/docs/LINTING.md",
+        [_sarif_rule(r) for r in referenced],
+        [
+            _sarif_result(f, rule_index, report.artifact)
+            for f in report.findings
+            if f.rule_id in rule_index
         ],
-    }
+    )

@@ -288,9 +288,6 @@ class Solver:
             return _UNASSIGNED
         return v if lit > 0 else 1 - v
 
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
-
     def _watch(self, clause: _Clause) -> None:
         l0, l1 = clause.literals[0], clause.literals[1]
         # Register under idx(-l0) / idx(-l1), blocker = the other watch.

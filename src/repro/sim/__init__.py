@@ -5,12 +5,11 @@ from typing import TYPE_CHECKING
 
 from .._lazy import lazy_exports
 from .logicsim import (
-    BACKENDS,
-    DEFAULT_BACKEND,
     CombinationalSimulator,
     exhaustive_input_words,
     pack,
     random_words,
+    reference_evaluate,
     unpack,
 )
 from .compiled import (
@@ -66,8 +65,6 @@ __getattr__ = lazy_exports(
 )
 
 __all__ = [
-    "BACKENDS",
-    "DEFAULT_BACKEND",
     "CombinationalSimulator",
     "CompiledProgram",
     "DEFAULT_BATCH_WIDTH",
@@ -85,6 +82,7 @@ __all__ = [
     "exhaustive_input_words",
     "pack",
     "random_words",
+    "reference_evaluate",
     "unpack",
     "SequentialSimulator",
     "ToggleStats",

@@ -3,8 +3,9 @@
 Every security number in the reproduction — brute-force/testing/ML attack
 query counts, the oracle, fault coverage, power-activity estimation — is
 bottlenecked on :meth:`repro.sim.logicsim.CombinationalSimulator.evaluate`.
-The interpreted engine pays, per gate per call: a node-dict lookup, a
-fan-in list build, and a gate-type dispatch chain.  This module removes
+The per-gate reference walk (:func:`repro.sim.logicsim.reference_evaluate`)
+pays, per gate per call: a node-dict lookup, a fan-in list build, and a
+gate-type dispatch chain.  This module removes
 all of it by *code generation*: for a given netlist it emits one
 straight-line Python function with a single local-variable assignment per
 gate in topological order, then ``compile()``\\ s it once.  Evaluating a
@@ -31,11 +32,11 @@ Design points:
   hybrid of one lock compile each kernel variant once between them
   (``sim.codegen_compiles``; a kernel found in the store counts
   ``sim.codegen_shared``).
-* **Bit-identical results** — masking mirrors the interpreter exactly
+* **Bit-identical results** — masking mirrors the reference exactly
   (inverting ops are ``x ^ mask``), and the word-parallel LUT fallback is
-  the interpreter's own helper, so ``compiled == interpreted`` bit for
-  bit.  ``tests/test_compiled_sim.py`` asserts this across randomized
-  netlists, overrides, and sequential runs.
+  the reference's own helper, so compiled and reference results agree
+  bit for bit.  ``tests/test_compiled_sim.py`` asserts this across
+  randomized netlists, overrides, and sequential runs.
 
 Overrides (fault injection / hypothesis pinning) are served by a second,
 lazily compiled variant whose per-gate assignment consults the override

@@ -74,15 +74,10 @@ class FaultSimulator:
     situation the paper's flow creates.
     """
 
-    def __init__(
-        self,
-        netlist: Netlist,
-        scan: bool = True,
-        backend: Optional[str] = None,
-    ):
+    def __init__(self, netlist: Netlist, scan: bool = True):
         self.netlist = netlist
         self.scan = scan
-        self._sim = CombinationalSimulator(netlist, backend=backend)
+        self._sim = CombinationalSimulator(netlist)
         self._points = list(netlist.outputs)
         if scan:
             for ff in netlist.flip_flops:

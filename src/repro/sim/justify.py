@@ -20,101 +20,53 @@ as Eq. 1/2 of the paper do.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..dataflow.lattice import TernaryWord, eval_gate3, eval_lut3, unknown_lut3
 from ..netlist.cache import memoized
 from ..netlist.csr import csr_view
 from ..netlist.gates import GateType
 from ..netlist.graph import combinational_cone
-from ..netlist.netlist import Netlist, NetlistError
+from ..netlist.netlist import Netlist
 from ..obs import add_counter
 
 #: Three-valued logic: 0, 1, or None for unknown (X).
 TriVal = Optional[int]
 
-
-#: Input count -> (all-rows mask, per-pin masks of the rows whose bit for
-#: that pin is 1).
-_LUT_COLUMNS: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
-
-
-def _lut_columns(n: int) -> Tuple[int, Tuple[int, ...]]:
-    columns = _LUT_COLUMNS.get(n)
-    if columns is None:
-        rows = range(1 << n)
-        columns = (
-            (1 << (1 << n)) - 1,
-            tuple(
-                sum(1 << row for row in rows if (row >> pin) & 1)
-                for pin in range(n)
-            ),
-        )
-        _LUT_COLUMNS[n] = columns
-    return columns
+#: A :data:`TriVal` as a width-1 dual-rail word of the lattice
+#: (:mod:`repro.dataflow.lattice`, the one three-valued spec), and back.
+_WORD = {0: TernaryWord(1, 0), 1: TernaryWord(0, 1), None: TernaryWord(1, 1)}
+_TRIVAL = {word: value for value, word in _WORD.items()}
 
 
-def _eval_lut3(config: Optional[int], inputs: Sequence[TriVal]) -> TriVal:
-    """A LUT's three-valued output: determined only if the truth-table
-    rows every completion of the X inputs can select agree."""
+#: Distinct (function, fan-in values) pairs the lattice is asked for: a
+#: search meets few, so each is computed once.
+_MEMO_SIZE = 1 << 12
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _lut3(config: Optional[int], inputs: Tuple[TriVal, ...]) -> TriVal:
+    """A LUT's three-valued output, by the lattice's transfer function."""
+    fanin = [_WORD[v] for v in inputs]
     if config is None:
-        return None  # unknown function: output is always X
-    rows, columns = _lut_columns(len(inputs))
-    for v, column in zip(inputs, columns):
-        if v is not None:
-            rows &= column if v else ~column
-    selected = config & rows
-    if not selected:
-        return 0
-    return 1 if selected == rows else None
+        return _TRIVAL[unknown_lut3(fanin, 1)]
+    return _TRIVAL[eval_lut3(config, fanin, 1)]
 
 
-def _eval3(gate_type: GateType, config: Optional[int], inputs: Sequence[TriVal]) -> TriVal:
-    """Three-valued evaluation with controlling-value short-circuits."""
-    if gate_type is GateType.CONST0:
-        return 0
-    if gate_type is GateType.CONST1:
-        return 1
-    if gate_type in (GateType.BUF, GateType.DFF):
-        return inputs[0]
-    if gate_type is GateType.NOT:
-        return None if inputs[0] is None else 1 - inputs[0]
-    if gate_type in (GateType.AND, GateType.NAND):
-        if any(v == 0 for v in inputs):
-            value: TriVal = 0
-        elif any(v is None for v in inputs):
-            value = None
-        else:
-            value = 1
-        if value is None or gate_type is GateType.AND:
-            return value
-        return 1 - value
-    if gate_type in (GateType.OR, GateType.NOR):
-        if any(v == 1 for v in inputs):
-            value = 1
-        elif any(v is None for v in inputs):
-            value = None
-        else:
-            value = 0
-        if value is None or gate_type is GateType.OR:
-            return value
-        return 1 - value
-    if gate_type in (GateType.XOR, GateType.XNOR):
-        if any(v is None for v in inputs):
-            return None
-        parity = 0
-        for v in inputs:
-            parity ^= v
-        return parity if gate_type is GateType.XOR else 1 - parity
-    if gate_type is GateType.LUT:
-        return _eval_lut3(config, inputs)
-    raise NetlistError(f"cannot 3-value evaluate {gate_type.value}")
+@lru_cache(maxsize=_MEMO_SIZE)
+def _gate3(gate_type: GateType, inputs: Tuple[TriVal, ...]) -> TriVal:
+    """A primitive gate's three-valued output, by the lattice."""
+    return _TRIVAL[eval_gate3(gate_type, [_WORD[v] for v in inputs], 1)]
 
 
 #: Step kinds of an implication schedule.  AND/NAND/OR/NOR share one
-#: controlling-value step, NOT and BUF read their single pin, a LUT step
-#: calls :func:`_eval_lut3`, and every other combinational type
-#: (XOR/XNOR/constants) goes through :func:`_eval3`.
+#: controlling-value step, NOT and BUF read their single pin: these are
+#: the schedule's inline specialisation of the lattice.  A LUT step calls
+#: :func:`~repro.dataflow.lattice.eval_lut3` and every other
+#: combinational type (XOR/XNOR/constants) goes through
+#: :func:`~repro.dataflow.lattice.eval_gate3`, both at width 1.
 _CONTROLLED, _NOT, _BUF, _LUT, _SPEC = range(5)
 
 #: Gate type -> (controlling input, output when controlled, output when
@@ -148,9 +100,9 @@ class _Schedule:
     ``(id, kind, pins, a, b, c)``.  A controlled step reads its fan-in
     through ``pins`` (a :func:`_pin_reader`) and carries its controlling
     value and both outputs in ``a, b, c``.  A NOT/BUF step's ``pins`` is
-    its fan-in id.  LUT and :data:`_SPEC` steps keep their node in ``a``:
-    a LUT's configuration is read when the step runs, since
-    ``lut_config`` writes bump no revision.
+    its fan-in id.  A LUT step keeps its node in ``a``: its configuration
+    is read when the step runs, since ``lut_config`` writes bump no
+    revision.  A :data:`_SPEC` step keeps its gate type in ``a``.
     """
 
     __slots__ = (
@@ -183,7 +135,9 @@ class _Schedule:
             elif node.gate_type is GateType.LUT:
                 steps.append((i, _LUT, _pin_reader(pins), node, None, None))
             else:
-                steps.append((i, _SPEC, _pin_reader(pins), node, None, None))
+                steps.append(
+                    (i, _SPEC, _pin_reader(pins), node.gate_type, None, None)
+                )
         self.steps = steps
         self._cones: Dict[int, list] = {}
 
@@ -216,9 +170,9 @@ def _imply(values: List[TriVal], steps: Sequence[tuple]) -> None:
         elif kind == _BUF:
             values[i] = values[pins]
         elif kind == _LUT:
-            values[i] = _eval_lut3(a.lut_config, pins(values))
+            values[i] = _lut3(a.lut_config, pins(values))
         else:
-            values[i] = _eval3(a.gate_type, a.lut_config, pins(values))
+            values[i] = _gate3(a, pins(values))
 
 
 class Implication:

@@ -18,8 +18,8 @@ which the brute-force and ML attacks score keys:
 Single-pattern many-config evaluation is
 :func:`repro.sim.compiled.evaluate_configs`.  The per-key reference that
 :mod:`repro.check`'s ``keybatch`` family races these functions against
-(one programmed copy per key on the interpreted backend) lives in the
-check suite, not here.
+(one programmed copy per key, simulated by ``reference_evaluate``) lives
+in the check suite, not here.
 
 Oracle billing is untouched by design: every function here consumes
 *recorded* responses — the caller queries the oracle once per pattern,

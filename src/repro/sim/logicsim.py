@@ -5,13 +5,11 @@ pattern, so a single pass over the netlist evaluates ``width`` patterns at
 once.  This is the engine behind power-activity estimation, the attack
 oracle, and functional equivalence spot-checks.
 
-Two backends are available (see :data:`BACKENDS`):
-
-* ``"compiled"`` (default) — per-netlist generated straight-line kernels
-  (:mod:`repro.sim.compiled`); bit-identical to the interpreter and ≥5×
-  faster on the attack/analysis hot path.
-* ``"interpreted"`` — the reference per-gate loop, kept as the parity
-  baseline and selectable per call with ``backend="interpreted"``.
+:class:`CombinationalSimulator` runs the per-netlist generated
+straight-line kernels of :mod:`repro.sim.compiled`.
+:func:`reference_evaluate` is the per-gate loop they must match bit for
+bit: the reference the differential checks and the tests race them
+against, never a production path.
 """
 
 from __future__ import annotations
@@ -22,13 +20,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 from ..netlist.gates import GateType, evaluate_gate
 from ..netlist.graph import combinational_order
 from ..netlist.netlist import Netlist, NetlistError
-
-#: Recognised simulation backends.
-BACKENDS = ("compiled", "interpreted")
-
-#: Backend used when a simulator is built without ``backend=``.
-DEFAULT_BACKEND = "compiled"
-
 
 def _eval_lut_word(config: int, fanin_words: Sequence[int], mask: int) -> int:
     """Evaluate a LUT on word-parallel inputs.
@@ -60,27 +51,59 @@ def _eval_lut_word(config: int, fanin_words: Sequence[int], mask: int) -> int:
     return out & mask
 
 
+def reference_evaluate(
+    netlist: Netlist,
+    inputs: Mapping[str, int],
+    state: Optional[Mapping[str, int]] = None,
+    width: int = 1,
+    overrides: Optional[Mapping[str, int]] = None,
+) -> Dict[str, int]:
+    """Every net value of *netlist* by a per-gate walk: the reference the
+    compiled kernels are checked against.
+
+    Same arguments and result as :meth:`CombinationalSimulator.evaluate`.
+    The evaluation order is read from :func:`combinational_order` on
+    every call, so structural edits are seen like any memoized view's.
+    """
+    mask = (1 << width) - 1
+    values: Dict[str, int] = {}
+    state = state or {}
+    overrides = overrides or {}
+    for pi in netlist.inputs:
+        if pi not in inputs:
+            raise NetlistError(f"missing value for primary input {pi!r}")
+        values[pi] = inputs[pi] & mask
+    for ff in netlist.flip_flops:
+        values[ff] = state.get(ff, 0) & mask
+    for name, forced in overrides.items():
+        if name in values:
+            values[name] = forced & mask
+    for name in combinational_order(netlist):
+        if name in overrides:
+            values[name] = overrides[name] & mask
+            continue
+        node = netlist.node(name)
+        fanin_words = [values[src] for src in node.fanin]
+        if node.gate_type is GateType.LUT:
+            if node.lut_config is None:
+                raise NetlistError(f"cannot simulate unprogrammed LUT {name!r}")
+            values[name] = _eval_lut_word(node.lut_config, fanin_words, mask)
+        else:
+            values[name] = evaluate_gate(node.gate_type, fanin_words) & mask
+    return values
+
+
 class CombinationalSimulator:
     """Evaluates the combinational logic of a netlist word-parallel.
 
     DFF outputs are treated as pseudo-inputs (current state); DFF inputs
     appear in the result so a sequential wrapper can latch next-state.
-
-    *backend* selects the evaluation engine (:data:`BACKENDS`); the
-    compiled backend transparently recompiles if the netlist structure
-    mutates, while the interpreted backend keeps the evaluation order
-    snapshotted at construction.
+    Each call runs the netlist's compiled program, which is rebuilt when
+    the structure mutates and reads every LUT configuration at call time.
     """
 
-    def __init__(self, netlist: Netlist, backend: Optional[str] = None):
-        backend = backend or DEFAULT_BACKEND
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown simulation backend {backend!r}; choose from {BACKENDS}"
-            )
+    def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        self.backend = backend
-        self._order = combinational_order(netlist)
 
     def evaluate(
         self,
@@ -101,40 +124,9 @@ class CombinationalSimulator:
 
         Returns a dict covering every net (inputs and DFF outputs included).
         """
-        if self.backend == "compiled":
-            from .compiled import get_program
+        from .compiled import get_program
 
-            return get_program(self.netlist).evaluate(
-                inputs, state, width, overrides
-            )
-        mask = (1 << width) - 1
-        values: Dict[str, int] = {}
-        state = state or {}
-        overrides = overrides or {}
-        for pi in self.netlist.inputs:
-            if pi not in inputs:
-                raise NetlistError(f"missing value for primary input {pi!r}")
-            values[pi] = inputs[pi] & mask
-        for ff in self.netlist.flip_flops:
-            values[ff] = state.get(ff, 0) & mask
-        for name, forced in overrides.items():
-            if name in values:
-                values[name] = forced & mask
-        for name in self._order:
-            if name in overrides:
-                values[name] = overrides[name] & mask
-                continue
-            node = self.netlist.node(name)
-            fanin_words = [values[src] for src in node.fanin]
-            if node.gate_type is GateType.LUT:
-                if node.lut_config is None:
-                    raise NetlistError(
-                        f"cannot simulate unprogrammed LUT {name!r}"
-                    )
-                values[name] = _eval_lut_word(node.lut_config, fanin_words, mask)
-            else:
-                values[name] = evaluate_gate(node.gate_type, fanin_words) & mask
-        return values
+        return get_program(self.netlist).evaluate(inputs, state, width, overrides)
 
     def outputs(
         self,

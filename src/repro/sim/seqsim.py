@@ -42,15 +42,10 @@ class SequentialSimulator:
     ISCAS'89 circuits).
     """
 
-    def __init__(
-        self,
-        netlist: Netlist,
-        width: int = 1,
-        backend: Optional[str] = None,
-    ):
+    def __init__(self, netlist: Netlist, width: int = 1):
         self.netlist = netlist
         self.width = width
-        self._comb = CombinationalSimulator(netlist, backend=backend)
+        self._comb = CombinationalSimulator(netlist)
         self.state: Dict[str, int] = {ff: 0 for ff in netlist.flip_flops}
         self._last_values: Optional[Dict[str, int]] = None
 

@@ -1,7 +1,8 @@
-"""Parity suite: the compiled backend must match the interpreter bit-exactly.
+"""Parity suite: the compiled kernels must match the reference bit-exactly.
 
-Every test drives the same netlist through ``backend="interpreted"`` and
-``backend="compiled"`` and compares the full output dictionaries.  Netlists
+Every test drives the same netlist through :func:`reference_evaluate`
+(the per-gate walk) and :class:`CombinationalSimulator` (the compiled
+program) and compares the full output dictionaries.  Netlists
 are randomised (generated circuits across several seeds), locked with
 programmed, unprogrammed and decoy-widened LUTs, and exercised with
 overrides, width sweeps, and multi-cycle sequential runs.
@@ -26,12 +27,12 @@ from repro.netlist.transform import (
 from repro.check.checks_keybatch import reference_lane_words
 from repro.obs import Recorder, use_recorder
 from repro.sim import (
-    BACKENDS,
     CombinationalSimulator,
     SequentialSimulator,
     compiled_source,
     exhaustive_input_words,
     get_program,
+    reference_evaluate,
 )
 from repro.sim.compiled import evaluate_configs
 
@@ -48,10 +49,9 @@ def _lockable_gates(netlist: Netlist):
 
 
 def _assert_parity(netlist, trials=20, seed=0, overrides_from=()):
-    """Random inputs/state/width; both backends must agree exactly."""
+    """Random inputs/state/width; compiled and reference must agree exactly."""
     rng = random.Random(seed)
-    interpreted = CombinationalSimulator(netlist, backend="interpreted")
-    compiled = CombinationalSimulator(netlist, backend="compiled")
+    compiled = CombinationalSimulator(netlist)
     overridable = list(overrides_from)
     for trial in range(trials):
         width = rng.choice([1, 3, 32, 64])
@@ -65,19 +65,14 @@ def _assert_parity(netlist, trials=20, seed=0, overrides_from=()):
                     overridable, rng.randint(1, len(overridable))
                 )
             }
-        expected = interpreted.evaluate(inputs, state, width, overrides=overrides)
+        expected = reference_evaluate(
+            netlist, inputs, state, width, overrides=overrides
+        )
         actual = compiled.evaluate(inputs, state, width, overrides=overrides)
         assert actual == expected, f"trial {trial} (width {width}) diverged"
 
 
-class TestBackendSelection:
-    def test_backends_constant(self):
-        assert set(BACKENDS) == {"compiled", "interpreted"}
-
-    def test_unknown_backend_rejected(self, tiny_comb):
-        with pytest.raises(ValueError):
-            CombinationalSimulator(tiny_comb, backend="quantum")
-
+class TestCompiledSource:
     def test_compiled_source_is_python(self, tiny_comb):
         source = compiled_source(tiny_comb)
         compile(source, "<test>", "exec")  # must be valid Python
@@ -88,12 +83,8 @@ class TestPlainGateParity:
     def test_tiny_exhaustive(self, tiny_comb):
         words = exhaustive_input_words(tiny_comb)
         width = 1 << len(tiny_comb.inputs)
-        a = CombinationalSimulator(tiny_comb, backend="interpreted").evaluate(
-            words, width=width
-        )
-        b = CombinationalSimulator(tiny_comb, backend="compiled").evaluate(
-            words, width=width
-        )
+        a = reference_evaluate(tiny_comb, words, width=width)
+        b = CombinationalSimulator(tiny_comb).evaluate(words, width=width)
         assert a == b
 
     def test_s27(self, s27):
@@ -161,13 +152,14 @@ class TestLutParity:
         _assert_parity(s27, seed=9, overrides_from=list(s27.luts))
 
     def test_unprogrammed_lut_raises_on_both_backends(self, s27):
+        """The compiled program and the reference both refuse."""
         replace_gates_with_luts(s27, _lockable_gates(s27)[:2], program=False)
         inputs = {pi: 1 for pi in s27.inputs}
         state = {ff: 0 for ff in s27.flip_flops}
-        for backend in BACKENDS:
-            sim = CombinationalSimulator(s27, backend=backend)
-            with pytest.raises(NetlistError, match="unprogrammed"):
-                sim.evaluate(inputs, state, width=2)
+        with pytest.raises(NetlistError, match="unprogrammed"):
+            CombinationalSimulator(s27).evaluate(inputs, state, width=2)
+        with pytest.raises(NetlistError, match="unprogrammed"):
+            reference_evaluate(s27, inputs, state, width=2)
 
     def test_unprogrammed_lut_with_override(self, s27):
         rng = random.Random(3)
@@ -178,10 +170,8 @@ class TestLutParity:
         inputs = {pi: rng.getrandbits(8) for pi in s27.inputs}
         state = {ff: rng.getrandbits(8) for ff in s27.flip_flops}
         overrides = {l: rng.getrandbits(8) for l in unprogrammed}
-        a = CombinationalSimulator(s27, backend="interpreted").evaluate(
-            inputs, state, 8, overrides=overrides
-        )
-        b = CombinationalSimulator(s27, backend="compiled").evaluate(
+        a = reference_evaluate(s27, inputs, state, 8, overrides=overrides)
+        b = CombinationalSimulator(s27).evaluate(
             inputs, state, 8, overrides=overrides
         )
         assert a == b
@@ -196,20 +186,19 @@ class TestLutParity:
         for lut in luts:
             node = s27.node(lut)
             node.lut_config = rng.getrandbits(1 << node.n_inputs)
-        interpreted = CombinationalSimulator(s27, backend="interpreted")
-        compiled = CombinationalSimulator(s27, backend="compiled")
+        compiled = CombinationalSimulator(s27)
         inputs = {pi: rng.getrandbits(16) for pi in s27.inputs}
         state = {ff: rng.getrandbits(16) for ff in s27.flip_flops}
         first = compiled.evaluate(inputs, state, 16)
-        assert first == interpreted.evaluate(inputs, state, 16)
+        assert first == reference_evaluate(s27, inputs, state, 16)
         program = get_program(s27)
         for _ in range(5):
             for lut in luts:
                 node = s27.node(lut)
                 # XOR with 1 guarantees the configuration actually changes.
                 node.lut_config = node.lut_config ^ 1
-            assert compiled.evaluate(inputs, state, 16) == interpreted.evaluate(
-                inputs, state, 16
+            assert compiled.evaluate(inputs, state, 16) == reference_evaluate(
+                s27, inputs, state, 16
             )
         assert get_program(s27) is program, "config sweeps must not recompile"
 
@@ -229,8 +218,7 @@ class TestOneStalenessRule:
         s27.add_output("staleness_probe")
         replace_gates_with_luts(s27, _lockable_gates(s27)[:3], program=True)
         luts = sorted(s27.luts)
-        interpreted = CombinationalSimulator(s27, backend="interpreted")
-        compiled = CombinationalSimulator(s27, backend="compiled")
+        compiled = CombinationalSimulator(s27)
         inputs = {pi: rng.getrandbits(8) for pi in s27.inputs}
         state = {ff: rng.getrandbits(8) for ff in s27.flip_flops}
         overrides = {luts[0]: rng.getrandbits(8)}
@@ -243,8 +231,8 @@ class TestOneStalenessRule:
         ]
         rec = Recorder()
         with use_recorder(rec):
-            assert compiled.evaluate(inputs, state, 8) == interpreted.evaluate(
-                inputs, state, 8
+            assert compiled.evaluate(inputs, state, 8) == reference_evaluate(
+                s27, inputs, state, 8
             )
             program = get_program(s27)
             for sweep in range(4):
@@ -254,10 +242,10 @@ class TestOneStalenessRule:
                         node.lut_config = rng.getrandbits(1 << node.n_inputs)
                 assert compiled.evaluate(
                     inputs, state, 8
-                ) == interpreted.evaluate(inputs, state, 8)
+                ) == reference_evaluate(s27, inputs, state, 8)
                 assert compiled.evaluate(
                     inputs, state, 8, overrides=overrides
-                ) == interpreted.evaluate(inputs, state, 8, overrides=overrides)
+                ) == reference_evaluate(s27, inputs, state, 8, overrides=overrides)
                 assert evaluate_configs(
                     s27, pattern, lanes, state=bits
                 ) == reference_lane_words(s27, lanes, {**pattern, **bits})
@@ -269,7 +257,7 @@ class TestOneStalenessRule:
     def test_gate_type_rewrite_builds_a_new_program(self, s27, mutation):
         gate = _lockable_gates(s27)[0]
         inputs = {pi: 1 for pi in s27.inputs}
-        compiled = CombinationalSimulator(s27, backend="compiled")
+        compiled = CombinationalSimulator(s27)
         compiled.evaluate(inputs, None, 1)
         program = get_program(s27)
         if mutation == "set_gate_type":
@@ -277,9 +265,9 @@ class TestOneStalenessRule:
         else:
             s27.replace_with_lut(gate, program=True)
         assert get_program(s27) is not program
-        assert compiled.evaluate(inputs, None, 1) == CombinationalSimulator(
-            s27, backend="interpreted"
-        ).evaluate(inputs, None, 1)
+        assert compiled.evaluate(inputs, None, 1) == reference_evaluate(
+            s27, inputs, None, 1
+        )
 
     def test_program_lives_in_the_structure_cache(self, s27):
         get_program(s27)
@@ -328,9 +316,7 @@ class TestSharedKernels:
             state = {ff: rng.getrandbits(64) for ff in netlist.flip_flops}
             assert CombinationalSimulator(netlist).evaluate(
                 inputs, state, 64
-            ) == CombinationalSimulator(
-                netlist, backend="interpreted"
-            ).evaluate(inputs, state, 64)
+            ) == reference_evaluate(netlist, inputs, state, 64)
 
 
 class TestSequentialParity:
@@ -346,12 +332,17 @@ class TestSequentialParity:
             seed=seed,
         )
         netlist = generate(spec)
-        interpreted = SequentialSimulator(netlist, width=8, backend="interpreted")
-        compiled = SequentialSimulator(netlist, width=8, backend="compiled")
+        compiled = SequentialSimulator(netlist, width=8)
+        state = {ff: 0 for ff in netlist.flip_flops}
         for cycle in range(20):
             inputs = {pi: rng.getrandbits(8) for pi in netlist.inputs}
-            assert interpreted.step(inputs) == compiled.step(inputs), cycle
-            assert interpreted.state == compiled.state, cycle
+            expected = reference_evaluate(netlist, inputs, state, 8)
+            state = {
+                ff: expected[netlist.node(ff).fanin[0]]
+                for ff in netlist.flip_flops
+            }
+            assert compiled.step(inputs) == expected, cycle
+            assert compiled.state == state, cycle
 
 
 @st.composite
@@ -397,10 +388,10 @@ class TestPropertyBasedParity:
     @given(locked_scenarios())
     def test_backends_agree_on_any_locked_circuit(self, scenario):
         netlist, inputs, state, width, overrides = scenario
-        expected = CombinationalSimulator(
-            netlist, backend="interpreted"
-        ).evaluate(inputs, state, width, overrides=overrides)
-        actual = CombinationalSimulator(netlist, backend="compiled").evaluate(
+        expected = reference_evaluate(
+            netlist, inputs, state, width, overrides=overrides
+        )
+        actual = CombinationalSimulator(netlist).evaluate(
             inputs, state, width, overrides=overrides
         )
         assert actual == expected
@@ -469,7 +460,7 @@ class TestConfigLaneProperty:
     def test_every_lane_matches_per_config_folded_evaluation(self, scenario):
         """Property: lane l of ``evaluate_configs`` equals evaluating a
         fresh copy of the netlist with lane l's configs *programmed* —
-        through both the plain compiled kernel and the interpreter."""
+        through both the plain compiled kernel and the reference."""
         netlist, inputs, state, configs, width = scenario
         batched = evaluate_configs(
             netlist, inputs, configs, state=state, width=width
@@ -478,34 +469,36 @@ class TestConfigLaneProperty:
             reference = netlist.copy(f"lane{lane}")
             for name, table in assignment.items():
                 reference.node(name).lut_config = table
-            for backend in BACKENDS:
-                expected = CombinationalSimulator(
-                    reference, backend=backend
-                ).evaluate(inputs, state, 1)
+            for engine, expected in (
+                ("compiled", CombinationalSimulator(reference).evaluate(
+                    inputs, state, 1
+                )),
+                ("reference", reference_evaluate(reference, inputs, state, 1)),
+            ):
                 for net, word in batched.items():
                     assert (word >> lane) & 1 == expected[net], (
-                        f"lane {lane} net {net} diverged on {backend}"
+                        f"lane {lane} net {net} diverged on {engine}"
                     )
 
 
 class TestErrorParity:
     def test_missing_input(self, tiny_comb):
-        for backend in BACKENDS:
-            sim = CombinationalSimulator(tiny_comb, backend=backend)
-            with pytest.raises(NetlistError, match="primary input"):
-                sim.evaluate({"a": 1}, width=1)
+        with pytest.raises(NetlistError, match="primary input"):
+            CombinationalSimulator(tiny_comb).evaluate({"a": 1}, width=1)
+        with pytest.raises(NetlistError, match="primary input"):
+            reference_evaluate(tiny_comb, {"a": 1}, width=1)
 
 
 class TestRecompilation:
     def test_structural_edit_recompiles(self, s27):
-        sim = CombinationalSimulator(s27, backend="compiled")
+        sim = CombinationalSimulator(s27)
         inputs = {pi: 1 for pi in s27.inputs}
         state = {ff: 0 for ff in s27.flip_flops}
         before = sim.evaluate(inputs, state, 1)
         program = get_program(s27)
         s27.add_gate("extra", GateType.NOT, [s27.inputs[0]])
         s27.add_output("extra")
-        fresh = CombinationalSimulator(s27, backend="compiled")
+        fresh = CombinationalSimulator(s27)
         after = fresh.evaluate(inputs, state, 1)
         assert get_program(s27) is not program
         assert "extra" in after
@@ -515,13 +508,13 @@ class TestRecompilation:
     def test_program_cached_across_simulators(self, s27):
         """testing_attack builds a fresh simulator per justification call;
         the program cache must make that free."""
-        CombinationalSimulator(s27, backend="compiled").evaluate(
+        CombinationalSimulator(s27).evaluate(
             {pi: 1 for pi in s27.inputs},
             {ff: 0 for ff in s27.flip_flops},
             1,
         )
         first = get_program(s27)
-        CombinationalSimulator(s27, backend="compiled").evaluate(
+        CombinationalSimulator(s27).evaluate(
             {pi: 0 for pi in s27.inputs},
             {ff: 0 for ff in s27.flip_flops},
             1,

@@ -5,6 +5,7 @@ witnesses and SAT-proved don't-cares), and the report renderings."""
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -243,6 +244,32 @@ class TestPropagator:
             width=1,
         )
         assert rails["l2"].unknown_mask() == 1
+
+    @pytest.mark.parametrize("mutation", ["replace_with_lut", "add_gate"])
+    def test_propagator_built_before_an_edit_agrees_with_a_fresh_one(
+        self, s27, mutation
+    ):
+        rng = random.Random(7)
+        width = 8
+        mask = (1 << width) - 1
+        stale = TernaryPropagator(s27)
+        stale.propagate(width=width)
+        if mutation == "replace_with_lut":
+            s27.replace_with_lut("G8", program=False)
+            s27.replace_with_lut("G12", program=True)
+        else:
+            s27.add_gate("probe", GateType.NAND, ["G8", s27.inputs[0]])
+            s27.add_output("probe")
+        inputs = {}
+        for pi in s27.inputs:
+            unknown = rng.getrandbits(width)
+            word = rng.getrandbits(width)
+            inputs[pi] = TernaryWord(
+                (~word | unknown) & mask, (word | unknown) & mask
+            )
+        assert stale.propagate(inputs, width) == TernaryPropagator(
+            s27
+        ).propagate(inputs, width)
 
     def test_structural_constants_found(self):
         netlist = _odc_masked_lut()

@@ -2,8 +2,9 @@
 
 Importing the packages a sweep trial runs must not load networkx (the
 graph checks' oracle), the lint engine, the Fig. 2 flow, the side-channel
-study, the sweep aggregates or the multiprocessing machinery: they load
-on first use.  Every public name must still resolve from its package.
+study, the sweep aggregates, the multiprocessing machinery or the
+key-leakage audit engine (the testing attack loads only its lattice):
+they load on first use.  Every public name must still resolve from its package.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ OFF_PATH = (
     "repro.analysis.sidechannel",
     "repro.sweep.aggregate",
     "multiprocessing",
+    "repro.dataflow.engine",
+    "repro.dataflow.verify",
 )
 
 PACKAGES = (

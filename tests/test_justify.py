@@ -16,61 +16,136 @@ from repro.sim import (
     justify_and_propagate,
     random_observable_pattern,
 )
+from repro.dataflow.lattice import TernaryWord, eval_gate3, eval_lut3, unknown_lut3
+from repro.netlist.gates import evaluate_gate, max_arity, min_arity
 from repro.netlist.transform import replace_gates_with_luts
-from repro.sim.justify import _eval3, _imply, _schedule
+from repro.sim.justify import _imply, _schedule
+
+
+def _rails(value):
+    """A 0/1/X value as a width-1 lattice word."""
+    return TernaryWord.unknown(1) if value is None else TernaryWord.const(value, 1)
+
+
+def _value(word):
+    """A width-1 lattice word as 0/1/X."""
+    if word.concrete1():
+        return 1
+    return 0 if word.concrete0() else None
+
+
+def _lattice3(gate_type, config, inputs):
+    """The lattice (the one three-valued spec) at width 1, on 0/1/X."""
+    fanin = [_rails(v) for v in inputs]
+    if gate_type is not GateType.LUT:
+        return _value(eval_gate3(gate_type, fanin, 1))
+    if config is None:
+        return _value(unknown_lut3(fanin, 1))
+    return _value(eval_lut3(config, fanin, 1))
+
+
+def _by_completion(function, inputs):
+    """Kleene's definition: the output is determined exactly when every
+    completion of the X inputs agrees on it."""
+    unknown = [pin for pin, v in enumerate(inputs) if v is None]
+    outputs = set()
+    for bits in itertools.product((0, 1), repeat=len(unknown)):
+        completed = list(inputs)
+        for pin, bit in zip(unknown, bits):
+            completed[pin] = bit
+        outputs.add(function(completed))
+    return outputs.pop() if len(outputs) == 1 else None
+
+
+def _lut_function(config):
+    return lambda bits: (config >> sum(b << pin for pin, b in enumerate(bits))) & 1
+
+
+def _gate_function(gate_type):
+    return lambda bits: evaluate_gate(gate_type, bits) & 1
+
+
+#: (gate type, pins): every primitive gate at 1–4 pins, constants at none.
+_PRIMITIVES = [
+    (gate_type, pins)
+    for gate_type in (
+        GateType.AND,
+        GateType.NAND,
+        GateType.OR,
+        GateType.NOR,
+        GateType.XOR,
+        GateType.XNOR,
+    )
+    for pins in (1, 2, 3, 4)
+] + [(GateType.NOT, 1), (GateType.BUF, 1), (GateType.CONST0, 0), (GateType.CONST1, 0)]
+
+#: The primitives a netlist can hold (AND/OR/XOR families take ≥ 2 pins).
+_LEGAL_PRIMITIVES = [
+    (gate_type, pins)
+    for gate_type, pins in _PRIMITIVES
+    if min_arity(gate_type) <= pins <= max_arity(gate_type)
+]
+
+
+def _primitive_id(case):
+    gate_type, pins = case
+    return f"{gate_type.value}{pins}"
 
 
 class TestThreeValuedEval:
+    """The lattice at width 1 against Kleene's definition: hand-picked
+    cases, then every 0/1/X input by enumeration of its completions."""
+
     def test_and_controlling_zero(self):
-        assert _eval3(GateType.AND, None, [0, None]) == 0
-        assert _eval3(GateType.NAND, None, [0, None]) == 1
+        assert _lattice3(GateType.AND, None, [0, None]) == 0
+        assert _lattice3(GateType.NAND, None, [0, None]) == 1
 
     def test_or_controlling_one(self):
-        assert _eval3(GateType.OR, None, [None, 1]) == 1
-        assert _eval3(GateType.NOR, None, [None, 1]) == 0
+        assert _lattice3(GateType.OR, None, [None, 1]) == 1
+        assert _lattice3(GateType.NOR, None, [None, 1]) == 0
 
     def test_unknown_propagates(self):
-        assert _eval3(GateType.AND, None, [1, None]) is None
-        assert _eval3(GateType.XOR, None, [1, None]) is None
-        assert _eval3(GateType.NOT, None, [None]) is None
+        assert _lattice3(GateType.AND, None, [1, None]) is None
+        assert _lattice3(GateType.XOR, None, [1, None]) is None
+        assert _lattice3(GateType.NOT, None, [None]) is None
 
     def test_xor_known(self):
-        assert _eval3(GateType.XOR, None, [1, 1, 0]) == 0
-        assert _eval3(GateType.XNOR, None, [1, 0]) == 0
+        assert _lattice3(GateType.XOR, None, [1, 1, 0]) == 0
+        assert _lattice3(GateType.XNOR, None, [1, 0]) == 0
 
     def test_constants(self):
-        assert _eval3(GateType.CONST0, None, []) == 0
-        assert _eval3(GateType.CONST1, None, []) == 1
+        assert _lattice3(GateType.CONST0, None, []) == 0
+        assert _lattice3(GateType.CONST1, None, []) == 1
 
     def test_unprogrammed_lut_is_x(self):
-        assert _eval3(GateType.LUT, None, [1, 1]) is None
+        assert _lattice3(GateType.LUT, None, [1, 1]) is None
 
     def test_programmed_lut_partial_inputs(self):
         # AND-LUT: output 0 as soon as one input is 0 even if other is X.
-        assert _eval3(GateType.LUT, 0b1000, [0, None]) == 0
-        assert _eval3(GateType.LUT, 0b1000, [1, None]) is None
+        assert _lattice3(GateType.LUT, 0b1000, [0, None]) == 0
+        assert _lattice3(GateType.LUT, 0b1000, [1, None]) is None
         # Constant-1 LUT is determined regardless of X inputs.
-        assert _eval3(GateType.LUT, 0b1111, [None, None]) == 1
+        assert _lattice3(GateType.LUT, 0b1111, [None, None]) == 1
 
-
-    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize("n", range(5))
     def test_lut_output_is_determined_iff_every_completion_agrees(self, n):
-        rng = random.Random(n)
-        configs = {0, (1 << (1 << n)) - 1} | {
-            rng.getrandbits(1 << n) for _ in range(24)
-        }
+        """Every configuration up to 3 pins; seeded samples at 4."""
+        if n <= 3:
+            configs = range(1 << (1 << n))
+        else:
+            rng = random.Random(2016)
+            configs = {0, 0xFFFF} | {rng.getrandbits(16) for _ in range(64)}
         for config in configs:
             for inputs in itertools.product((0, 1, None), repeat=n):
-                unknown = [i for i, v in enumerate(inputs) if v is None]
-                outputs = set()
-                for bits in itertools.product((0, 1), repeat=len(unknown)):
-                    row_bits = list(inputs)
-                    for pin, bit in zip(unknown, bits):
-                        row_bits[pin] = bit
-                    row = sum(bit << pin for pin, bit in enumerate(row_bits))
-                    outputs.add((config >> row) & 1)
-                expected = outputs.pop() if len(outputs) == 1 else None
-                assert _eval3(GateType.LUT, config, inputs) == expected
+                expected = _by_completion(_lut_function(config), inputs)
+                assert _lattice3(GateType.LUT, config, inputs) == expected
+
+    @pytest.mark.parametrize("case", _PRIMITIVES, ids=_primitive_id)
+    def test_gate_output_is_determined_iff_every_completion_agrees(self, case):
+        gate_type, pins = case
+        for inputs in itertools.product((0, 1, None), repeat=pins):
+            expected = _by_completion(_gate_function(gate_type), inputs)
+            assert _lattice3(gate_type, None, inputs) == expected, inputs
 
 
 class TestImplication:
@@ -116,6 +191,44 @@ class TestImplication:
                 values[sp] = assignment[name]
                 _imply(values, schedule.cone_steps(sp))
                 assert values == engine.values(assignment)
+
+    @pytest.mark.parametrize("case", _LEGAL_PRIMITIVES, ids=_primitive_id)
+    def test_inline_steps_agree_with_the_lattice(self, case):
+        gate_type, pins = case
+        netlist = Netlist(f"one_{gate_type.value}")
+        names = [f"i{pin}" for pin in range(pins)]
+        for name in names:
+            netlist.add_input(name)
+        netlist.add_gate("g", gate_type, names)
+        netlist.add_output("g")
+        engine = Implication(netlist)
+        for inputs in itertools.product((0, 1, None), repeat=pins):
+            assignment = {n: v for n, v in zip(names, inputs) if v is not None}
+            assert engine.run(assignment)["g"] == _lattice3(
+                gate_type, None, inputs
+            ), inputs
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_lut_steps_agree_with_the_lattice(self, n):
+        netlist = Netlist(f"one_lut{n}")
+        names = [f"i{pin}" for pin in range(n)]
+        for name in names:
+            netlist.add_input(name)
+        netlist.add_gate("g", GateType.LUT, names)
+        netlist.add_output("g")
+        engine = Implication(netlist)
+        rng = random.Random(n)
+        for config in [None, 0, (1 << (1 << n)) - 1] + [
+            rng.getrandbits(1 << n) for _ in range(8)
+        ]:
+            netlist.node("g").lut_config = config
+            for inputs in itertools.product((0, 1, None), repeat=n):
+                assignment = {
+                    name: v for name, v in zip(names, inputs) if v is not None
+                }
+                assert engine.run(assignment)["g"] == _lattice3(
+                    GateType.LUT, config, inputs
+                ), (config, inputs)
 
 
 class TestJustify:

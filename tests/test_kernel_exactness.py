@@ -30,7 +30,7 @@ from repro.netlist import GateType, Netlist
 from repro.netlist.csr import csr_view
 from repro.netlist.graph import PathGuide, _shuffle_ids, find_io_path
 from repro.netlist.transform import replace_gates_with_luts
-from repro.sim import CombinationalSimulator, score_keys
+from repro.sim import CombinationalSimulator, reference_evaluate, score_keys
 from repro.sweep import SweepRunner, SweepSpec, canonical_row
 
 
@@ -272,16 +272,16 @@ def test_ml_rows_at_default_width_are_pinned():
 
 def _direct_counts(foundry, keys, patterns, labels, points):
     """Matched (pattern, point) pairs per key, one programmed copy and one
-    interpreted simulation per key and pattern."""
+    reference simulation per key and pattern."""
     counts = []
     for key in keys:
         programmed = foundry.copy("programmed")
         for name, config in key.items():
             programmed.node(name).lut_config = config
-        sim = CombinationalSimulator(programmed, backend="interpreted")
         matched = 0
         for pattern, label in zip(patterns, labels):
-            values = sim.evaluate(
+            values = reference_evaluate(
+                programmed,
                 {pi: pattern[pi] for pi in foundry.inputs},
                 {ff: pattern[ff] for ff in foundry.flip_flops},
                 1,

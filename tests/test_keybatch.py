@@ -5,7 +5,7 @@ The contract under test everywhere: the batch width is a *throughput*
 knob only — survivor sets, lane values, score counts, budget accounting,
 and oracle bills are the same at every width and equal the per-key
 reference of :mod:`repro.check.checks_keybatch` (one programmed copy per
-key on the interpreted backend).
+key, simulated by ``reference_evaluate``).
 """
 
 from __future__ import annotations

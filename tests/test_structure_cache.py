@@ -304,7 +304,7 @@ def _consumer_facts(netlist: Netlist, timing: TimingAnalyzer) -> dict:
     rng = random.Random(11)
     inputs = {pi: rng.getrandbits(64) for pi in sorted(netlist.inputs)}
     state = {ff: rng.getrandbits(64) for ff in sorted(netlist.flip_flops)}
-    values = CombinationalSimulator(netlist, backend="compiled").evaluate(
+    values = CombinationalSimulator(netlist).evaluate(
         inputs, state, width=64
     )
     return {
