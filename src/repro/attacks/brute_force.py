@@ -9,9 +9,9 @@ so the bound can be validated on small designs.
 
 Hypothesis screening is key-parallel: ``batch_width`` candidate keys share
 one compiled config-lane pass per pattern (:mod:`repro.sim.keybatch`; 1
-means one lane per pass).  Oracle access is one query per screening or
-confirm pattern, recorded up front, so the billed cost and the survivor
-set do not depend on the batch width.
+means one lane per pass).  Oracle access is recorded up front, one packed
+query per screening or confirm round billed once per pattern, so the
+billed cost and the survivor set do not depend on the batch width.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .oracle import (
     attribute_cost,
     bump_cost_counters,
     draw_patterns,
+    query_patterns,
     snapshot_cost,
-    split_pattern,
 )
 
 
@@ -249,8 +249,4 @@ class BruteForceAttack:
     def _query_patterns(self, count: int):
         """*count* fresh random patterns and the oracle's response to each."""
         patterns = draw_patterns(self.rng, self.netlist, count)
-        responses = [
-            self.oracle.query(*split_pattern(self.netlist, pattern))
-            for pattern in patterns
-        ]
-        return patterns, responses
+        return patterns, query_patterns(self.oracle, self.netlist, patterns)

@@ -14,11 +14,13 @@ success probability decays with the key-bit count, so it quantifies the
 paper's search-space-expansion argument on circuits far beyond brute-force
 reach — while the SAT attack (which needs scan) is fenced off.
 
-Candidate scoring runs through :func:`repro.sim.keybatch.score_keys`.
-``batch_width=W`` runs *W* independent annealing chains whose proposals
-are scored together in one key-parallel pass per pattern (the default,
-1, is one chain scoring one proposal per pass).  The oracle bill does not
-depend on *W*: the training set is labelled once up front.
+Candidate scoring runs through one :class:`repro.sim.keybatch.KeyScorer`
+per training set.  ``batch_width=W`` runs *W* independent annealing
+chains whose proposals are scored together, against every training
+pattern at once, in one config-lane kernel call per step (the default,
+1, is one chain scoring one proposal per call).  The oracle bill does
+not depend on *W*: the training set is labelled once up front, by one
+packed query.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Dict, List, Optional
 
 from ..netlist.netlist import Netlist
 from ..obs import span
-from ..sim.keybatch import check_batch_width, score_keys
+from ..sim.keybatch import KeyScorer, check_batch_width
 from ..sim.logicsim import CombinationalSimulator
 from .brute_force import candidate_configs
 from .oracle import (
@@ -38,6 +40,7 @@ from .oracle import (
     attribute_cost,
     bump_cost_counters,
     draw_patterns,
+    query_patterns,
     snapshot_cost,
     split_pattern,
 )
@@ -121,17 +124,21 @@ class MlAttack:
     def _anneal(self, result: MlAttackResult, luts) -> None:
         """W parallel annealing chains, one config lane each.
 
-        Every step scores all W proposals in a single key-parallel pass
-        per training pattern; acceptance is per-chain Metropolis.  The
-        per-chain iteration count is scaled down by W so the total
-        proposal budget (``result.iterations``) does not grow with W, and
-        the cooling rate is compounded per step (``0.999 ** W``) so the
-        temperature schedule covers the same range over the budget.
+        Every step scores all W proposals against the whole training set
+        in one key-parallel kernel call; acceptance is per-chain
+        Metropolis.  The per-chain iteration count is scaled down by W so
+        the total proposal budget (``result.iterations``) does not grow
+        with W, and the cooling rate is compounded per step
+        (``0.999 ** W``) so the temperature schedule covers the same range
+        over the budget.
         """
         patterns, labels = self._collect_training_set()
         working = self.netlist.copy(f"{self.netlist.name}_ml")
         points = self.oracle.observation_points()
         total_bits = len(patterns) * len(points)
+        scorer = KeyScorer(
+            working, patterns, labels, points, batch_width=self.batch_width
+        )
         spaces = {n: candidate_configs(working.node(n).n_inputs) for n in luts}
         width = self.batch_width
         best_key: Optional[Dict[str, int]] = None
@@ -145,10 +152,7 @@ class MlAttack:
                     {n: self.rng.choice(spaces[n]) for n in luts}
                     for _ in range(width)
                 ]
-                matches = score_keys(
-                    working, keys, patterns, labels, points,
-                    batch_width=width,
-                )
+                matches = scorer.score(keys)
                 for lane in range(width):
                     if matches[lane] > best_matched:
                         best_key = dict(keys[lane])
@@ -168,10 +172,7 @@ class MlAttack:
                                 1 << self.rng.randrange(rows)
                             )
                         proposals.append(proposal)
-                    new_matches = score_keys(
-                        working, proposals, patterns, labels, points,
-                        batch_width=width,
-                    )
+                    new_matches = scorer.score(proposals)
                     for lane in range(width):
                         result.iterations += 1
                         delta = new_matches[lane] - matches[lane]
@@ -204,11 +205,7 @@ class MlAttack:
     # ------------------------------------------------------------------
     def _collect_training_set(self):
         patterns = draw_patterns(self.rng, self.netlist, self.training_patterns)
-        labels = [
-            self.oracle.query(*split_pattern(self.netlist, pattern))
-            for pattern in patterns
-        ]
-        return patterns, labels
+        return patterns, query_patterns(self.oracle, self.netlist, patterns)
 
     def _holdout_check(self, key: Dict[str, int], patterns: int = 64) -> bool:
         working = self.netlist.copy(f"{self.netlist.name}_holdout")

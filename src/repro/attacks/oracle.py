@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..netlist.graph import sequential_depth
+from ..netlist.graph import d_pins, sequential_depth, startpoints
 from ..netlist.netlist import Netlist, NetlistError
 from ..obs import add_counter
 from ..sim.logicsim import CombinationalSimulator
@@ -48,9 +48,11 @@ class ConfiguredOracle:
     lane), so repeated distinguishing-input replays are served from memory
     even when re-applied at a different packing width.
     ``sim_evaluations`` counts actual simulator calls and
-    ``cache_hits`` counts memoized replays; ``queries`` is always their
-    sum, and attack-cost figures are bit-identical with or without the
-    memo.
+    ``cache_hits`` counts calls served whole from the memo: those two
+    count *calls*, while ``queries`` counts *patterns*, so a width-*N*
+    query adds *N* to ``queries`` but one to exactly one of the others
+    (only width-1 queries make ``queries`` their sum).  Attack-cost
+    figures are bit-identical with or without the memo.
     """
 
     def __init__(self, programmed: Netlist, scan: bool = True):
@@ -139,8 +141,7 @@ class ConfiguredOracle:
         values = self._comb.evaluate(inputs, state, width)
         self.sim_evaluations += 1
         result = {po: values[po] for po in self.netlist.outputs}
-        for ff in self.netlist.flip_flops:
-            d_pin = self.netlist.node(ff).fanin[0]
+        for d_pin in d_pins(self.netlist):
             result[d_pin] = values[d_pin]
         if len(self._memo) + width > _MEMO_LIMIT:
             self._memo.clear()
@@ -155,8 +156,7 @@ class ConfiguredOracle:
         with scan access)."""
         points = list(self.netlist.outputs)
         if self.scan:
-            for ff in self.netlist.flip_flops:
-                points.append(self.netlist.node(ff).fanin[0])
+            points.extend(d_pins(self.netlist))
         return points
 
     # ------------------------------------------------------------------
@@ -199,10 +199,9 @@ def draw_patterns(
 ) -> List[Dict[str, int]]:
     """*count* random startpoint patterns: one ``rng.getrandbits(1)`` per
     primary input, then per flip-flop, pattern after pattern."""
-    startpoints = list(netlist.inputs) + list(netlist.flip_flops)
-    return [
-        {sp: rng.getrandbits(1) for sp in startpoints} for _ in range(count)
-    ]
+    inputs, flip_flops = startpoints(netlist)
+    nets = inputs + flip_flops
+    return [{sp: rng.getrandbits(1) for sp in nets} for _ in range(count)]
 
 
 def split_pattern(
@@ -210,9 +209,39 @@ def split_pattern(
 ) -> Tuple[Dict[str, int], Dict[str, int]]:
     """``(inputs, state)`` of a startpoint pattern, the two arguments of
     :meth:`ConfiguredOracle.query`; a net the pattern omits reads 0."""
-    inputs = {pi: pattern.get(pi, 0) for pi in netlist.inputs}
-    state = {ff: pattern.get(ff, 0) for ff in netlist.flip_flops}
-    return inputs, state
+    inputs, flip_flops = startpoints(netlist)
+    return (
+        {pi: pattern.get(pi, 0) for pi in inputs},
+        {ff: pattern.get(ff, 0) for ff in flip_flops},
+    )
+
+
+def query_patterns(
+    oracle: ConfiguredOracle,
+    netlist: Netlist,
+    patterns: Sequence[Mapping[str, int]],
+) -> List[Dict[str, int]]:
+    """The oracle's response to each startpoint pattern, from one packed
+    query (lane *p* = ``patterns[p]``).  It bills the same ``queries``
+    and ``test_clocks`` as one width-1 query per pattern."""
+    if not patterns:
+        return []
+    inputs, flip_flops = startpoints(netlist)
+    packed = [
+        {
+            net: sum(
+                (pattern.get(net, 0) & 1) << lane
+                for lane, pattern in enumerate(patterns)
+            )
+            for net in nets
+        }
+        for nets in (inputs, flip_flops)
+    ]
+    words = oracle.query(*packed, width=len(patterns))
+    return [
+        {net: (word >> lane) & 1 for net, word in words.items()}
+        for lane in range(len(patterns))
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,9 @@ wiring kernels shared across different wiring, simulation code shared
 across different gate types, a lying SAT solver, a
 non-canonical SAT-attack key, a tampered sweep-cache row, an oracle
 that forgets to bill memoized replays, a simplify pass that miswires a
-gate, a short ML match counter, a key screen that skips an observation
-point, an implication schedule that misses config writes), runs the corresponding check family, and demands at
+gate, a short ML match counter, an ML block fold that loses a training
+pattern, a key screen that skips an observation point, an implication
+schedule that misses config writes), runs the corresponding check family, and demands at
 least one divergence.  The faults are installed by monkeypatching the real code
 paths — the checks themselves are byte-for-byte the ones the normal run
 uses.
@@ -197,6 +198,22 @@ def _inject_score_count_corruption() -> Callable[[], None]:
         return original(planes[:-1], lanes)
 
     return _install(keybatch, "lane_counts", truncated)
+
+
+def _inject_score_fold_drops_block() -> Callable[[], None]:
+    """The ML scorer's block fold drops the top block whenever the block
+    count is odd, so one training pattern's matches go uncounted."""
+    from ..sim import keybatch
+
+    original = keybatch._fold_blocks
+
+    def dropping(planes, blocks, lanes):
+        if blocks % 2:
+            keep = (1 << (blocks - 1) * lanes) - 1
+            planes = [plane & keep for plane in planes]
+        return original(planes, blocks, lanes)
+
+    return _install(keybatch, "_fold_blocks", dropping)
 
 
 def _inject_implication_stale_config() -> Callable[[], None]:
@@ -392,6 +409,13 @@ FAULTS: List[Fault] = [
         description="score_keys drops the top bit-sliced counter "
         "plane",
         inject=_inject_score_count_corruption,
+    ),
+    Fault(
+        name="score-fold-drops-block",
+        family="keybatch",
+        description="score_keys' block fold drops the top block when the "
+        "block count is odd",
+        inject=_inject_score_fold_drops_block,
     ),
     Fault(
         name="implication-stale-config",

@@ -30,6 +30,7 @@ __all__ = [
     "combinational_cone",
     "combinational_gates_on",
     "combinational_order",
+    "d_pins",
     "find_io_path",
     "flip_flop_depths",
     "levelize",
@@ -37,6 +38,7 @@ __all__ = [
     "reachable_between",
     "sequential_depth",
     "split_into_timing_paths",
+    "startpoints",
     "topological_order",
     "transitive_fanin",
     "transitive_fanout",
@@ -59,6 +61,26 @@ def combinational_order(netlist: Netlist) -> List[str]:
     filtered out) — the evaluation schedule of the simulators, memoized
     per structure revision.  Shared cached snapshot; do not mutate."""
     return memoized(netlist, "comb_order", _compute_combinational_order)
+
+
+def startpoints(netlist: Netlist) -> Tuple[List[str], List[str]]:
+    """``(inputs, flip_flops)`` of *netlist*, memoized per structure
+    revision (the :class:`Netlist` properties rebuild both lists on every
+    read).  Shared cached snapshot; do not mutate."""
+    return memoized(
+        netlist, "startpoints", lambda nl: (nl.inputs, nl.flip_flops)
+    )
+
+
+def d_pins(netlist: Netlist) -> List[str]:
+    """The D-pin net of every flip-flop, in ``flip_flops`` order: the
+    next-state nets a scan chain observes.  Memoized per structure
+    revision; shared cached snapshot, do not mutate."""
+    return memoized(
+        netlist,
+        "d_pins",
+        lambda nl: [nl.node(ff).fanin[0] for ff in startpoints(nl)[1]],
+    )
 
 
 def _compute_topological_order(netlist: Netlist) -> List[str]:

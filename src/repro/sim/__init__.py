@@ -23,6 +23,7 @@ from .compiled import (
 from .keybatch import (
     DEFAULT_BATCH_WIDTH,
     Hypothesis,
+    KeyScorer,
     ScreenOutcome,
     iter_hypotheses,
     score_keys,
@@ -69,6 +70,7 @@ __all__ = [
     "CompiledProgram",
     "DEFAULT_BATCH_WIDTH",
     "Hypothesis",
+    "KeyScorer",
     "PackedConfigs",
     "ScreenOutcome",
     "compiled_source",

@@ -45,12 +45,16 @@ netlists that actually get fault-simulated.
 
 A third lazily compiled variant serves the **config-lane axis** (the dual
 of pattern packing): instead of one bit per input pattern, a word carries
-one bit per *candidate LUT configuration*, so a single kernel call scores
-a whole batch of keys against one fixed pattern.  Each LUT reads a
-list of per-truth-table-row words (bit *l* of row word *r* = bit *r* of
-lane *l*'s configuration) and selects rows with plain AND/OR — see
-:meth:`CompiledProgram.evaluate_configs` and :mod:`repro.sim.keybatch`
-for the batched hypothesis-screening built on top.
+one bit per *candidate LUT configuration*.  Each LUT reads a list of
+per-truth-table-row words (bit *b* of row word *r* = bit *r* of the
+configuration at bit *b*) and selects rows with plain AND/OR.  The
+kernel does not care what the bits stand for: broadcast one pattern to
+every bit (:meth:`CompiledProgram.evaluate_configs`) and a call scores a
+batch of keys against that pattern; tile the batch into one block of
+lanes per pattern (:meth:`PackedConfigs.tiled`,
+:meth:`CompiledProgram.evaluate_words`) and one call scores every
+(pattern, key) pair — see :mod:`repro.sim.keybatch` for the key
+screening and scoring built on top.
 """
 
 from __future__ import annotations
@@ -154,7 +158,7 @@ def _eval_lut_rows_word(
     """Evaluate a LUT whose configuration differs *per lane*.
 
     ``row_words[r]`` has bit *l* set when lane *l*'s configuration sets
-    truth-table row *r*.  The fan-in words are lane-broadcast pattern
+    truth-table row *r*.  The fan-in words carry each lane's pattern
     bits, so ``row_word & minterm`` keeps exactly the lanes that both
     select row *r* and program it to 1.  Zero row words (rows no lane
     sets) are skipped, mirroring the sparse loop of ``_eval_lut_word``.
@@ -210,6 +214,18 @@ class PackedConfigs:
         self.lanes = lanes
         self.mask = mask
         self.rows_by_index = rows_by_index
+
+    def tiled(self, blocks: int) -> "PackedConfigs":
+        """This batch repeated in *blocks* side-by-side blocks: block *p*
+        (bits ``p * lanes`` up) holds every lane again, so words that
+        carry a different pattern per block score the same keys against
+        each.  One multiply per row word."""
+        repeat = ((1 << blocks * self.lanes) - 1) // self.mask
+        return PackedConfigs(
+            self.lanes,
+            self.mask * repeat,
+            [[word * repeat for word in rows] for rows in self.rows_by_index],
+        )
 
 
 def _kernel_key(view: CsrView) -> tuple:
@@ -455,8 +471,6 @@ class CompiledProgram:
         returned words carry one bit per lane (lane *l* = the circuit as
         programmed by ``configs[l]``).
         """
-        if self._cfg_fn is None:
-            self._cfg_fn = self._kernel("configs", lanes=packed.lanes)
         mask = packed.mask
         in_words = {pi: -(value & 1) & mask for pi, value in inputs.items()}
         state_words = (
@@ -464,8 +478,29 @@ class CompiledProgram:
             if state
             else _EMPTY
         )
+        return self.evaluate_words(in_words, packed, state_words)
+
+    def evaluate_words(
+        self,
+        in_words: Mapping[str, int],
+        packed: PackedConfigs,
+        state_words: Mapping[str, int] = _EMPTY,
+    ) -> Dict[str, int]:
+        """Evaluate caller-built input/state words against *packed*.
+
+        The words are ``packed.mask`` wide and bit *b* of every word is
+        one circuit: the pattern bit the caller put there, programmed by
+        the configuration bit *b* of the row words.  With
+        :meth:`PackedConfigs.tiled` rows, block *p* of the words can carry
+        pattern *p* (how :mod:`repro.sim.keybatch` scores every training
+        pattern in one call).
+        """
+        if self._cfg_fn is None:
+            self._cfg_fn = self._kernel("configs", lanes=packed.lanes)
         add_counter("sim.compiled_config_evaluations")
-        return self._cfg_fn(in_words, state_words, mask, packed.rows_by_index)
+        return self._cfg_fn(
+            in_words, state_words, packed.mask, packed.rows_by_index
+        )
 
     def evaluate_configs(
         self,

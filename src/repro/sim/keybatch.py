@@ -2,18 +2,24 @@
 
 The compiled kernels pack *input patterns* into word bits; this module
 packs *candidate LUT configurations* (keys) into word lanes, so one kernel
-call scores a whole batch of key hypotheses against a fixed pattern — the
-workload behind the paper's resilience numbers (Eq. 1–3), where attacker
-cost is "candidate keys scored per second".  It is the only path by
-which the brute-force and ML attacks score keys:
+call evaluates a whole batch of key hypotheses — the workload behind the
+paper's resilience numbers (Eq. 1–3), where attacker cost is "candidate
+keys scored per second".  It is the only path by which the brute-force
+and ML attacks score keys:
 
 * :func:`screen_hypotheses` — drain a hypothesis iterator in batches of
   ``batch_width`` lanes, keep the hypotheses consistent with recorded
-  oracle responses, honour a ``max_hypotheses`` budget.  The survivor
-  set, the tested count and the exhaustion flag do not depend on the
-  width (1 means one lane per pass).
-* :func:`score_keys` — matched-observation-bit counts per candidate key
-  (the ML attack's objective function), batched the same way.
+  oracle responses, honour a ``max_hypotheses`` budget.  One kernel call
+  per batch and pattern, so a batch every key of which has already
+  failed stops early.  The survivor set, the tested count and the
+  exhaustion flag do not depend on the width (1 means one lane per
+  pass).
+* :class:`KeyScorer` / :func:`score_keys` — matched-observation-bit
+  counts per candidate key (the ML attack's objective function).  Here
+  the patterns are a second lane axis: block *p* of every word is
+  training pattern *p*, so one kernel call per key chunk scores every
+  (pattern, key) pair, and bit-sliced counters folded block by block
+  read the per-key sums out.
 
 Single-pattern many-config evaluation is
 :func:`repro.sim.compiled.evaluate_configs`.  The per-key reference that
@@ -22,8 +28,9 @@ Single-pattern many-config evaluation is
 in the check suite, not here.
 
 Oracle billing is untouched by design: every function here consumes
-*recorded* responses — the caller queries the oracle once per pattern,
-so ``queries``/``test_clocks`` bills cannot depend on the batch width.
+*recorded* responses — the caller queries the oracle for every pattern
+up front, so ``queries``/``test_clocks`` bills cannot depend on the
+batch width.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
+from ..netlist.graph import startpoints
 from ..netlist.netlist import Netlist
 from ..obs import add_counter, span
 from .compiled import (
@@ -47,6 +55,17 @@ from .compiled import (
 #: big-int operations are cheapest; wider batches still work (Python
 #: integers are arbitrary precision) with gradually diminishing returns.
 DEFAULT_BATCH_WIDTH = 64
+
+#: Most bits one :class:`KeyScorer` word carries (training patterns ×
+#: key lanes).  Longer training sets are scored in pattern chunks whose
+#: counts are summed, so word size is bounded whatever the pattern count
+#: and batch width.  8192 holds the ML attack's default training set (96
+#: patterns × 64 lanes) in one word, which scored fastest on every
+#: circuit measured; wider words only pay on longer training sets, and
+#: a call keeps one word per net alive (s38584's 20.7k nets × 1 KB ≈
+#: 22 MB at 8192 bits, four times that at 32768).  See
+#: docs/PERFORMANCE.md, "Two-axis scoring".
+MAX_SCORE_WORD_BITS = 8192
 
 #: One candidate key: LUT name -> candidate truth table.
 Hypothesis = Dict[str, int]
@@ -162,7 +181,7 @@ def screen_hypotheses(
 def _split_patterns(netlist: Netlist, patterns: Sequence[Mapping[str, int]]):
     """Per-pattern primary-input and flip-flop bit maps (missing nets
     read 0)."""
-    inputs, flip_flops = netlist.inputs, netlist.flip_flops
+    inputs, flip_flops = startpoints(netlist)
     pis = [{pi: p.get(pi, 0) & 1 for pi in inputs} for p in patterns]
     states = [{ff: p.get(ff, 0) & 1 for ff in flip_flops} for p in patterns]
     return pis, states
@@ -189,6 +208,145 @@ def _screen_batch(
     return alive
 
 
+class KeyScorer:
+    """Matched-observation-bit counts of candidate keys against one
+    labelled training set (the ML attack's objective function).
+
+    Two lane axes share each word: bit ``p * lanes + l`` is key lane *l*
+    on training pattern *p*, so one config-lane kernel call per key chunk
+    scores every (pattern, key) pair.  The pattern, state and label words
+    are built once per training set (per lane count) and reused by every
+    :meth:`score` call; the key chunk's row words are tiled across the
+    pattern blocks.  A word carries at most :data:`MAX_SCORE_WORD_BITS`
+    bits (or one pattern's block, when a key chunk is wider): longer
+    training sets are scored in pattern chunks whose counts are summed,
+    so word size does not grow with the pattern count.
+    """
+
+    def __init__(
+        self,
+        netlist: Netlist,
+        patterns: Sequence[Mapping[str, int]],
+        labels: Sequence[Mapping[str, int]],
+        points: Sequence[str],
+        *,
+        batch_width: int = DEFAULT_BATCH_WIDTH,
+    ):
+        self.netlist = netlist
+        self.width = check_batch_width(batch_width)
+        self.points = list(points)
+        self.patterns = list(patterns)
+        self.labels = list(labels)
+        #: lane count -> words of each pattern chunk (see :meth:`_words`).
+        self._chunks: Dict[int, list] = {}
+
+    def _words(self, lanes: int) -> list:
+        """``(blocks, pis, states, labels)`` per pattern chunk, with block
+        *p* of every word (bits ``p * lanes`` up) holding pattern *p*'s
+        bit in each of its *lanes* lanes."""
+        chunks = self._chunks.get(lanes)
+        if chunks is not None:
+            return chunks
+        inputs, flip_flops = startpoints(self.netlist)
+        per_chunk = max(1, MAX_SCORE_WORD_BITS // lanes)
+        chunks = []
+        for start in range(0, len(self.patterns), per_chunk):
+            part = self.patterns[start : start + per_chunk]
+            labels = self.labels[start : start + per_chunk]
+            chunks.append(
+                (
+                    len(part),
+                    _block_words(part, inputs, lanes),
+                    _block_words(part, flip_flops, lanes),
+                    _block_words(labels, self.points, lanes),
+                )
+            )
+        self._chunks[lanes] = chunks
+        return chunks
+
+    def score(self, keys: Sequence[Hypothesis]) -> List[int]:
+        """``counts[k]``: the (pattern, point) pairs on which ``keys[k]``
+        reproduces the label.  Counts do not depend on the batch width."""
+        keys = list(keys)
+        counts = [0] * len(keys)
+        if not keys:
+            return counts
+        width = self.width
+        with span(
+            "sim.keybatch.score",
+            circuit=self.netlist.name,
+            keys=len(keys),
+            width=width,
+            patterns=len(self.patterns),
+        ):
+            program = program_for_configs(self.netlist, set().union(*keys))
+            n_planes = len(self.points).bit_length()
+            for start in range(0, len(keys), width):
+                chunk = keys[start : start + width]
+                lanes = len(chunk)
+                packed = program.pack_configs(chunk)
+                add_counter("sim.keybatch.batches")
+                add_counter("sim.keybatch.lanes_filled", lanes)
+                add_counter("sim.keybatch.lanes_wasted", width - lanes)
+                for blocks, pis, states, labels in self._words(lanes):
+                    tiled = packed.tiled(blocks)
+                    mask = tiled.mask
+                    values = program.evaluate_words(pis, tiled, states)
+                    # Bit-sliced counters at full width: bit b of planes[i]
+                    # is bit i of the count at lane b % lanes of pattern
+                    # b // lanes, which never exceeds len(points).
+                    planes = [0] * n_planes
+                    for point in self.points:
+                        carry = ~(values[point] ^ labels[point]) & mask
+                        bit = 0
+                        while carry:
+                            plane = planes[bit]
+                            planes[bit] = plane ^ carry
+                            carry &= plane
+                            bit += 1
+                    while blocks > 1:
+                        planes = _fold_blocks(planes, blocks, lanes)
+                        blocks = (blocks + 1) // 2
+                    for lane, count in enumerate(lane_counts(planes, lanes)):
+                        counts[start + lane] += count
+                add_counter("sim.keybatch.evaluations", len(self.patterns))
+        return counts
+
+
+def _block_words(
+    rows: Sequence[Mapping[str, int]], nets: Sequence[str], lanes: int
+) -> Dict[str, int]:
+    """Per net, a word whose block *p* (bits ``p * lanes`` up) is all
+    ones when ``rows[p]`` sets the net: a stride word (bit ``p * lanes``)
+    times the lane mask.  A net a row omits reads 0."""
+    lane_mask = (1 << lanes) - 1
+    return {
+        net: sum(
+            (row.get(net, 0) & 1) << p * lanes for p, row in enumerate(rows)
+        )
+        * lane_mask
+        for net in nets
+    }
+
+
+def _fold_blocks(planes: Sequence[int], blocks: int, lanes: int) -> List[int]:
+    """Halve the block count of bit-sliced counter *planes*: the high
+    ``blocks // 2`` blocks are added onto the low ones, lane by lane (an
+    odd count keeps its extra block in the low half).  A carry out of the
+    top plane opens a new one."""
+    shift = (blocks + 1) // 2 * lanes
+    low = (1 << shift) - 1
+    out: List[int] = []
+    carry = 0
+    for plane in planes:
+        a, b = plane & low, plane >> shift
+        out.append(a ^ b ^ carry)
+        carry = (a & b) | (carry & (a ^ b))
+    if carry:
+        out.append(carry)
+    return out
+
+
 def score_keys(
     netlist: Netlist,
     keys: Sequence[Hypothesis],
@@ -198,52 +356,17 @@ def score_keys(
     *,
     batch_width: int = DEFAULT_BATCH_WIDTH,
 ) -> List[int]:
-    """Matched-observation-bit count per candidate key.
+    """Matched-observation-bit count per candidate key: a one-shot
+    :class:`KeyScorer`.
 
     ``counts[k]`` is the number of (pattern, observation-point) pairs on
     which ``keys[k]`` reproduces the recorded label — the ML attack's
     agreement numerator.  Counts do not depend on ``batch_width``.
     """
-    width = check_batch_width(batch_width)
-    keys = list(keys)
-    counts = [0] * len(keys)
-    if not keys:
-        return counts
-    pis, states = _split_patterns(netlist, patterns)
-    with span(
-        "sim.keybatch.score",
-        circuit=netlist.name,
-        keys=len(keys),
-        width=width,
-        patterns=len(patterns),
-    ):
-        program = program_for_configs(netlist, set().union(*keys))
-        n_planes = (len(pis) * len(points)).bit_length()
-        for start in range(0, len(keys), width):
-            chunk = keys[start : start + width]
-            packed = program.pack_configs(chunk)
-            add_counter("sim.keybatch.batches")
-            add_counter("sim.keybatch.lanes_filled", len(chunk))
-            add_counter("sim.keybatch.lanes_wasted", width - len(chunk))
-            mask = packed.mask
-            # Bit-sliced per-lane counters: bit l of planes[b] is bit b of
-            # lane l's count.  Each match word ripple-adds into them; no
-            # count exceeds len(pis) * len(points), so the carry never
-            # runs off the top plane.
-            planes = [0] * n_planes
-            for inputs, state, label in zip(pis, states, labels):
-                values = program.evaluate_packed(inputs, packed, state)
-                for point in points:
-                    carry = ~(values[point] ^ -(label[point] & 1)) & mask
-                    bit = 0
-                    while carry:
-                        plane = planes[bit]
-                        planes[bit] = plane ^ carry
-                        carry &= plane
-                        bit += 1
-            add_counter("sim.keybatch.evaluations", len(pis))
-            counts[start : start + len(chunk)] = lane_counts(planes, len(chunk))
-    return counts
+    scorer = KeyScorer(
+        netlist, patterns, labels, points, batch_width=batch_width
+    )
+    return scorer.score(keys)
 
 
 def lane_counts(planes: Sequence[int], lanes: int) -> List[int]:

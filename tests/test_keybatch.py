@@ -16,6 +16,8 @@ import random
 import pytest
 
 from repro.attacks import ConfiguredOracle, candidate_configs
+from repro.attacks.oracle import draw_patterns
+from repro.circuits import load_benchmark
 from repro.check.checks_keybatch import (
     reference_lane_words,
     reference_survivors,
@@ -27,6 +29,7 @@ from repro.netlist.gates import GateType
 from repro.netlist.netlist import Node
 from repro.obs import Recorder, use_recorder
 from repro.sim import (
+    KeyScorer,
     evaluate_configs,
     get_program,
     iter_hypotheses,
@@ -35,6 +38,7 @@ from repro.sim import (
     surviving_lanes,
 )
 from repro.sim.compiled import CompiledProgram
+from repro.sim.keybatch import MAX_SCORE_WORD_BITS
 
 
 def lock(netlist, names, seed=0):
@@ -316,6 +320,119 @@ class TestScoreKeys:
     def test_empty_keys(self, screening):
         foundry, _, patterns, responses, points, _, _ = screening
         assert score_keys(foundry, [], patterns, responses, points) == []
+
+
+#: Key-chunk widths of the two-axis scoring tests: one lane, and one
+#: machine word and a lane either side.
+TWO_AXIS_WIDTHS = (1, 63, 64, 65)
+#: Training-set sizes of the two-axis scoring tests: empty, one to three
+#: blocks, 97 (odd at every fold), and one that needs two pattern chunks
+#: at width 65.
+TWO_AXIS_PATTERNS = (0, 1, 2, 3, 97, MAX_SCORE_WORD_BITS // 65 + 2)
+
+
+@pytest.fixture(scope="module")
+def two_axis():
+    """A locked s27, 70 random keys (the true key among them; widths 63,
+    64 and 65 leave a ragged last key chunk), the longest training set of
+    :data:`TWO_AXIS_PATTERNS` with the true key's labels, and each key's
+    per-key reference match count on every pattern (a prefix sums to a
+    shorter training set's reference)."""
+    hybrid, foundry, record = lock(load_benchmark("s27"), ["G8", "G13"], 4)
+    rng = random.Random(11)
+    luts = sorted(foundry.luts)
+    keys = [
+        {n: rng.getrandbits(1 << foundry.node(n).n_inputs) for n in luts}
+        for _ in range(69)
+    ]
+    keys.insert(40, dict(record.configs))
+    points = ConfiguredOracle(hybrid).observation_points()
+    patterns = draw_patterns(rng, foundry, max(TWO_AXIS_PATTERNS))
+    labels = [
+        {p: values[p] for p in points}
+        for values in reference_values(hybrid, {}, patterns)
+    ]
+    matched = [
+        [
+            sum(values[p] == label[p] for p in points)
+            for values, label in zip(
+                reference_values(foundry, key, patterns), labels
+            )
+        ]
+        for key in keys
+    ]
+    return foundry, keys, patterns, labels, points, matched
+
+
+class TestTwoAxisScoring:
+    """Patterns × keys in one word: block *p* of every word is training
+    pattern *p*, so one kernel call per key chunk (and pattern chunk)
+    scores every pair."""
+
+    @pytest.mark.parametrize("n_patterns", TWO_AXIS_PATTERNS)
+    @pytest.mark.parametrize("width", TWO_AXIS_WIDTHS)
+    def test_counts_equal_reference(self, two_axis, n_patterns, width):
+        foundry, keys, patterns, labels, points, matched = two_axis
+        assert width == 1 or len(keys) % width  # a ragged last chunk
+        reference = [sum(row[:n_patterns]) for row in matched]
+        counts = score_keys(
+            foundry,
+            keys,
+            patterns[:n_patterns],
+            labels[:n_patterns],
+            points,
+            batch_width=width,
+        )
+        assert counts == reference
+        assert counts[40] == n_patterns * len(points)  # the true key
+
+    def test_longest_set_crosses_the_word_bound(self, two_axis):
+        _, _, patterns, _, _, _ = two_axis
+        assert len(patterns) * 65 > MAX_SCORE_WORD_BITS
+        assert len(patterns) * 64 <= 2 * MAX_SCORE_WORD_BITS
+
+    @pytest.mark.parametrize(
+        "n_patterns, width",
+        [(0, 64), (1, 64), (97, 1), (97, 63), (97, 64), (97, 65)]
+        + [(max(TWO_AXIS_PATTERNS), 65)],
+    )
+    def test_one_kernel_call_per_key_and_pattern_chunk(
+        self, two_axis, n_patterns, width
+    ):
+        foundry, keys, patterns, labels, points, _ = two_axis
+        # A ragged last key chunk has fewer lanes, so more patterns fit
+        # one word.
+        expected = sum(
+            -(-n_patterns // max(1, MAX_SCORE_WORD_BITS // lanes))
+            for lanes in (
+                min(width, len(keys) - start)
+                for start in range(0, len(keys), width)
+            )
+        )
+        rec = Recorder()
+        with use_recorder(rec):
+            score_keys(
+                foundry,
+                keys,
+                patterns[:n_patterns],
+                labels[:n_patterns],
+                points,
+                batch_width=width,
+            )
+        assert (
+            rec.counters.get("sim.compiled_config_evaluations", 0) == expected
+        )
+
+    def test_scorer_is_reused_across_key_sets(self, two_axis):
+        """A scorer built once (as the ML attack does) scores any number
+        of key sets exactly as one-shot ``score_keys`` calls do."""
+        foundry, keys, patterns, labels, points, matched = two_axis
+        scorer = KeyScorer(foundry, patterns, labels, points, batch_width=64)
+        for part in (keys[:64], keys[64:], keys[10:30]):
+            assert scorer.score(part) == score_keys(
+                foundry, part, patterns, labels, points, batch_width=64
+            )
+        assert scorer.score(keys) == [sum(row) for row in matched]
 
 
 class TestCodegenSpanAttrs:
