@@ -18,18 +18,23 @@ count grows with the paper's measures (wide LUTs, decoys, dependent chains).
 The attack assumes scan access (state controllable/observable), the threat
 model the paper explicitly argues is closed by disabling scan; running it
 here quantifies how much security that assumption is carrying.
+
+Both SAT attacks share one refinement loop, :func:`refine_keys`.  This
+attack gives it one free-state frame observed at the POs and D-pins, and
+asks each DI as one scan query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..netlist.graph import startpoints
 from ..netlist.netlist import Netlist
 from ..obs import add_counter, span
 from ..sat.cnf import Cnf
 from ..sat.solver import Solver
-from ..sat.tseitin import CircuitEncoder
+from ..sat.tseitin import CircuitEncoder, gated_miter
 from .oracle import (
     ConfiguredOracle,
     attribute_cost,
@@ -40,8 +45,8 @@ from .oracle import (
 
 
 @dataclass
-class SatAttackResult:
-    """Outcome of the oracle-guided SAT attack."""
+class RefinementResult:
+    """What :func:`refine_keys` reports for either SAT attack."""
 
     key: Optional[Dict[str, int]] = None  # lut name -> config
     iterations: int = 0
@@ -51,15 +56,21 @@ class SatAttackResult:
     #: key extraction (one incremental solver serves both).
     solver_conflicts: int = 0
     gave_up: bool = False
-    #: The recorded (pattern, response) exchanges, in DI order; lets
-    #: differential checks replay extraction against a rebuilt formula.
-    di_constraints: List[Tuple[Dict[str, int], Dict[str, int]]] = field(
-        default_factory=list, repr=False
-    )
 
     @property
     def success(self) -> bool:
         return self.key is not None
+
+
+@dataclass
+class SatAttackResult(RefinementResult):
+    """Outcome of the oracle-guided SAT attack."""
+
+    #: The recorded (pattern, response) exchanges, in DI order; lets
+    #: differential checks replay extraction by enumeration.
+    di_constraints: List[Tuple[Dict[str, int], Dict[str, int]]] = field(
+        default_factory=list, repr=False
+    )
 
 
 def extract_canonical_key(
@@ -74,8 +85,8 @@ def extract_canonical_key(
     allows it, else to 1.  Because the result depends only on the *set* of
     keys the formula admits (projected onto ``keys``), it equals the first
     consistent key of a brute-force enumeration over the same DI
-    constraints — the contract the ``sat-incremental-extract`` check
-    enforces on tiny locks.
+    constraints — the contract the ``sat-incremental-extract`` and
+    ``sat-sequential-extract`` checks enforce on tiny locks.
 
     Solves incrementally: every call reuses the solver's learned clauses,
     and each accepted bit shrinks the next solve's search space.
@@ -104,6 +115,117 @@ def extract_canonical_key(
     return key
 
 
+#: One copy's variables in one frame: ``({input net: var}, {observed: var})``.
+Frame = Tuple[Dict[str, int], Dict[str, int]]
+#: One oracle dialogue: per frame, the DI stimulus and the oracle's response.
+Dialogue = Tuple[List[Dict[str, int]], List[Dict[str, int]]]
+
+
+def refine_keys(
+    tag: str,
+    netlist: Netlist,
+    oracle: ConfiguredOracle,
+    result: RefinementResult,
+    max_iterations: int,
+    encode: Callable[..., List[Frame]],
+    ask: Callable[[List[Dict[str, int]]], List[Dict[str, int]]],
+    **attrs,
+) -> List[Dialogue]:
+    """The distinguishing-input (DI) refinement loop of both SAT attacks.
+
+    ``encode(encoder, prefix, keys, inputs)`` adds one copy of the attack's
+    frames, sharing the per-frame input variables *inputs* when given;
+    ``ask(stimuli)`` sends a DI to the oracle.  Two copies with their own
+    key variables share inputs under a miter gated on ``act``: each
+    ``solve([act])`` yields a DI, and one fresh copy per key set is pinned
+    to the dialogue.  When no DI remains, the key is extracted from the
+    same solver with the miter relaxed (``[-act]``).  Fills *result*'s
+    ``key``, ``iterations``, ``gave_up`` and bill, records the
+    ``attack.<tag>`` span tree with its cost attribution, and returns the
+    dialogues in DI order.
+    """
+    cost0 = snapshot_cost(oracle)
+    with span(
+        f"attack.{tag}", circuit=netlist.name, lut_count=len(netlist.luts), **attrs
+    ) as attack_span:
+        encoder = CircuitEncoder(Cnf())
+        cnf = encoder.cnf
+        keys_a: Dict[Tuple[str, int], int] = {}
+        keys_b: Dict[Tuple[str, int], int] = {}
+        frames_a = encode(encoder, "A.", keys_a, None)
+        frames_b = encode(encoder, "B.", keys_b, [ins for ins, _ in frames_a])
+        act = cnf.new_var(f"{tag}:act")
+        pairs = [
+            (seen_a[net], seen_b[net])
+            for (_, seen_a), (_, seen_b) in zip(frames_a, frames_b)
+            for net in seen_a
+        ]
+        gated_miter(cnf, pairs, act)
+        solver = Solver()
+        solver.add_cnf(cnf)
+        dialogues: List[Dialogue] = []
+        while result.iterations < max_iterations:
+            with span(
+                f"attack.{tag}.iteration", iteration=result.iterations + 1
+            ) as iter_span:
+                conflicts_before = solver.stats["conflicts"]
+                found = solver.solve([act])
+                if found:
+                    result.iterations += 1
+                    model = solver.model()
+                    stimuli = [
+                        {net: int(model.get(var, False)) for net, var in ins.items()}
+                        for ins, _ in frames_a
+                    ]
+                    responses = ask(stimuli)
+                    dialogues.append((stimuli, responses))
+                    for keys in (keys_a, keys_b):
+                        prefix = f"C{len(cnf.clauses)}."
+                        frames = encode(encoder, prefix, keys, None)
+                        for (ins, seen), applied, observed in zip(
+                            frames, stimuli, responses
+                        ):
+                            for net, var in ins.items():
+                                cnf.add_clause([var if applied[net] else -var])
+                            for net, var in seen.items():
+                                cnf.add_clause([var if observed[net] else -var])
+                    solver.add_cnf(cnf)
+                iter_span.set(
+                    distinguishing_input=found,
+                    solver_conflicts=solver.stats["conflicts"] - conflicts_before,
+                )
+            if not found:
+                break
+        else:
+            # The cap was hit before a solve found no DI.  The bill and the
+            # conflicts below are still reported, as on the solved path.
+            result.gave_up = True
+        if not result.gave_up:
+            with span(
+                f"attack.{tag}.extract", constraints=len(dialogues)
+            ) as extract_span:
+                conflicts_before = solver.stats["conflicts"]
+                # With the miter relaxed, the formula's projection onto
+                # keys_a is exactly the keys consistent with every dialogue.
+                result.key = extract_canonical_key(solver, keys_a, [-act])
+                extract_span.set(
+                    solver_conflicts=solver.stats["conflicts"] - conflicts_before
+                )
+        result.oracle_queries = oracle.queries
+        result.test_clocks = oracle.test_clocks
+        result.solver_conflicts = solver.stats["conflicts"]
+        deltas = attribute_cost(attack_span, oracle, cost0)
+        attack_span.set(
+            success=result.success,
+            iterations=result.iterations,
+            gave_up=result.gave_up,
+            solver_conflicts=result.solver_conflicts,
+        )
+        bump_cost_counters(deltas)
+        add_counter("sat.solver_conflicts", result.solver_conflicts)
+    return dialogues
+
+
 class SatAttack:
     """Iterative distinguishing-input refinement with a CDCL solver."""
 
@@ -123,167 +245,36 @@ class SatAttack:
         self.max_iterations = max_iterations
 
     def run(self) -> SatAttackResult:
+        netlist = self.netlist
+        # One free-state frame: every startpoint is an input, and the
+        # observed nets are the POs then the D-pins (scan reads both).
+        inputs, flip_flops = startpoints(netlist)
+        starts = inputs + flip_flops
+        points = list(dict.fromkeys(self.oracle.observation_points()))
+
+        def encode(encoder, prefix, keys, shared):
+            net_vars = encoder.encode(
+                netlist, prefix, shared[0] if shared else None, key_vars=keys
+            ).net_vars
+            return [
+                (
+                    {sp: net_vars[sp] for sp in starts},
+                    {point: net_vars[point] for point in points},
+                )
+            ]
+
+        def ask(stimuli):
+            observed = self.oracle.query(*split_pattern(netlist, stimuli[0]))
+            return [{point: observed[point] for point in points}]
+
         result = SatAttackResult()
-        cost0 = snapshot_cost(self.oracle)
-        with span(
-            "attack.sat",
-            circuit=self.netlist.name,
-            lut_count=len(self.netlist.luts),
-        ) as attack_span:
-            outcome = self._run_inner(result)
-            deltas = attribute_cost(attack_span, self.oracle, cost0)
-            attack_span.set(
-                success=outcome.success,
-                iterations=outcome.iterations,
-                gave_up=outcome.gave_up,
-                solver_conflicts=outcome.solver_conflicts,
-            )
-            bump_cost_counters(deltas)
-            add_counter("sat.solver_conflicts", outcome.solver_conflicts)
-        return outcome
-
-    def _run_inner(self, result: SatAttackResult) -> SatAttackResult:
-        startpoints = list(self.netlist.inputs) + list(self.netlist.flip_flops)
-        observation = self._observation_pairs()
-
-        encoder = CircuitEncoder(Cnf())
-        # Two *independent* key hypotheses over shared inputs: a satisfying
-        # assignment is a distinguishing input — a pattern on which two
-        # still-plausible configurations disagree.
-        keys_a: Dict[Tuple[str, int], int] = {}
-        keys_b: Dict[Tuple[str, int], int] = {}
-        enc_a = encoder.encode(self.netlist, prefix="A.", key_vars=keys_a)
-        shared_inputs = {name: enc_a.net_vars[name] for name in startpoints}
-        enc_b = encoder.encode(
-            self.netlist,
-            prefix="B.",
-            input_vars=shared_inputs,
-            key_vars=keys_b,
+        dialogues = refine_keys(
+            "sat", netlist, self.oracle, result, self.max_iterations, encode, ask
         )
-        cnf = encoder.cnf
-        # Miter: at least one observation point differs between the copies.
-        # The clause is gated on an activation literal so the *same* solver
-        # serves both phases: solve([act]) searches for a distinguishing
-        # input, solve([-act, ...]) extracts the key with the difference
-        # requirement relaxed — no rebuild, all learned clauses retained.
-        act = cnf.new_var("sat_attack:act")
-        diff_lits: List[int] = []
-        for point in observation:
-            a_var, b_var = enc_a.net_vars[point], enc_b.net_vars[point]
-            d = cnf.new_var()
-            cnf.add_clause([-d, a_var, b_var])
-            cnf.add_clause([-d, -a_var, -b_var])
-            cnf.add_clause([d, -a_var, b_var])
-            cnf.add_clause([d, a_var, -b_var])
-            diff_lits.append(d)
-        cnf.add_clause(diff_lits + [-act])
-
-        solver = Solver()
-        solver.add_cnf(cnf)
-        self._clause_cursor = len(cnf.clauses)
-        di_constraints = result.di_constraints
-
-        while result.iterations < self.max_iterations:
-            with span(
-                "attack.sat.iteration", iteration=result.iterations + 1
-            ) as iter_span:
-                conflicts_before = solver.stats["conflicts"]
-                if not solver.solve([act]):
-                    iter_span.set(
-                        distinguishing_input=False,
-                        solver_conflicts=solver.stats["conflicts"]
-                        - conflicts_before,
-                    )
-                    break  # no distinguishing input remains
-                result.iterations += 1
-                model = solver.model()
-                pattern = {
-                    name: int(model.get(var, False))
-                    for name, var in shared_inputs.items()
-                }
-                observed = self.oracle.query(
-                    *split_pattern(self.netlist, pattern)
-                )
-                response = {point: observed[point] for point in observation}
-                di_constraints.append((pattern, response))
-                # Pin each key hypothesis to the oracle's response on this DI
-                # via one fresh functional copy per key set.
-                self._add_io_constraint(
-                    solver, encoder, keys_a, pattern, response
-                )
-                self._add_io_constraint(
-                    solver, encoder, keys_b, pattern, response
-                )
-                iter_span.set(
-                    distinguishing_input=True,
-                    solver_conflicts=solver.stats["conflicts"]
-                    - conflicts_before,
-                )
-        else:
-            # Iteration cap hit with distinguishing inputs still open: the
-            # solver's work so far must be reported, same as the solved path
-            # (sweep rows would otherwise show 0 conflicts for capped runs).
-            result.gave_up = True
-            result.oracle_queries = self.oracle.queries
-            result.test_clocks = self.oracle.test_clocks
-            result.solver_conflicts = solver.stats["conflicts"]
-            return result
-
-        with span(
-            "attack.sat.extract", constraints=len(di_constraints)
-        ) as extract_span:
-            conflicts_before = solver.stats["conflicts"]
-            # Extraction reuses the live solver: with the miter relaxed
-            # ([-act]), the formula's projection onto keys_a is exactly the
-            # keys consistent with every recorded DI.
-            result.key = extract_canonical_key(solver, keys_a, [-act])
-            extract_span.set(
-                solver_conflicts=solver.stats["conflicts"] - conflicts_before
-            )
-        result.oracle_queries = self.oracle.queries
-        result.test_clocks = self.oracle.test_clocks
-        result.solver_conflicts = solver.stats["conflicts"]
+        result.di_constraints = [
+            (stimuli[0], responses[0]) for stimuli, responses in dialogues
+        ]
         return result
-
-    # ------------------------------------------------------------------
-    def _observation_pairs(self) -> List[str]:
-        points: List[str] = []
-        seen = set()
-        for po in self.netlist.outputs:
-            if po not in seen:
-                points.append(po)
-                seen.add(po)
-        for ff in self.netlist.flip_flops:
-            d_pin = self.netlist.node(ff).fanin[0]
-            if d_pin not in seen:
-                points.append(d_pin)
-                seen.add(d_pin)
-        return points
-
-    def _add_io_constraint(
-        self,
-        solver: Solver,
-        encoder: CircuitEncoder,
-        shared_keys: Dict[Tuple[str, int], int],
-        pattern: Dict[str, int],
-        response: Dict[str, int],
-    ) -> None:
-        """Encode a fresh functional copy constrained to (pattern, response),
-        with the same shared key variables."""
-        copy_enc = encoder.encode(
-            self.netlist,
-            prefix=f"C{len(encoder.cnf.clauses)}.",
-            key_vars=shared_keys,
-        )
-        for clause in encoder.cnf.clauses[self._clause_cursor:]:
-            solver.add_clause(clause)
-        self._clause_cursor = len(encoder.cnf.clauses)
-        for name, value in pattern.items():
-            var = copy_enc.net_vars[name]
-            solver.add_clause([var if value else -var])
-        for point, value in response.items():
-            var = copy_enc.net_vars[point]
-            solver.add_clause([var if value else -var])
 
 
 def verify_key(

@@ -2,9 +2,10 @@
 
 The config-lane axis (:mod:`repro.sim.keybatch`) is the only path by
 which the attacks score keys.  Every check here races it against one
-independent reference, :func:`reference_values`: the key programmed into
-a copy of the netlist and simulated one pattern per call by
-:func:`~repro.sim.logicsim.reference_evaluate`.
+independent reference: the key programmed into a copy of the netlist
+and simulated by :func:`~repro.sim.logicsim.reference_evaluate`, one
+pattern per call (:func:`reference_values`) or every pattern in one word
+(:func:`reference_counts`).
 
 * ``keybatch-lane-parity`` — raw simulation: every lane of a
   config-lane ``evaluate_configs`` pass must equal the reference, for
@@ -13,7 +14,9 @@ a copy of the netlist and simulated one pattern per call by
   match counts (bit-sliced per-lane counters) must equal reference
   counts at batch widths that put keys on both sides of every chunk
   edge, with the true key among the candidates, so one lane matches
-  every label (or, under inverted labels, none).
+  every label (or, under inverted labels, none).  Every third round's
+  training set is longer than one scoring word, so counts are summed
+  over pattern chunks.
 * ``keybatch-brute-parity`` — screening and the whole attack:
   ``screen_hypotheses`` survivors and budget accounting (tested,
   exhausted) at widths 1 and 64 must equal the reference filter over the
@@ -34,7 +37,7 @@ from ..lut.mapping import HybridMapper
 from ..netlist.netlist import Netlist
 from ..sim import keybatch
 from ..sim.compiled import evaluate_configs
-from ..sim.logicsim import reference_evaluate
+from ..sim.logicsim import pack, reference_evaluate
 from .checks_attacks import _lock_small
 from .core import CheckContext, register
 
@@ -81,6 +84,39 @@ def reference_lane_words(
     return words
 
 
+def reference_counts(
+    netlist: Netlist,
+    keys: Iterable[Mapping[str, int]],
+    patterns: Sequence[Mapping[str, int]],
+    labels: Sequence[Mapping[str, int]],
+    points: Sequence[str],
+) -> List[int]:
+    """Per key, the (pattern, point) pairs on which *netlist* with the key
+    programmed reproduces the label.
+
+    Each key is written into one copy (a LUT the key omits keeps
+    *netlist*'s config), and every pattern is simulated in one word by
+    :func:`reference_evaluate`: no config lanes, no compiled kernel, no
+    bit-sliced counters.
+    """
+    width = len(patterns)
+    mask = (1 << width) - 1
+    nets = [*netlist.inputs, *netlist.flip_flops]
+    words = {net: pack([p.get(net, 0) for p in patterns]) for net in nets}
+    wanted = {pt: pack([label[pt] for label in labels]) for pt in points}
+    programmed = netlist.copy(f"{netlist.name}_ref")
+    base = {lut: programmed.node(lut).lut_config for lut in programmed.luts}
+    counts = []
+    for key in keys:
+        for name, config in {**base, **key}.items():
+            programmed.node(name).lut_config = config
+        values = reference_evaluate(programmed, words, words, width)
+        counts.append(
+            sum(bin(~(values[pt] ^ wanted[pt]) & mask).count("1") for pt in points)
+        )
+    return counts
+
+
 def reference_survivors(
     netlist: Netlist,
     hypotheses: Iterable[Mapping[str, int]],
@@ -88,19 +124,12 @@ def reference_survivors(
     responses: Sequence[Mapping[str, int]],
     points: Sequence[str],
 ) -> List[Mapping[str, int]]:
-    """The hypotheses, in order, whose :func:`reference_values` reproduce
+    """The hypotheses, in order, whose :func:`reference_counts` reproduce
     every recorded response at every observation point."""
-    return [
-        hypothesis
-        for hypothesis in hypotheses
-        if all(
-            values[p] == response[p]
-            for values, response in zip(
-                reference_values(netlist, hypothesis, patterns), responses
-            )
-            for p in points
-        )
-    ]
+    hypotheses = list(hypotheses)
+    counts = reference_counts(netlist, hypotheses, patterns, responses, points)
+    full = len(patterns) * len(points)
+    return [h for h, count in zip(hypotheses, counts) if count == full]
 
 
 def _random_configs(
@@ -172,27 +201,25 @@ def keybatch_score_parity(ctx: CheckContext) -> None:
         points = list(foundry.outputs) + [
             foundry.node(ff).fanin[0] for ff in foundry.flip_flops
         ]
-        patterns = draw_patterns(rng, foundry, rng.randint(1, 12))
+        # Every third round pairs 65-81 keys with 129-160 patterns: a word
+        # of the first key chunk at widths 64, 65 and 130 then exceeds
+        # keybatch.MAX_SCORE_WORD_BITS, so counts are summed over pattern
+        # chunks.
+        long_round = round_no % 3 == 1
+        n_patterns = rng.randint(129, 160) if long_round else rng.randint(1, 12)
+        patterns = draw_patterns(rng, foundry, n_patterns)
         invert = round_no % 2  # odd rounds: the true key matches nothing
         labels = [
             {p: (values[p] & 1) ^ invert for p in points}
             for values in reference_values(hybrid, {}, patterns)
         ]
-        keys = _random_configs(foundry, luts, rng, rng.randint(1, 140))
+        n_keys = rng.randint(64, 80) if long_round else rng.randint(1, 140)
+        keys = _random_configs(foundry, luts, rng, n_keys)
         keys.insert(
             rng.randrange(len(keys) + 1),
             {name: hybrid.node(name).lut_config for name in luts},
         )
-        reference = [
-            sum(
-                values[p] == label[p]
-                for values, label in zip(
-                    reference_values(foundry, key, patterns), labels
-                )
-                for p in points
-            )
-            for key in keys
-        ]
+        reference = reference_counts(foundry, keys, patterns, labels, points)
         for width in SCORE_WIDTHS:
             ctx.compare(
                 "score_keys counts vs per-key reference counts",

@@ -18,14 +18,17 @@ keys consistent with its recorded DI responses are enumerated outright
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..netlist.gates import GateType
 from ..netlist.netlist import Netlist
 from ..netlist.transform import extract_cone, replace_gates_with_luts
 from ..sat.equivalence import check_equivalence
-from ..sim.logicsim import exhaustive_input_words, reference_evaluate
+from ..sim.logicsim import exhaustive_input_words, pack, reference_evaluate
 from .core import CheckContext, register
+
+if TYPE_CHECKING:
+    from ..attacks.sat_attack import Dialogue
 
 #: One recorded SAT-attack round: (DI pattern, oracle response).
 DiConstraint = Tuple[Dict[str, int], Dict[str, int]]
@@ -142,17 +145,21 @@ def sat_vs_exhaustive(ctx: CheckContext) -> None:
             )
 
 
-def consistent_keys(
-    foundry: Netlist, di_constraints: Sequence[DiConstraint]
+def dialogue_keys(
+    foundry: Netlist, dialogues: Sequence[Dialogue]
 ) -> List[Dict[str, int]]:
-    """Every full key of *foundry* consistent with the recorded DI
-    responses, by enumeration.
+    """Every full key of *foundry* consistent with the recorded
+    (stimuli, responses) dialogues, by enumeration.
 
-    Each key is programmed into a copy of the foundry view, and all DI
-    patterns are simulated in one word by :func:`reference_evaluate`.  Keys
-    come out in lexicographic order of their bits taken in sorted
-    ``(lut, row)`` order, 0 before 1, so the first one is the lex-min key.
-    Only for tiny locks: the loop visits ``2 ** (total LUT rows)`` keys.
+    Each key is programmed into a copy of the foundry view, and the
+    dialogues are simulated one per lane, frame by frame, by
+    :func:`reference_evaluate`: frame 0 starts from the state its stimuli
+    set (a flip-flop they omit reads 0, the reset value), each later frame
+    from the previous frame's D-pins, and every net of every response must
+    match.  Keys come out in lexicographic order of their bits taken in
+    sorted ``(lut, row)`` order, 0 before 1, so the first one is the
+    lex-min key.  Only for tiny locks: the loop visits
+    ``2 ** (total LUT rows)`` keys.
     """
     candidate = foundry.copy(f"{foundry.name}_enum")
     bits = sorted(
@@ -160,21 +167,15 @@ def consistent_keys(
         for lut in candidate.luts
         for row in range(1 << candidate.node(lut).n_inputs)
     )
-    width = max(len(di_constraints), 1)
-
-    def word(values) -> int:
-        return sum(value << lane for lane, value in enumerate(values))
-
-    inputs = {
-        pi: word(p.get(pi, 0) for p, _ in di_constraints)
-        for pi in candidate.inputs
-    }
-    state = {
-        ff: word(p.get(ff, 0) for p, _ in di_constraints)
-        for ff in candidate.flip_flops
-    }
-    points = di_constraints[0][1] if di_constraints else {}
-    expected = {pt: word(r[pt] for _, r in di_constraints) for pt in points}
+    width = max(len(dialogues), 1)
+    nets = [*candidate.inputs, *candidate.flip_flops]
+    frames = [
+        (
+            {net: pack([s[t].get(net, 0) for s, _ in dialogues]) for net in nets},
+            {net: pack([r[t][net] for _, r in dialogues]) for net in response},
+        )
+        for t, response in enumerate(dialogues[0][1] if dialogues else [])
+    ]
     found: List[Dict[str, int]] = []
     for code in range(1 << len(bits)):
         key = dict.fromkeys(candidate.luts, 0)
@@ -183,54 +184,62 @@ def consistent_keys(
                 key[lut] |= 1 << row
         for lut, config in key.items():
             candidate.node(lut).lut_config = config
-        values = reference_evaluate(candidate, inputs, state, width)
-        if all(values[pt] == w for pt, w in expected.items()):
+        state = frames[0][0] if frames else {}
+        for applied, expected in frames:
+            values = reference_evaluate(candidate, applied, state, width)
+            if any(values[net] != word for net, word in expected.items()):
+                break
+            state = {
+                ff: values[candidate.node(ff).fanin[0]]
+                for ff in candidate.flip_flops
+            }
+        else:
             found.append(key)
     return found
 
 
-@register(
-    name="sat-incremental-extract",
-    family="sat",
-    description="on tiny locks (every other one with two unreachable LUT "
-    "rows), the incremental SAT attack's extracted key must be the "
-    "lex-min of the keys brute-force enumeration finds consistent with "
-    "its DI responses, every such key must be SAT-proved equivalent to "
-    "the hybrid, and the oracle bill must be one scan query per DI round",
-    trial_divisor=8,
-)
-def sat_incremental_extract(ctx: CheckContext) -> None:
+def consistent_keys(
+    foundry: Netlist, di_constraints: Sequence[DiConstraint]
+) -> List[Dict[str, int]]:
+    """:func:`dialogue_keys` of the SAT attack's one-frame dialogues."""
+    return dialogue_keys(foundry, [([p], [r]) for p, r in di_constraints])
+
+
+def _check_extraction(ctx: CheckContext, scan: bool, run_attack) -> List[tuple]:
+    """Run ``run_attack(foundry, oracle, rng) -> (result, dialogues,
+    clocks per DI round)`` on tiny locks; check the key against
+    :func:`dialogue_keys` and the bill against an external re-count.
+    Every other lock is a LUT reading one net on both pins (rows 1 and 2
+    unreachable), so only the canonical choice among several consistent
+    keys decides the extracted key.  Returns ``(trial, hybrid, foundry,
+    consistent keys)`` per trial."""
     from ..attacks.oracle import ConfiguredOracle
-    from ..attacks.sat_attack import SatAttack
     from ..lut.mapping import HybridMapper
-    from .checks_attacks import IndependentBill, _candidate_from_key, _lock_small
+    from .checks_attacks import IndependentBill, _lock_small
     from .checks_dataflow import _lock_duplicated_pin
 
     rng = ctx.rng
+    locks = []
     for trial in range(ctx.trials):
         hybrid = ctx.netlist()
         if trial % 2 == 0:
-            # A LUT reading one net on both pins never selects rows 1 and
-            # 2, so several keys stay consistent and only the canonical
-            # choice among them decides the extracted key.
             locked = _lock_duplicated_pin(hybrid, rng) is not None
         else:
             locked = _lock_small(hybrid, rng) is not None
         if not locked:
-            return
+            break
         foundry = HybridMapper().strip_configs(hybrid)
-
-        oracle = ConfiguredOracle(hybrid, scan=True)
+        oracle = ConfiguredOracle(hybrid, scan=scan)
         bill = IndependentBill(oracle)
-        result = SatAttack(foundry.copy(f"{foundry.name}_new"), oracle).run()
+        result, dialogues, clocks = run_attack(foundry, oracle, rng)
         ctx.require(
-            "incremental attack recovers a key",
+            "the attack recovers a key",
             result.success and not result.gave_up,
-            "SAT attack gave up or failed on a tiny lock",
+            "the SAT attack gave up or failed on a tiny lock",
             trial=trial,
+            clocks=clocks,
         )
-
-        keys = consistent_keys(foundry, result.di_constraints)
+        keys = dialogue_keys(foundry, dialogues)
         truth = {lut: hybrid.node(lut).lut_config for lut in hybrid.luts}
         ctx.require(
             "the provisioned key is consistent with its own oracle",
@@ -246,8 +255,41 @@ def sat_incremental_extract(ctx: CheckContext) -> None:
             di_rounds=result.iterations,
             consistent_keys=len(keys),
         )
+        # Extraction never touches the oracle: the reported bill and the
+        # external re-count are the DI rounds' alone.
+        ctx.compare(
+            "oracle bill (reported, re-counted) vs clocks per DI round",
+            (result.oracle_queries, result.test_clocks, bill.queries, bill.test_clocks),
+            (result.iterations * clocks,) * 4,
+            trial=trial,
+            clocks=clocks,
+        )
+        locks.append((trial, hybrid, foundry, keys))
+    return locks
+
+
+@register(
+    name="sat-incremental-extract",
+    family="sat",
+    description="on tiny locks (every other one with two unreachable LUT "
+    "rows), the incremental SAT attack's extracted key must be the "
+    "lex-min of the keys brute-force enumeration finds consistent with "
+    "its DI responses, every such key must be SAT-proved equivalent to "
+    "the hybrid, and the oracle bill must be one scan query per DI round",
+    trial_divisor=8,
+)
+def sat_incremental_extract(ctx: CheckContext) -> None:
+    from ..attacks.sat_attack import SatAttack
+    from .checks_attacks import _candidate_from_key
+
+    def run_attack(foundry, oracle, rng):
+        result = SatAttack(foundry.copy(f"{foundry.name}_new"), oracle).run()
+        return result, [([p], [r]) for p, r in result.di_constraints], 1
+
+    for trial, hybrid, foundry, keys in _check_extraction(ctx, True, run_attack):
         # Termination: once no distinguishing input remains, every key
         # the responses admit must implement the hybrid's function.
+        truth = {lut: hybrid.node(lut).lut_config for lut in hybrid.luts}
         for key in keys:
             if key == truth:
                 continue
@@ -261,18 +303,24 @@ def sat_incremental_extract(ctx: CheckContext) -> None:
                 key=key,
             )
 
-        # Oracle bill: a width-1 scan query per DI round, nothing from
-        # extraction (it never touches the oracle), and the reported bill
-        # must match the external re-count.
-        ctx.compare(
-            "oracle bill vs external re-count",
-            (result.oracle_queries, result.test_clocks),
-            (bill.queries, bill.test_clocks),
-            trial=trial,
-        )
-        ctx.compare(
-            "incremental bill is one scan query per DI round",
-            (result.oracle_queries, result.test_clocks),
-            (result.iterations, result.iterations),
-            trial=trial,
-        )
+
+@register(
+    name="sat-sequential-extract",
+    family="sat",
+    description="on tiny locks at unroll depth 1-3, the sequential SAT "
+    "attack's extracted key must be the lex-min of the keys enumeration "
+    "finds consistent with its dialogues (each simulated from reset), and "
+    "the oracle bill must be depth queries and clocks per DIS round",
+    trial_divisor=8,
+)
+def sat_sequential_extract(ctx: CheckContext) -> None:
+    from ..attacks.sequential_sat import SequentialSatAttack
+
+    def run_attack(foundry, oracle, rng):
+        depth = rng.randint(1, 3)
+        result = SequentialSatAttack(
+            foundry.copy(f"{foundry.name}_new"), oracle, unroll_depth=depth
+        ).run()
+        return result, result.dialogues, depth
+
+    _check_extraction(ctx, False, run_attack)

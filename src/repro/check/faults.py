@@ -4,15 +4,16 @@ A differential check that never fires is worse than no check — it
 launders confidence.  Each :class:`Fault` here deliberately breaks one
 layer the checks guard (a stale compiled kernel, a stale netlist view,
 wiring kernels shared across different wiring, simulation code shared
-across different gate types, a lying SAT solver, a
-non-canonical SAT-attack key, a tampered sweep-cache row, an oracle
-that forgets to bill memoized replays, a simplify pass that miswires a
-gate, a short ML match counter, an ML block fold that loses a training
-pattern, a key screen that skips an observation point, an implication
-schedule that misses config writes), runs the corresponding check family, and demands at
-least one divergence.  The faults are installed by monkeypatching the real code
-paths — the checks themselves are byte-for-byte the ones the normal run
-uses.
+across different gate types, a lying SAT solver, a solver that drops
+clauses a growing formula gains, a non-canonical SAT-attack key, a
+tampered sweep-cache row, an oracle that forgets to bill memoized
+replays, a simplify pass that miswires a gate, a short ML match counter,
+an ML block fold that loses a training pattern, an ML scorer that
+overwrites pattern-chunk counts, a key screen that skips an observation
+point, an implication schedule that misses config writes), runs the
+corresponding check family, and demands at least one divergence.  The
+faults are installed by monkeypatching the real code paths — the checks
+themselves are byte-for-byte the ones the normal run uses.
 """
 
 from __future__ import annotations
@@ -72,6 +73,17 @@ def _inject_sat_always_unsat() -> Callable[[], None]:
     from ..sat.solver import Solver
 
     return _install(Solver, "solve", lambda self, assumptions=(): False)
+
+
+def _inject_add_cnf_first_feed_only() -> Callable[[], None]:
+    """``Solver.add_cnf`` keeps a stale clause cursor: a formula's later
+    extensions (the next miter, the DI-pinned copies) are dropped."""
+    from ..sat.solver import Solver
+
+    original = Solver.add_cnf
+    return _install(
+        Solver, "add_cnf", lambda self, cnf: id(cnf) in self._fed or original(self, cnf)
+    )
 
 
 def _inject_sweep_cache_tamper() -> Callable[[], None]:
@@ -214,6 +226,17 @@ def _inject_score_fold_drops_block() -> Callable[[], None]:
         return original(planes, blocks, lanes)
 
     return _install(keybatch, "_fold_blocks", dropping)
+
+
+def _inject_score_chunk_overwrites() -> Callable[[], None]:
+    """The ML scorer assigns pattern-chunk counts with ``=`` instead of
+    ``+=``, so only a long training set's last chunk is scored."""
+    from ..sim import keybatch
+
+    original = keybatch.KeyScorer._words
+    return _install(
+        keybatch.KeyScorer, "_words", lambda self, lanes: original(self, lanes)[-1:]
+    )
 
 
 def _inject_implication_stale_config() -> Callable[[], None]:
@@ -359,6 +382,13 @@ FAULTS: List[Fault] = [
         inject=_inject_sat_always_unsat,
     ),
     Fault(
+        name="add-cnf-first-feed-only",
+        family="sat",
+        description="Solver.add_cnf drops every clause a formula gains "
+        "after its first feed",
+        inject=_inject_add_cnf_first_feed_only,
+    ),
+    Fault(
         name="non-canonical-key",
         family="sat",
         description="SAT-attack key extraction returns the lex-max "
@@ -416,6 +446,13 @@ FAULTS: List[Fault] = [
         description="score_keys' block fold drops the top block when the "
         "block count is odd",
         inject=_inject_score_fold_drops_block,
+    ),
+    Fault(
+        name="score-chunk-overwrites",
+        family="keybatch",
+        description="score_keys keeps only the last pattern chunk's "
+        "counts instead of summing the chunks",
+        inject=_inject_score_chunk_overwrites,
     ),
     Fault(
         name="implication-stale-config",

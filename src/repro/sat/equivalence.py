@@ -23,12 +23,13 @@ Two entry points:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
+from ..netlist.graph import d_pins
 from ..netlist.netlist import Netlist, NetlistError
 from .cnf import Cnf
 from .solver import Solver
-from .tseitin import CircuitEncoder
+from .tseitin import CircuitEncoder, gated_miter
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,8 @@ class EquivalenceSession:
             for name in list(reference.inputs) + list(reference.flip_flops)
         }
         self._solver = Solver()
-        self._cursor = 0
+        self._solver.add_cnf(self._encoder.cnf)
         self._count = 0
-        self._sync()
 
     @property
     def reference(self) -> Netlist:
@@ -86,13 +86,6 @@ class EquivalenceSession:
     def stats(self) -> Dict[str, int]:
         """The underlying solver's statistics (shared across all checks)."""
         return dict(self._solver.stats)
-
-    def _sync(self) -> None:
-        cnf = self._encoder.cnf
-        self._solver.ensure_vars(cnf.num_vars)
-        for clause in cnf.clauses[self._cursor:]:
-            self._solver.add_clause(clause)
-        self._cursor = len(cnf.clauses)
 
     def check(self, candidate: Netlist) -> EquivalenceResult:
         reference = self._reference
@@ -114,27 +107,14 @@ class EquivalenceSession:
         )
         # Compare by role: POs by name; next-state by flip-flop name (the
         # D-pin net may be named differently after retiming-style edits).
-        pairs: List[Tuple[int, int]] = []
-        for po in reference.outputs:
-            pairs.append(
-                (self._ref_enc.net_vars[po], cand_enc.net_vars[po])
-            )
-        for ff in reference.flip_flops:
-            l_pin = reference.node(ff).fanin[0]
-            r_pin = candidate.node(ff).fanin[0]
-            pairs.append(
-                (self._ref_enc.net_vars[l_pin], cand_enc.net_vars[r_pin])
-            )
-        diff_lits: List[int] = []
-        for l_var, r_var in pairs:
-            miter = cnf.new_var()
-            cnf.add_clause([-miter, l_var, r_var])
-            cnf.add_clause([-miter, -l_var, -r_var])
-            cnf.add_clause([miter, -l_var, r_var])
-            cnf.add_clause([miter, l_var, -r_var])
-            diff_lits.append(miter)
-        cnf.add_clause(diff_lits + [-act])
-        self._sync()
+        ref_vars, cand_vars = self._ref_enc.net_vars, cand_enc.net_vars
+        pairs = [(ref_vars[po], cand_vars[po]) for po in reference.outputs]
+        pairs += [
+            (ref_vars[l_pin], cand_vars[candidate.node(ff).fanin[0]])
+            for ff, l_pin in zip(reference.flip_flops, d_pins(reference))
+        ]
+        gated_miter(cnf, pairs, act)
+        self._solver.add_cnf(cnf)
 
         equivalent = not self._solver.solve([act])
         counterexample: Optional[Dict[str, int]] = None

@@ -110,6 +110,8 @@ class Solver:
         self._cla_inc = 1.0
         self._cla_decay = 0.999
         self._unsat = False
+        # id(cnf) -> (cnf, clauses taken); holding cnf pins its id.
+        self._fed: Dict[int, "tuple[Cnf, int]"] = {}
         self.stats = dict.fromkeys(_STAT_COUNTERS, 0)
 
     # ------------------------------------------------------------------
@@ -179,10 +181,19 @@ class Solver:
         return True
 
     def add_cnf(self, cnf: Cnf) -> bool:
+        """Add the clauses of *cnf* this solver has not taken yet, so a
+        growing formula can be fed after every extension.  Search state
+        is unwound *before* new variables are allocated: the backtrack
+        re-inserts assigned variables into the decision heap ahead of the
+        fresh ones, the order :meth:`add_clause` alone would give."""
+        if self._trail_lim:
+            self._backtrack(0)
         self.ensure_vars(cnf.num_vars)
+        start = self._fed.get(id(cnf), (cnf, 0))[1]
         ok = True
-        for clause in cnf.clauses:
+        for clause in cnf.clauses[start:]:
             ok = self.add_clause(clause) and ok
+        self._fed[id(cnf)] = (cnf, len(cnf.clauses))
         return ok
 
     # ------------------------------------------------------------------

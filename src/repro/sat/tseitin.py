@@ -10,7 +10,7 @@ SAT attack (:mod:`repro.attacks.sat_attack`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..netlist.gates import GateType
 from ..netlist.graph import topological_order
@@ -195,6 +195,18 @@ class CircuitEncoder:
             ]
             self.cnf.add_clause(guard + [-out, key_var])
             self.cnf.add_clause(guard + [out, -key_var])
+
+
+def gated_miter(cnf: Cnf, pairs: Sequence[Tuple[int, int]], act: int) -> None:
+    """Demand that some pair of *pairs* differs whenever *act* holds:
+    ``solve([act])`` searches for an assignment telling the sides apart,
+    and ``[-act]`` relaxes the miter without removing a clause."""
+    diffs: List[int] = []
+    for a, b in pairs:
+        diff = cnf.new_var()
+        cnf.add_clauses(_xor2_clauses(diff, a, b))
+        diffs.append(diff)
+    cnf.add_clause(diffs + [-act])
 
 
 def encode_netlist(

@@ -40,6 +40,8 @@ class TestRegistry:
             "sim-override-parity",
             "sim-sequential-parity",
             "sat-vs-exhaustive",
+            "sat-incremental-extract",
+            "sat-sequential-extract",
             "sweep-modes-identical",
             "attack-oracle-equivalence",
             "attack-implication-parity",
@@ -207,6 +209,20 @@ class TestFaultInjection:
         }
         for outcome in report.outcomes:
             assert outcome.fired, f"fault {outcome.fault} went uncaught"
+
+    def test_non_canonical_key_caught_by_both_extraction_checks(self):
+        """Both SAT attacks extract through the one shared loop, so the
+        patched extraction reaches the sequential attack too."""
+        (fault,) = [f for f in FAULTS if f.name == "non-canonical-key"]
+        undo = fault.inject()
+        try:
+            for name in ("sat-incremental-extract", "sat-sequential-extract"):
+                report = run_checks(
+                    resolve_checks([name]), circuits=["s27"], seeds=[0], trials=16
+                )
+                assert report.divergences, name
+        finally:
+            undo()
 
     def test_faults_cover_every_family(self):
         assert {f.family for f in FAULTS} == set(families())

@@ -127,3 +127,61 @@ class TestSequentialSolverAccounting:
         if result.gave_up:
             assert result.solver_conflicts >= 0
             assert result.key is None
+
+    def test_root_span_attributes_cost_and_conflicts(self, s27):
+        """The shared refinement loop gives the sequential attack the
+        combinational attack's span tree: a root span carrying the bill,
+        one span per iteration (the last finds no DIS) and the extract
+        span, whose conflicts partition the run's total."""
+        from repro.obs import Recorder, use_recorder
+
+        hybrid, foundry = lock(s27, ["G8", "G15", "G13"])
+        oracle = ConfiguredOracle(hybrid, scan=False)
+        recorder = Recorder()
+        with use_recorder(recorder):
+            result = SequentialSatAttack(foundry, oracle, unroll_depth=3).run()
+        assert result.success
+        (root,) = recorder.find("attack.seqsat")
+        assert root.attrs["unroll_depth"] == 3
+        assert root.attrs["test_clocks"] == result.test_clocks
+        assert root.attrs["oracle_queries"] == result.oracle_queries
+        assert root.attrs["solver_conflicts"] == result.solver_conflicts
+        assert recorder.counters["oracle.test_clocks"] == result.test_clocks
+        assert recorder.counters["sat.solver_conflicts"] == result.solver_conflicts
+        rounds = recorder.find("attack.seqsat.iteration")
+        assert len(rounds) == result.iterations + 1
+        assert [s.attrs["distinguishing_input"] for s in rounds][-1] is False
+        (extract,) = recorder.find("attack.seqsat.extract")
+        assert (
+            sum(s.attrs["solver_conflicts"] for s in rounds)
+            + extract.attrs["solver_conflicts"]
+            == result.solver_conflicts
+        )
+
+
+class TestSequentialDialogues:
+    def test_dialogues_recorded_per_iteration(self, s27):
+        hybrid, foundry = lock(s27, ["G8", "G15"])
+        oracle = ConfiguredOracle(hybrid, scan=False)
+        result = SequentialSatAttack(foundry, oracle, unroll_depth=3).run()
+        assert len(result.dialogues) == result.iterations
+        for sequence, responses in result.dialogues:
+            assert len(sequence) == len(responses) == 3
+            assert all(set(stimulus) == set(s27.inputs) for stimulus in sequence)
+            assert all(set(response) == set(s27.outputs) for response in responses)
+            replay = ConfiguredOracle(hybrid, scan=False).run_sequence(sequence)
+            assert replay == responses
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_extracted_key_is_enumeration_lex_min(self, s27, depth):
+        from repro.check.checks_sat import dialogue_keys
+
+        hybrid, foundry = lock(s27, ["G8", "G11"])
+        oracle = ConfiguredOracle(hybrid, scan=False)
+        result = SequentialSatAttack(foundry, oracle, unroll_depth=depth).run()
+        assert result.success and result.bounded_only
+        keys = dialogue_keys(foundry, result.dialogues)
+        truth = {name: hybrid.node(name).lut_config for name in hybrid.luts}
+        assert truth in keys
+        assert result.key == keys[0]
+        assert result.oracle_queries == result.test_clocks == result.iterations * depth

@@ -322,6 +322,80 @@ class TestIncrementalVsFresh:
                 assert all(model[abs(a)] == (a > 0) for a in assumptions)
 
 
+class TestIncrementalAddCnf:
+    """``add_cnf`` takes only the clauses a formula gained since the last
+    feed, and feeding in pieces must not change the search."""
+
+    @staticmethod
+    def _grow(rng, cnf, new_vars, num_clauses):
+        """Add *new_vars* variables, each in one clause, plus random
+        3-literal clauses over every variable; returns the new clauses."""
+        start = len(cnf.clauses)
+        fresh = [cnf.new_var() for _ in range(new_vars)]
+        for var in fresh:
+            others = rng.sample(range(1, cnf.num_vars + 1), 2)
+            cnf.add_clause([var if rng.random() < 0.5 else -var] + others)
+        for _ in range(num_clauses):
+            chosen = rng.sample(range(1, cnf.num_vars + 1), 3)
+            cnf.add_clause([v if rng.random() < 0.5 else -v for v in chosen])
+        return cnf.clauses[start:]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pieces_match_one_piece(self, seed):
+        rng = random.Random(seed)
+        cnf = Cnf()
+        pieces = Solver()
+        for _ in range(4):
+            self._grow(rng, cnf, 12, 30)
+            pieces.add_cnf(cnf)
+            pieces.add_cnf(cnf)  # nothing new: a no-op
+        whole = Solver()
+        whole.add_cnf(cnf)
+        got = pieces.solve()
+        assert got == whole.solve()
+        assert pieces.stats == whole.stats
+        if got:
+            assert pieces.model() == whole.model()
+            assert model_satisfies(pieces.model(), cnf.clauses)
+
+    def test_formulas_are_tracked_separately(self):
+        left, right = Cnf(2), Cnf(2)
+        left.add_clause([1, 2])
+        right.add_clause([-1])
+        solver = Solver()
+        solver.add_cnf(left)
+        solver.add_cnf(right)
+        right.add_clause([-2])
+        solver.add_cnf(left)  # left has nothing new
+        assert solver.solve()
+        solver.add_cnf(right)
+        assert not solver.solve()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_growth_after_sat_matches_add_clause(self, seed):
+        """After a SAT answer the trail is still assigned.  ``add_cnf``
+        must unwind it before allocating the new variables, as
+        ``add_clause`` does, or the decision heap takes them in another
+        order and every later solve differs."""
+
+        def run(feed):
+            rng = random.Random(seed)
+            cnf, solver, seen = Cnf(), Solver(), []
+            for _ in range(6):
+                feed(solver, cnf, self._grow(rng, cnf, 10, 24))
+                sat = solver.solve()
+                seen.append((sat, sat and solver.model(), dict(solver.stats)))
+                if not sat:
+                    break
+            return seen
+
+        def by_clause(solver, cnf, clauses):
+            for clause in clauses:
+                solver.add_clause(clause)
+
+        assert run(lambda s, cnf, _: s.add_cnf(cnf)) == run(by_clause)
+
+
 class TestReduceAndMinimize:
     def test_hard_formula_exercises_reduction_and_minimization(self):
         # Pigeonhole-ish random instance big enough to trigger restarts,

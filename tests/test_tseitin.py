@@ -9,6 +9,7 @@ import pytest
 
 from repro.netlist import GateType, Netlist, NetlistError
 from repro.sat import CircuitEncoder, Cnf, Solver, encode_netlist
+from repro.sat.tseitin import gated_miter
 from repro.sim import CombinationalSimulator
 
 
@@ -168,3 +169,36 @@ class TestSharedInputs:
         for pi in tiny_comb.inputs:
             assert enc1.net_vars[pi] == enc2.net_vars[pi]
         assert enc1.net_vars["y1"] != enc2.net_vars["y1"]
+
+
+class TestGatedMiter:
+    @pytest.mark.parametrize("n_pairs", [1, 2, 3])
+    def test_unsat_under_act_exactly_when_every_pair_is_equal(self, n_pairs):
+        cnf = Cnf()
+        pairs = [(cnf.new_var(), cnf.new_var()) for _ in range(n_pairs)]
+        act = cnf.new_var()
+        gated_miter(cnf, pairs, act)
+        solver = Solver()
+        solver.add_cnf(cnf)
+        for bits in itertools.product((0, 1), repeat=2 * n_pairs):
+            fixed = [
+                var if bit else -var
+                for var, bit in zip(itertools.chain(*pairs), bits)
+            ]
+            some_differ = any(
+                bits[2 * k] != bits[2 * k + 1] for k in range(n_pairs)
+            )
+            assert solver.solve([act] + fixed) == some_differ, bits
+            assert solver.solve([-act] + fixed), bits
+
+    def test_retired_miter_keeps_the_formula_satisfiable(self):
+        cnf = Cnf()
+        a, b = cnf.new_var(), cnf.new_var()
+        act = cnf.new_var()
+        gated_miter(cnf, [(a, b)], act)
+        cnf.add_clauses([[-a, b], [a, -b]])  # the sides are equal
+        solver = Solver()
+        solver.add_cnf(cnf)
+        assert not solver.solve([act])
+        solver.add_clause([-act])
+        assert solver.solve()
