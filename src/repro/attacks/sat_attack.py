@@ -139,7 +139,9 @@ def refine_keys(
     key variables share inputs under a miter gated on ``act``: each
     ``solve([act])`` yields a DI, and one fresh copy per key set is pinned
     to the dialogue.  When no DI remains, the key is extracted from the
-    same solver with the miter relaxed (``[-act]``).  Fills *result*'s
+    same solver with the miter relaxed (``[-act]``).  At most
+    *max_iterations* DIs are asked; ``gave_up`` means a solve found one
+    more, not that the cap was reached.  Fills *result*'s
     ``key``, ``iterations``, ``gave_up`` and bill, records the
     ``attack.<tag>`` span tree with its cost attribution, and returns the
     dialogues in DI order.
@@ -164,13 +166,16 @@ def refine_keys(
         solver = Solver()
         solver.add_cnf(cnf)
         dialogues: List[Dialogue] = []
-        while result.iterations < max_iterations:
+        while True:
             with span(
                 f"attack.{tag}.iteration", iteration=result.iterations + 1
             ) as iter_span:
                 conflicts_before = solver.stats["conflicts"]
                 found = solver.solve([act])
-                if found:
+                # A DI past the cap is not asked; a run that used exactly
+                # the cap still learns here that no DI remains.
+                result.gave_up = found and result.iterations >= max_iterations
+                if found and not result.gave_up:
                     result.iterations += 1
                     model = solver.model()
                     stimuli = [
@@ -194,12 +199,10 @@ def refine_keys(
                     distinguishing_input=found,
                     solver_conflicts=solver.stats["conflicts"] - conflicts_before,
                 )
-            if not found:
+            # On giving up, the bill and the conflicts below are still
+            # reported, as on the solved path.
+            if not found or result.gave_up:
                 break
-        else:
-            # The cap was hit before a solve found no DI.  The bill and the
-            # conflicts below are still reported, as on the solved path.
-            result.gave_up = True
         if not result.gave_up:
             with span(
                 f"attack.{tag}.extract", constraints=len(dialogues)

@@ -6,11 +6,12 @@ layer the checks guard (a stale compiled kernel, a stale netlist view,
 wiring kernels shared across different wiring, simulation code shared
 across different gate types, a lying SAT solver, a solver that drops
 clauses a growing formula gains, a non-canonical SAT-attack key, a
-tampered sweep-cache row, an oracle that forgets to bill memoized
-replays, a simplify pass that miswires a gate, a short ML match counter,
-an ML block fold that loses a training pattern, an ML scorer that
-overwrites pattern-chunk counts, a key screen that skips an observation
-point, an implication schedule that misses config writes), runs the
+tampered sweep-cache row, a path DFS that shuffles shared child lists
+in place, an oracle that forgets to bill memoized replays, a simplify
+pass that miswires a gate, a short ML match counter, an ML block fold
+that loses a training pattern, an ML scorer that overwrites
+pattern-chunk counts, a key screen that skips an observation point, an
+implication schedule that misses config writes), runs the
 corresponding check family, and demands at least one divergence.  The
 faults are installed by monkeypatching the real code paths — the checks
 themselves are byte-for-byte the ones the normal run uses.
@@ -368,6 +369,57 @@ def _inject_kernel_share_collision() -> Callable[[], None]:
     return _install(compiled, "_kernel_key", lambda view: ())
 
 
+def _inject_dfs_shared_children_shuffled() -> Callable[[], None]:
+    """The path DFS's multi-child expansion loses its fresh slice: every
+    slice of the adjacency arrays it reads is one list shared by all its
+    readers, which the walk shuffles and sorts in place.  A node expanded
+    again, later in the walk or by a later walk over the same wiring,
+    starts from the previous expansion's order instead of the CSR order,
+    so the same rng selects other paths than the name-based DFS."""
+    from ..netlist import graph
+
+    class SharedSlices(list):
+        def __init__(self, items):
+            super().__init__(items)
+            self.shared = {}
+
+        def __getitem__(self, item):
+            if not isinstance(item, slice):
+                return super().__getitem__(item)
+            key = (item.start, item.stop)
+            if key not in self.shared:
+                self.shared[key] = super().__getitem__(item)
+            return self.shared[key]
+
+    class SharedSliceView:
+        def __init__(self, view):
+            self.view = view
+            self.fanin_idx = SharedSlices(view.fanin_idx)
+            self.fanout_idx = SharedSlices(view.fanout_idx)
+
+        def __getattr__(self, name):
+            return getattr(self.view, name)
+
+    original = graph.csr_view
+    # Keyed by id: each proxy holds its view, so no id is reused meanwhile.
+    proxies: Dict[int, SharedSliceView] = {}
+
+    def sharing_csr_view(netlist):
+        view = original(netlist)
+        proxy = proxies.get(id(view))
+        if proxy is None:
+            proxy = proxies[id(view)] = SharedSliceView(view)
+        return proxy
+
+    undo = _install(graph, "csr_view", sharing_csr_view)
+
+    def undo_and_forget() -> None:
+        undo()
+        proxies.clear()
+
+    return undo_and_forget
+
+
 FAULTS: List[Fault] = [
     Fault(
         name="stale-compiled-kernel",
@@ -481,6 +533,13 @@ FAULTS: List[Fault] = [
         description="the wiring-share key ignores fanin_idx, so a rewired "
         "copy inherits its original's wiring kernels",
         inject=_inject_wiring_share_collision,
+    ),
+    Fault(
+        name="dfs-shared-children-shuffled",
+        family="graph",
+        description="the path DFS shuffles and sorts shared child lists "
+        "in place instead of fresh slices",
+        inject=_inject_dfs_shared_children_shuffled,
     ),
     Fault(
         name="kernel-share-collision",

@@ -651,22 +651,49 @@ class CsrView:
                 wiring.keys_bwd = cached
         return cached
 
+    def dfs_children(self, forwards: bool) -> List[Optional[List[int]]]:
+        """Per-node child lists for the path DFS, per direction.
+
+        Entry *i* is node *i*'s fan-out (forwards) or fan-in (backwards)
+        slice when it holds at most one id, else ``None``.  A list that
+        short is neither shuffled nor sorted, so the walk pushes the
+        shared list itself; a longer one it slices, shuffles and sorts
+        afresh on every expansion.  The lists are shared by every walk
+        over this wiring — never mutate one."""
+        wiring = self.wiring
+        table = wiring.children_fwd if forwards else wiring.children_bwd
+        if table is None:
+            if forwards:
+                ptr, idx = self.fanout_ptr, self.fanout_idx
+            else:
+                ptr, idx = self.fanin_ptr, self.fanin_idx
+            table = [
+                idx[b:e] if e - b < 2 else None
+                for b, e in zip(ptr, ptr[1:])
+            ]
+            if forwards:
+                wiring.children_fwd = table
+            else:
+                wiring.children_bwd = table
+        return table
+
 
 class Wiring:
     """The wiring-only kernel results, shared by every view of equal
     wiring.
 
     The fan-out CSR, topological order, levels, flip-flop depths, D_i,
-    the BFS guide distances and the DFS sort keys read nothing but the
-    fan-in lists and which nodes are inputs, flip-flops and outputs.  A copy of a
-    netlist, or the same netlist after a gate-type rewrite such as LUT
-    insertion, has the same wiring, so :func:`csr_view` hands its new
-    view the holder an existing view already filled.  Holders live in
-    :data:`_WIRINGS`, keyed by the wiring arrays themselves
-    (:func:`_wiring_key`); a slot is filled at most once and never
-    written again.  ``kernels`` maps each gate-type column seen on this
-    wiring to its compiled simulation code (:mod:`repro.sim.compiled`);
-    an entry, once added, is never replaced.
+    the BFS guide distances, the DFS sort keys and child lists read
+    nothing but the fan-in lists and which nodes are inputs, flip-flops
+    and outputs.  A copy of a netlist, or the same netlist after a
+    gate-type rewrite such as LUT insertion, has the same wiring, so
+    :func:`csr_view` hands its new view the holder an existing view
+    already filled.  Holders live in :data:`_WIRINGS`, keyed by the
+    wiring arrays themselves (:func:`_wiring_key`); a slot is filled at
+    most once and never written again.  ``kernels`` maps each gate-type
+    column seen on this wiring to its compiled simulation code
+    (:mod:`repro.sim.compiled`); an entry, once added, is never
+    replaced.
     """
 
     __slots__ = (
@@ -681,6 +708,8 @@ class Wiring:
         "seq_rank",
         "keys_fwd",
         "keys_bwd",
+        "children_fwd",
+        "children_bwd",
         "kernels",
         "__weakref__",
     )
@@ -699,6 +728,8 @@ class Wiring:
         self.seq_rank: Optional[List[int]] = None
         self.keys_fwd: Optional[Tuple[List[int], List[int]]] = None
         self.keys_bwd: Optional[Tuple[List[int], List[int]]] = None
+        self.children_fwd: Optional[List[Optional[List[int]]]] = None
+        self.children_bwd: Optional[List[Optional[List[int]]]] = None
         self.kernels: Dict[tuple, Dict[str, Any]] = {}
 
 

@@ -355,6 +355,17 @@ def find_io_path(
     return prefix[:-1] + suffix
 
 
+def _shuffle_plan(length: int) -> Tuple[Tuple[int, int, int], ...]:
+    """The Fisher–Yates slots of a *length*-entry shuffle, last first:
+    ``(i, i + 1, (i + 1).bit_length())`` per slot *i*."""
+    return tuple((i, i + 1, (i + 1).bit_length()) for i in range(length - 1, 0, -1))
+
+
+#: Shuffle plans by list length.  No node of the Table I circuits has
+#: more than 54 neighbours; longer lists plan on the fly.
+_SHUFFLE_PLANS = tuple(_shuffle_plan(length) for length in range(65))
+
+
 def _shuffle_ids(ids: List[int], getrandbits) -> None:
     """Shuffle *ids* in place, drawing exactly what ``random.Random.shuffle``
     draws from the generator whose ``getrandbits`` is given.
@@ -364,9 +375,12 @@ def _shuffle_ids(ids: List[int], getrandbits) -> None:
     ``getrandbits(k)`` with ``k = (i + 1).bit_length()``, redrawn while
     it is out of range.  Lists of 0 or 1 entries draw nothing.
     """
-    for i in range(len(ids) - 1, 0, -1):
-        n = i + 1
-        k = n.bit_length()
+    length = len(ids)
+    if length < len(_SHUFFLE_PLANS):
+        plan = _SHUFFLE_PLANS[length]
+    else:
+        plan = _shuffle_plan(length)
+    for i, n, k in plan:
         j = getrandbits(k)
         while j >= n:
             j = getrandbits(k)
@@ -431,16 +445,11 @@ def _dfs_to_boundary(
     key_on = keys_on.__getitem__
     key_off = keys_off.__getitem__ if keys_off is not None else None
     getrandbits = rng.getrandbits if rng is not None else None
-
-    def expand(i: int, budget_left: bool) -> List[int]:
-        nxt = adj_idx[adj_ptr[i] : adj_ptr[i + 1]]
-        if len(nxt) > 1:
-            if getrandbits is not None:
-                _shuffle_ids(nxt, getrandbits)
-            key = key_on if budget_left else key_off
-            if key is not None:
-                nxt.sort(key=key)
-        return nxt
+    shuffle = _shuffle_ids
+    # Nodes with 0 or 1 neighbours (most of them) expand to a list shared
+    # by every walk over this wiring, which the walk must never write;
+    # the rest get a fresh slice to shuffle and sort.
+    children = view.dfs_children(forwards)
 
     # Backtracking DFS.  States are visited in exactly the order the
     # historical snapshot-copying stack popped them (children expand
@@ -458,43 +467,57 @@ def _dfs_to_boundary(
         path: List[int] = [start_id]
         blocked[start_id] = 1
         ffs = 0
-        kids = expand(start_id, 0 < max_ffs)
-        ptr = len(kids) - 1
         suspended: List[Tuple[List[int], int]] = []
-        while True:
-            if ptr < 0:
-                if not suspended:
-                    break
-                kids, ptr = suspended.pop()
-                left = path.pop()
-                blocked[left] = 0
-                ffs -= is_seq[left]
-                continue
-            j = kids[ptr]
-            ptr -= 1
-            if j < 0 or blocked[j]:
-                continue
-            bump = is_seq[j]
-            if bump and ffs >= max_ffs:
-                continue
-            steps += 1
-            if steps > max_steps:
-                exhausted = True
-                break
-            if boundary[j]:
-                nf = ffs + bump
-                if nf > best_ffs:
-                    best = path + [j]
-                    best_ffs = nf
-                if nf >= want_ffs:
-                    break
-                continue
-            suspended.append((kids, ptr))
-            path.append(j)
-            blocked[j] = 1
-            ffs += bump
-            kids = expand(j, ffs < max_ffs)
+        j = start_id
+        while j >= 0:
+            # Expand j, the node just entered.
+            kids = children[j]
+            if kids is None:
+                kids = adj_idx[adj_ptr[j] : adj_ptr[j + 1]]
+                if getrandbits is not None:
+                    shuffle(kids, getrandbits)
+                key = key_on if ffs < max_ffs else key_off
+                if key is not None:
+                    kids.sort(key=key)
             ptr = len(kids) - 1
+            # Find the next node to enter, backtracking as needed; the
+            # walk ends with j = -1.
+            while True:
+                if ptr < 0:
+                    if not suspended:
+                        j = -1
+                        break
+                    kids, ptr = suspended.pop()
+                    left = path.pop()
+                    blocked[left] = 0
+                    ffs -= is_seq[left]
+                    continue
+                j = kids[ptr]
+                ptr -= 1
+                if j < 0 or blocked[j]:
+                    continue
+                bump = is_seq[j]
+                if bump and ffs >= max_ffs:
+                    continue
+                steps += 1
+                if steps > max_steps:
+                    exhausted = True
+                    j = -1
+                    break
+                if boundary[j]:
+                    nf = ffs + bump
+                    if nf > best_ffs:
+                        best = path + [j]
+                        best_ffs = nf
+                    if nf >= want_ffs:
+                        j = -1
+                        break
+                    continue
+                suspended.append((kids, ptr))
+                path.append(j)
+                blocked[j] = 1
+                ffs += bump
+                break
     if exhausted:
         add_counter("paths.budget_exhausted")
         steps = max_steps

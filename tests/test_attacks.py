@@ -332,6 +332,30 @@ class TestSatAttack:
         result = SatAttack(foundry, oracle, max_iterations=1).run()
         assert result.gave_up or result.iterations <= 1
 
+    def test_cap_equal_to_the_dis_needed_recovers_the_key(self, s27):
+        """A run capped at exactly the DIs it needs must still prove that
+        no DI remains and extract the key; one DI fewer gives up."""
+        names = random.Random(0).sample(s27.gates, 1)
+        hybrid, foundry, _ = lock(s27, names)
+        full = SatAttack(foundry, ConfiguredOracle(hybrid, scan=True)).run()
+        assert full.success and full.iterations >= 2
+        exact = SatAttack(
+            foundry.copy(),
+            ConfiguredOracle(hybrid, scan=True),
+            max_iterations=full.iterations,
+        ).run()
+        assert not exact.gave_up
+        assert exact.key == full.key
+        assert exact.iterations == full.iterations
+        short = SatAttack(
+            foundry.copy(),
+            ConfiguredOracle(hybrid, scan=True),
+            max_iterations=full.iterations - 1,
+        ).run()
+        assert short.gave_up and short.key is None
+        assert short.iterations == full.iterations - 1
+        assert short.oracle_queries == full.iterations - 1
+
 
 class TestSatAttackIncremental:
     """The attack's DI search and key extraction share one live solver;

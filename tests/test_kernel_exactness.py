@@ -51,6 +51,19 @@ def test_shuffle_draw_matches_random_shuffle(length):
         assert rng.getstate() == reference.getstate(), (length, seed)
 
 
+@pytest.mark.parametrize("length", [63, 64, 65, 66, 100, 127, 128, 129, 200])
+def test_shuffle_draw_matches_random_shuffle_past_the_plan_table(length):
+    for seed in range(20):
+        expected = list(range(length))
+        reference = random.Random(seed)
+        reference.shuffle(expected)
+        got = list(range(length))
+        rng = random.Random(seed)
+        _shuffle_ids(got, rng.getrandbits)
+        assert got == expected, (length, seed)
+        assert rng.getstate() == reference.getstate(), (length, seed)
+
+
 #: Hash of ``collect_paths()`` (nodes and depths) plus the finder's final
 #: RNG state, per (circuit, seed).
 PATH_DIGESTS = {
@@ -120,6 +133,53 @@ def test_dfs_over_dangling_fanin_is_pinned(s641, guided):
     found = [find_io_path(broken, g, rng=rng, guide=guide) for g in through]
     assert any(found)
     assert _digest((found, rng.getstate())) == DANGLING_DFS_DIGESTS[guided]
+
+
+def _assert_child_tables_fresh(view) -> None:
+    """Both DFS child tables hold a fresh CSR slice for every node with at
+    most one neighbour, and ``None`` for every other node."""
+    for forwards in (False, True):
+        if forwards:
+            ptr, idx = view.fanout_ptr, view.fanout_idx
+        else:
+            ptr, idx = view.fanin_ptr, view.fanin_idx
+        table = view.dfs_children(forwards)
+        assert len(table) == view.n
+        for i, kids in enumerate(table):
+            fresh = idx[ptr[i] : ptr[i + 1]]
+            assert kids == (fresh if len(fresh) < 2 else None), (forwards, i)
+
+
+def test_dfs_child_tables_stay_fresh_after_collect_paths():
+    netlist = load_benchmark("s1238")
+    PathFinder(netlist, seed=0).collect_paths()
+    wiring = csr_view(netlist).wiring
+    assert wiring.children_fwd is not None and wiring.children_bwd is not None
+    _assert_child_tables_fresh(csr_view(netlist))
+
+
+def test_rewired_copy_gets_its_own_child_tables():
+    netlist = load_benchmark("s1238")
+    view = csr_view(netlist)
+    tables = [view.dfs_children(forwards) for forwards in (False, True)]
+    twin = csr_view(netlist.copy())
+    assert [twin.dfs_children(f) for f in (False, True)] == tables
+    assert twin.dfs_children(False) is tables[0]
+
+    rewired = netlist.copy()
+    gate = next(g for g in rewired.gates if rewired.node(g).n_inputs == 1)
+    driver = next(pi for pi in rewired.inputs if pi != rewired.node(gate).fanin[0])
+    rewired.node(gate).fanin[0] = driver
+    rewired.touch_structure()
+    other = csr_view(rewired)
+    assert other.wiring is not view.wiring
+    for forwards, table in zip((False, True), tables):
+        assert other.dfs_children(forwards) is not table
+    _assert_child_tables_fresh(other)
+    _assert_child_tables_fresh(view)
+    i = other.index[gate]
+    assert other.dfs_children(False)[i] == [other.index[driver]]
+    assert tables[0][i] != other.dfs_children(False)[i]
 
 
 #: Hashes of every net's exact one-probability (``float.hex``) on s641,

@@ -67,6 +67,29 @@ class TestSequentialSatAttack:
         ).run()
         assert result.gave_up or result.iterations <= 1
 
+    def test_cap_equal_to_the_dis_needed_recovers_the_key(self, s27):
+        """A run capped at exactly the DIs it needs must still prove that
+        no DI remains and extract the key; one DI fewer gives up."""
+        hybrid, foundry = lock(s27, random.Random(0).sample(s27.gates, 1))
+
+        def attack(cap=256):
+            return SequentialSatAttack(
+                foundry.copy(),
+                ConfiguredOracle(hybrid, scan=False),
+                unroll_depth=2,
+                max_iterations=cap,
+            ).run()
+
+        full = attack()
+        assert full.success and full.iterations >= 2
+        exact = attack(full.iterations)
+        assert not exact.gave_up and exact.bounded_only
+        assert exact.key == full.key
+        assert exact.iterations == full.iterations
+        short = attack(full.iterations - 1)
+        assert short.gave_up and short.key is None
+        assert short.iterations == full.iterations - 1
+
     def test_bad_depth_rejected(self, s27):
         hybrid, foundry = lock(s27, ["G8"])
         oracle = ConfiguredOracle(hybrid, scan=False)

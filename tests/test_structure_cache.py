@@ -319,6 +319,13 @@ def _consumer_facts(netlist: Netlist, timing: TimingAnalyzer) -> dict:
         "csr fan-out": {
             names[i]: view.names_of(view.fanout_ids(i)) for i in range(view.n)
         },
+        "csr dfs child lists": {
+            (names[i], forwards): None
+            if kids is None
+            else [names[j] if j >= 0 else None for j in kids]
+            for forwards in (False, True)
+            for i, kids in enumerate(view.dfs_children(forwards))
+        },
         "csr topo_order": view.names_of(view.topo_order()),
         "csr levels": dict(zip(names, view.levels())),
         "csr forward cones": {
