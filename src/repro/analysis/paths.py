@@ -21,7 +21,6 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from ..netlist.csr import csr_view
 from ..netlist.graph import (
-    PathGuide,
     combinational_gates_on,
     find_io_path,
     split_into_timing_paths,
@@ -79,7 +78,6 @@ class PathFinder:
         self.min_flip_flops = min_flip_flops
         self.max_flip_flops = max_flip_flops
         self.rng = random.Random(seed)
-        self._guide = PathGuide(netlist)
         #: The flip-flop requirement the last :meth:`collect_paths` met.
         self.ff_requirement = min_flip_flops
 
@@ -133,7 +131,6 @@ class PathFinder:
                 min_flip_flops=min_flip_flops,
                 max_flip_flops=self.max_flip_flops,
                 rng=self.rng,
-                guide=self._guide,
             )
             if found is None:
                 continue

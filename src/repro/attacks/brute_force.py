@@ -228,16 +228,36 @@ class BruteForceAttack:
         same boolean function (proved with the SAT equivalence checker on
         the attacker's own copy — no oracle access involved).
 
-        All survivors are checked against one :class:`EquivalenceSession`,
-        so the reference survivor is encoded once and conflict clauses
-        learned on its cone are shared across the whole pairwise sweep.
+        Survivors differ only in the configs of the hypothesis' LUTs, so
+        every output and next-state net outside those LUTs' combinational
+        fan-out is the same function of the same startpoints for all of
+        them.  The proof therefore runs on the cone feeding the LUTs'
+        observation points alone; with no points they are trivially
+        interchangeable.  All survivors are checked against one
+        :class:`EquivalenceSession`, so the reference survivor is encoded
+        once and conflict clauses learned on its cone are shared across
+        the whole pairwise sweep.
         """
+        from ..dataflow.cones import observation_points_of
+        from ..netlist.transform import extract_cone
         from ..sat.equivalence import EquivalenceSession
 
+        points = list(
+            dict.fromkeys(
+                point
+                for lut in survivors[0]
+                for point in observation_points_of(working, lut)
+            )
+        )
+        if not points:
+            return True
+        cone = extract_cone(working, points, name=f"{working.name}_cone")
+
         def programmed(hypothesis: Dict[str, int]) -> Netlist:
-            candidate = working.copy(f"{working.name}_h")
+            candidate = cone.copy(f"{cone.name}_h")
             for name, config in hypothesis.items():
-                candidate.node(name).lut_config = config
+                if name in candidate:
+                    candidate.node(name).lut_config = config
             return candidate
 
         session = EquivalenceSession(programmed(survivors[0]))

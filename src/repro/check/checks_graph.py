@@ -46,7 +46,6 @@ from ..circuits.generator import CircuitSpec, generate
 from ..netlist.csr import csr_view
 from ..netlist.graph import (
     MAX_TRACKED_FF_DEPTH,
-    PathGuide,
     combinational_cone,
     find_io_path,
     flip_flop_depths,
@@ -60,6 +59,13 @@ from .core import CheckContext, register
 
 #: The flip-flop bounds every sampled I/O path is searched with.
 _MIN_FFS, _MAX_FFS = 2, 10
+
+#: I/O paths replayed per circuit and round.  A walk that reuses state
+#: left by an earlier walk over the same view (say, a child list it
+#: reordered) only diverges from the name-based DFS on a later walk, so
+#: one view needs many walks: 3 showed one such defect once at the
+#: fault-injection defaults, 16 shows it 14-26 times over seeds 0-5.
+_DFS_REPLAYS = 16
 
 Guide = Tuple[Dict[str, int], Dict[str, int]]
 
@@ -197,6 +203,17 @@ def nx_guide(netlist: Netlist, full: nx.DiGraph, cut: nx.DiGraph) -> Guide:
     return (
         {n: d for n, d in to_start.items() if n in netlist},
         {n: d for n, d in to_end.items() if n in netlist},
+    )
+
+
+def csr_guide(netlist: Netlist) -> Guide:
+    """``(to_startpoint, to_endpoint)`` of the CSR view's BFS guide
+    kernels, keyed by net name; unreachable nets are left out."""
+    view = csr_view(netlist)
+    names = view.names
+    return (
+        {names[i]: d for i, d in enumerate(view.startpoint_dist()) if d >= 0},
+        {names[i]: d for i, d in enumerate(view.endpoint_dist()) if d >= 0},
     )
 
 
@@ -475,11 +492,11 @@ def graph_sta_path_parity(ctx: CheckContext) -> None:
                     circuit=label,
                 )
 
-            guide = PathGuide(netlist)
+            guide = csr_guide(netlist)
             oracle_guide = nx_guide(netlist, full, cut)
             for side, left, right in (
-                ("startpoints", guide.to_startpoint, oracle_guide[0]),
-                ("endpoints", guide.to_endpoint, oracle_guide[1]),
+                ("startpoints", guide[0], oracle_guide[0]),
+                ("endpoints", guide[1], oracle_guide[1]),
             ):
                 ctx.compare(
                     f"guide distances to {side} (CSR vs nx Dijkstra)",
@@ -492,7 +509,7 @@ def graph_sta_path_parity(ctx: CheckContext) -> None:
             # rng-driven path DFS: identical seeds must select identical
             # paths, and every path must be a real I/O path.
             gates = netlist.gates
-            for through in ctx.rng.sample(gates, min(3, len(gates))):
+            for through in ctx.rng.sample(gates, min(_DFS_REPLAYS, len(gates))):
                 dfs_seed = ctx.rng.getrandbits(48)
                 found = find_io_path(
                     netlist,
@@ -500,7 +517,6 @@ def graph_sta_path_parity(ctx: CheckContext) -> None:
                     min_flip_flops=_MIN_FFS,
                     max_flip_flops=_MAX_FFS,
                     rng=random.Random(dfs_seed),
-                    guide=guide,
                 )
                 expected = dict_find_io_path(
                     netlist, through, random.Random(dfs_seed), oracle_guide
@@ -590,7 +606,7 @@ def graph_rewired_copy_kernels(ctx: CheckContext) -> None:
     for round_no in range(ctx.trials):
         for label, netlist in _circuits(ctx, round_no):
             # Warm every wiring kernel of the original.
-            PathGuide(netlist)
+            csr_guide(netlist)
             levels = csr_view(netlist).levels()
             flip_flop_depths(netlist)
             depth_to_output(netlist)
@@ -610,7 +626,7 @@ def graph_rewired_copy_kernels(ctx: CheckContext) -> None:
 
             full = nx_graph(rewired)
             cut = nx_graph(rewired, cut_flip_flops=True)
-            guide = PathGuide(rewired)
+            guide = csr_guide(rewired)
             to_start, to_end = nx_guide(rewired, full, cut)
             oracles = {
                 "logic levels": nx_levels(rewired, cut),
@@ -623,8 +639,8 @@ def graph_rewired_copy_kernels(ctx: CheckContext) -> None:
                 "logic levels": dict(levelize(rewired)),
                 "flip-flop depths": flip_flop_depths(rewired),
                 "D_i": dict(depth_to_output(rewired)),
-                "guide distances to startpoints": guide.to_startpoint,
-                "guide distances to endpoints": guide.to_endpoint,
+                "guide distances to startpoints": guide[0],
+                "guide distances to endpoints": guide[1],
             }
             for fact, value in kernels.items():
                 ctx.compare(

@@ -290,10 +290,10 @@ class UnreachableCone(Rule):
         # Backwards reachability from the outputs, tolerant of undriven
         # references (those are NL101's findings, not crashes here).
         view = csr_view(netlist)
-        reachable = view.backward_reach(view.output_ids)
+        reachable = set(view.backward_ids(view.output_ids))
         names, gate_types = view.names, view.gate_types
         for i in range(view.n):
-            if view.is_input[i] or reachable[i]:
+            if view.is_input[i] or i in reachable:
                 continue
             if view.fanout_degree(i):
                 yield self.finding(

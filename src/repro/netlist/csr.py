@@ -23,8 +23,8 @@ snapshot per structure revision:
 * **kernels** — Kahn levelization and topological order over the
   *combinational-cut* view, forward/backward cone-of-influence whose
   cost is proportional to the cone (ids are collected during the walk,
-  never by re-scanning all nodes) with optional word-packed bitset
-  output, startpoint/endpoint BFS distances for path guidance, and
+  never by re-scanning all nodes), startpoint/endpoint BFS distances
+  and the path DFS's sort keys and child lists, and
   saturating flip-flop-depth relaxation over the *sequential* view,
   forwards (depth from an input) and backwards (the paper's D_i).
 
@@ -512,60 +512,6 @@ class CsrView:
                     push(j)
         return reached
 
-    def forward_reach(
-        self, roots: Sequence[int], enter_sequential: bool = True
-    ) -> bytearray:
-        """Visited byte-flags for the forward cone of *roots* — for
-        callers that index all nodes anyway (bitset packing, full scans)."""
-        visited = bytearray(self.n)
-        for i in self.forward_ids(roots, enter_sequential):
-            visited[i] = 1
-        return visited
-
-    def backward_reach(
-        self, roots: Sequence[int], expand_startpoints: bool = True
-    ) -> bytearray:
-        """Visited byte-flags for the backward cone of *roots*."""
-        visited = bytearray(self.n)
-        for i in self.backward_ids(roots, expand_startpoints):
-            visited[i] = 1
-        return visited
-
-    def reachable(self, src: int, dst: int) -> bool:
-        """True when *dst* is in the forward cone of *src* (early exit)."""
-        if src == dst:
-            return True
-        visited = bytearray(self.n)
-        visited[src] = 1
-        stack = [src]
-        fo_ptr, fo_idx = self.fanout_ptr, self.fanout_idx
-        while stack:
-            i = stack.pop()
-            for r in fo_idx[fo_ptr[i] : fo_ptr[i + 1]]:
-                if r == dst:
-                    return True
-                if not visited[r]:
-                    visited[r] = 1
-                    stack.append(r)
-        return False
-
-    @staticmethod
-    def mask_of(visited: bytearray) -> int:
-        """Word-pack a visited byte-array into one int bitset (bit *i* =
-        node *i*); membership is ``(mask >> i) & 1``."""
-        packed = bytearray((len(visited) + 7) >> 3)
-        for i, v in enumerate(visited):
-            if v:
-                packed[i >> 3] |= 1 << (i & 7)
-        return int.from_bytes(bytes(packed), "little")
-
-    def ids_where(self, visited: bytearray) -> List[int]:
-        return [i for i in range(self.n) if visited[i]]
-
-    def names_where(self, visited: bytearray) -> List[str]:
-        names = self.names
-        return [names[i] for i in range(self.n) if visited[i]]
-
     # ------------------------------------------------------------------
     # BFS guide kernels (path discovery)
     # ------------------------------------------------------------------
@@ -620,21 +566,12 @@ class CsrView:
             self.wiring.end_dist = dist
         return self.wiring.end_dist
 
-    def seq_rank(self) -> List[int]:
-        """Per-node packed DFS-preference base: :data:`SEQ_RANK` for a DFF,
-        0 otherwise.  Adding a closeness term in ``(-diameter, 0]`` keeps
-        the packed int ordering identical to the historical
-        ``(ff_rank, closeness)`` tuple sort."""
-        if self.wiring.seq_rank is None:
-            is_seq = self.is_seq
-            self.wiring.seq_rank = [
-                SEQ_RANK if is_seq[i] else 0 for i in range(self.n)
-            ]
-        return self.wiring.seq_rank
-
     def guide_keys(self, forwards: bool) -> Tuple[List[int], List[int]]:
-        """Per-node packed sort keys for the guided path DFS, per
-        direction: ``(with_ff_preference, without)``.  Packing
+        """Per-node packed sort keys for the path DFS, per direction:
+        ``(with_ff_preference, without)``.  The closeness term is minus
+        the BFS distance to an endpoint (forwards) or from a startpoint
+        (backwards), ``-2**20`` when unreachable; a DFF adds
+        :data:`SEQ_RANK` to it in the first list.  Packing
         ``ff_rank * SEQ_RANK + closeness`` into one int keeps the ordering
         of the historical ``(ff_rank, closeness)`` tuples while letting
         the DFS sort with a C-speed ``list.__getitem__`` key."""
@@ -643,7 +580,7 @@ class CsrView:
         if cached is None:
             dist = self.endpoint_dist() if forwards else self.startpoint_dist()
             plain = [-d if d >= 0 else -(1 << 20) for d in dist]
-            budget = [sr + c for sr, c in zip(self.seq_rank(), plain)]
+            budget = [SEQ_RANK * ff + c for ff, c in zip(self.is_seq, plain)]
             cached = (budget, plain)
             if forwards:
                 wiring.keys_fwd = cached
@@ -705,7 +642,6 @@ class Wiring:
         "depth_to_output",
         "start_dist",
         "end_dist",
-        "seq_rank",
         "keys_fwd",
         "keys_bwd",
         "children_fwd",
@@ -725,7 +661,6 @@ class Wiring:
         self.depth_to_output: Optional[Dict[str, int]] = None
         self.start_dist: Optional[List[int]] = None
         self.end_dist: Optional[List[int]] = None
-        self.seq_rank: Optional[List[int]] = None
         self.keys_fwd: Optional[Tuple[List[int], List[int]]] = None
         self.keys_bwd: Optional[Tuple[List[int], List[int]]] = None
         self.children_fwd: Optional[List[Optional[List[int]]]] = None

@@ -16,17 +16,17 @@ on top.
 
 from __future__ import annotations
 
+import random
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..obs import add_counter
 from .cache import memoized
-from .csr import MAX_TRACKED_FF_DEPTH, CombinationalLoopError, CsrView, csr_view
+from .csr import MAX_TRACKED_FF_DEPTH, CombinationalLoopError, csr_view
 from .netlist import Netlist, NetlistError
 
 __all__ = [
     "CombinationalLoopError",
     "MAX_TRACKED_FF_DEPTH",
-    "PathGuide",
     "combinational_cone",
     "combinational_gates_on",
     "combinational_order",
@@ -35,7 +35,6 @@ __all__ = [
     "flip_flop_depths",
     "levelize",
     "logic_depth",
-    "reachable_between",
     "sequential_depth",
     "split_into_timing_paths",
     "startpoints",
@@ -146,165 +145,61 @@ def flip_flop_depths(netlist: Netlist) -> Dict[str, int]:
 
 def transitive_fanin(netlist: Netlist, roots: Iterable[str]) -> Set[str]:
     """All nets reachable backwards from *roots* (crossing flip-flops),
-    including the roots."""
-    view = csr_view(netlist)
-    visited = bytearray(view.n)
-    reached: List[int] = []
-    for name in roots:
-        i = view.id_of(name)
-        if not visited[i]:
-            visited[i] = 1
-            reached.append(i)
-    fi_ptr, fi_idx = view.fanin_ptr, view.fanin_idx
-    stack = reached[:]
-    pop = stack.pop
-    push = stack.append
-    collect = reached.append
-    while stack:
-        i = pop()
-        pins = fi_idx[fi_ptr[i] : fi_ptr[i + 1]]
-        for j in pins:
-            if j < 0:
-                raise NetlistError(
-                    f"no net named {view.dangling[(i, pins.index(-1))]!r}"
-                )
-            if not visited[j]:
-                visited[j] = 1
-                collect(j)
-                push(j)
-    return set(map(view.names.__getitem__, reached))
+    including the roots.  A dangling pin of a reached node raises
+    :class:`NetlistError`."""
+    return _backward_cone(netlist, roots, expand_startpoints=True)
 
 
 def transitive_fanout(netlist: Netlist, roots: Iterable[str]) -> Set[str]:
     """All nets reachable forwards from *roots* (crossing flip-flops),
-    including the roots."""
+    including the roots.  An unknown (possibly dangling) root name still
+    contributes itself and the cone of any node that reads it."""
     view = csr_view(netlist)
-    visited = bytearray(view.n)
-    reached: List[int] = []
+    ids: List[int] = []
     extra: Set[str] = set()
     for name in roots:
         i = view.index.get(name)
         if i is None:
-            # Unknown (possibly dangling) root names still contribute
-            # themselves and — if anything reads them — their readers.
             extra.add(name)
-        elif not visited[i]:
-            visited[i] = 1
-            reached.append(i)
+        else:
+            ids.append(i)
     if extra:
-        for (reader, _pin), src in view.dangling.items():
-            if src in extra and not visited[reader]:
-                visited[reader] = 1
-                reached.append(reader)
-    fo_ptr, fo_idx = view.fanout_ptr, view.fanout_idx
-    stack = reached[:]
-    pop = stack.pop
-    push = stack.append
-    collect = reached.append
-    while stack:
-        i = pop()
-        for r in fo_idx[fo_ptr[i] : fo_ptr[i + 1]]:
-            if not visited[r]:
-                visited[r] = 1
-                collect(r)
-                push(r)
-    names = set(map(view.names.__getitem__, reached))
-    return names | extra if extra else names
+        ids += [r for (r, _pin), src in view.dangling.items() if src in extra]
+    return set(map(view.names.__getitem__, view.forward_ids(ids))) | extra
 
 
 def combinational_cone(netlist: Netlist, sinks: Iterable[str]) -> Set[str]:
-    """Backwards cone of *sinks* stopping at (and including) startpoints."""
+    """Backwards cone of *sinks* stopping at (and including) startpoints.
+    A dangling pin of a reached gate raises :class:`NetlistError`; the
+    walk never expands a startpoint, so a DFF's dangling D pin does not."""
+    return _backward_cone(netlist, sinks, expand_startpoints=False)
+
+
+def _backward_cone(
+    netlist: Netlist, roots: Iterable[str], expand_startpoints: bool
+) -> Set[str]:
+    """The names :meth:`CsrView.backward_ids` reaches from *roots*.  The
+    kernel skips dangling pins; here one on a node the walk expanded
+    raises."""
     view = csr_view(netlist)
-    visited = bytearray(view.n)
-    reached: List[int] = []
-    for name in sinks:
-        i = view.id_of(name)
-        if not visited[i]:
-            visited[i] = 1
-            reached.append(i)
-    is_input, is_seq = view.is_input, view.is_seq
-    fi_ptr, fi_idx = view.fanin_ptr, view.fanin_idx
-    stack = reached[:]
-    pop = stack.pop
-    push = stack.append
-    collect = reached.append
-    while stack:
-        i = pop()
-        if is_input[i] or is_seq[i]:
-            continue
-        pins = fi_idx[fi_ptr[i] : fi_ptr[i + 1]]
-        for j in pins:
-            if j < 0:
-                raise NetlistError(
-                    f"no net named {view.dangling[(i, pins.index(-1))]!r}"
-                )
-            if not visited[j]:
-                visited[j] = 1
-                collect(j)
-                push(j)
+    reached = view.backward_ids(
+        [view.id_of(name) for name in roots], expand_startpoints
+    )
+    if view.dangling:
+        hit = set(reached)
+        for (i, _pin), name in view.dangling.items():
+            if i in hit and (expand_startpoints or view.is_comb[i]):
+                raise NetlistError(f"no net named {name!r}")
     return set(map(view.names.__getitem__, reached))
-
-
-def reachable_between(netlist: Netlist, source: str, sink: str) -> bool:
-    """True if *sink* is in the transitive fan-out of *source*."""
-    view = csr_view(netlist)
-    src = view.index.get(source)
-    dst = view.index.get(sink)
-    if src is None or dst is None:
-        return sink in transitive_fanout(netlist, [source])
-    return view.reachable(src, dst)
-
-
-class PathGuide:
-    """Precomputed BFS distances that steer the path DFS.
-
-    ``to_startpoint[n]`` is the minimum number of combinational hops from a
-    startpoint (PI or DFF output) to net *n* going forwards;
-    ``to_endpoint[n]`` the minimum hops from *n* to an endpoint (PO or DFF
-    D-pin).  The DFS prefers small distances, so the timing segments of the
-    discovered I/O paths stay near-shortest — which is what makes the deep
-    register paths of the paper *non-critical*.
-
-    Distances and the DFS sort keys (:meth:`CsrView.guide_keys`) are int
-    arrays on the CSR view's shared wiring holder; the name-keyed dict
-    properties are built lazily for callers that still index by net name.
-    """
-
-    def __init__(self, netlist: Netlist):
-        self.netlist = netlist
-        self.view: CsrView = csr_view(netlist)
-        self._start = self.view.startpoint_dist()
-        self._end = self.view.endpoint_dist()
-        self._to_startpoint: Optional[Dict[str, int]] = None
-        self._to_endpoint: Optional[Dict[str, int]] = None
-
-    @property
-    def to_startpoint(self) -> Dict[str, int]:
-        if self._to_startpoint is None:
-            names = self.view.names
-            self._to_startpoint = {
-                names[i]: d for i, d in enumerate(self._start) if d >= 0
-            }
-        return self._to_startpoint
-
-    @property
-    def to_endpoint(self) -> Dict[str, int]:
-        if self._to_endpoint is None:
-            names = self.view.names
-            self._to_endpoint = {
-                names[i]: d for i, d in enumerate(self._end) if d >= 0
-            }
-        return self._to_endpoint
 
 
 def find_io_path(
     netlist: Netlist,
     through: str,
+    rng: random.Random,
     min_flip_flops: int = 2,
-    rng=None,
     max_steps: int = 50_000,
     max_flip_flops: int = 10,
-    guide: Optional[PathGuide] = None,
 ) -> Optional[List[str]]:
     """Find one simple PI→PO path through net *through* crossing at least
     *min_flip_flops* DFFs (Section IV-A: "perform a depth-first search in the
@@ -316,8 +211,14 @@ def find_io_path(
     through→PO suffix; flip-flops crossed on either side count towards the
     requirement and saturate at *max_flip_flops* (register feedback would
     otherwise let paths wind through arbitrarily many registers).  *rng*
-    shuffles neighbour order so repeated calls sample different paths; a
-    :class:`PathGuide` keeps segments short (see its docstring).
+    shuffles neighbour order so repeated calls sample different paths.
+
+    Among the shuffled neighbours the walk prefers a flip-flop (while the
+    budget lasts), then the one closest to a boundary: the guide keys
+    (:meth:`CsrView.guide_keys`) rank by the BFS distance to an endpoint
+    (forwards) or from a startpoint (backwards).  That keeps the timing
+    segments of the discovered paths near-shortest — which is what makes
+    the deep register paths of the paper *non-critical*.
     """
     # Hunt for *deep* paths (the paper sorts by depth and its algorithms
     # consume the deepest): aim for the cap, settle for what the structure
@@ -331,7 +232,6 @@ def find_io_path(
         max_steps=max_steps,
         want_ffs=max(reachable_ffs // 2, min_flip_flops),
         max_ffs=max_flip_flops,
-        guide=guide,
     )
     if backward is None:
         return None
@@ -345,7 +245,6 @@ def find_io_path(
         avoid=set(prefix[:-1]),
         want_ffs=max(reachable_ffs - prefix_ffs, min_flip_flops - prefix_ffs),
         max_ffs=max(max_flip_flops - prefix_ffs, 0),
-        guide=guide,
     )
     if forward is None:
         return None
@@ -391,12 +290,11 @@ def _dfs_to_boundary(
     netlist: Netlist,
     start: str,
     forwards: bool,
-    rng=None,
+    rng: random.Random,
     max_steps: int = 50_000,
     avoid: Optional[Set[str]] = None,
     want_ffs: int = 0,
     max_ffs: int = 10,
-    guide: Optional[PathGuide] = None,
 ) -> Optional[Tuple[List[str], int]]:
     """DFS from *start* to a primary output (forwards) or primary input
     (backwards), preferring flip-flop crossings and short segments.
@@ -429,22 +327,16 @@ def _dfs_to_boundary(
     # Neighbour preference is a stable ascending sort by the packed
     # (ff_rank, closeness) key after the rng shuffle — the walk pops from
     # the end, so the best candidate sorts last.  ``key_on`` ranks with
-    # the flip-flop bump (FF budget left), ``key_off`` without; with no
-    # guide every rank without the bump is equal and the sort is skipped.
-    if guide is not None:
-        keys_on, keys_off = guide.view.guide_keys(forwards)
-        missing = -(1 << 20)
-    else:
-        keys_on, keys_off = view.seq_rank(), None
-        missing = 0
+    # the flip-flop bump (FF budget left), ``key_off`` without.
+    keys_on, keys_off = view.guide_keys(forwards)
     if view.dangling:
         # A dangling fan-in id is -1, so index -1 must hold the rank the
-        # historical name-based walk gave a missing net.
-        keys_on = keys_on + [missing]
-        keys_off = keys_off + [missing] if keys_off is not None else None
+        # name-based walk gives a missing net.
+        keys_on = keys_on + [-(1 << 20)]
+        keys_off = keys_off + [-(1 << 20)]
     key_on = keys_on.__getitem__
-    key_off = keys_off.__getitem__ if keys_off is not None else None
-    getrandbits = rng.getrandbits if rng is not None else None
+    key_off = keys_off.__getitem__
+    getrandbits = rng.getrandbits
     shuffle = _shuffle_ids
     # Nodes with 0 or 1 neighbours (most of them) expand to a list shared
     # by every walk over this wiring, which the walk must never write;
@@ -474,11 +366,8 @@ def _dfs_to_boundary(
             kids = children[j]
             if kids is None:
                 kids = adj_idx[adj_ptr[j] : adj_ptr[j + 1]]
-                if getrandbits is not None:
-                    shuffle(kids, getrandbits)
-                key = key_on if ffs < max_ffs else key_off
-                if key is not None:
-                    kids.sort(key=key)
+                shuffle(kids, getrandbits)
+                kids.sort(key=key_on if ffs < max_ffs else key_off)
             ptr = len(kids) - 1
             # Find the next node to enter, backtracking as needed; the
             # walk ends with j = -1.

@@ -146,10 +146,10 @@ class _Schedule:
         schedule order: the only nets assigning it can change."""
         steps = self._cones.get(startpoint)
         if steps is None:
-            reach = self._view.forward_reach(
-                [startpoint], enter_sequential=False
+            reach = set(
+                self._view.forward_ids([startpoint], enter_sequential=False)
             )
-            steps = [step for step in self.steps if reach[step[0]]]
+            steps = [step for step in self.steps if step[0] in reach]
             self._cones[startpoint] = steps
         return steps
 

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs import add_counter, span
-from .cache import RESULT_SCHEMA, ResultCache, atomic_write_json
+from .cache import ResultCache, atomic_write_json
 from .spec import Trial, derive_seed
 from .trial import run_trial
 
@@ -45,19 +45,6 @@ LEASE_TTL = 60.0
 
 #: Seconds between rescans of the store (workers and coordinator).
 POLL_INTERVAL = 0.05
-
-
-def failed_row(trial: Trial, exc: BaseException) -> Dict[str, Any]:
-    """A ``status: "failed"`` row for a trial that never produced one."""
-    return {
-        "schema": RESULT_SCHEMA,
-        "trial": trial.identity(),
-        "netlist_sha": None,
-        "status": "failed",
-        "error": f"{type(exc).__name__}: {exc}",
-        "metrics": None,
-        "timing": {},
-    }
 
 
 @dataclass

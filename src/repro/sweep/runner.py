@@ -60,13 +60,12 @@ from ..obs import (
 from .backends import (
     LEASE_TTL,
     WorkStealingJob,
-    failed_row,
     new_job_id,
     run_lease_workers,
 )
 from .cache import ResultCache, trial_key
 from .spec import SweepSpec, Trial
-from .trial import canonical_row, circuit_sha, run_trial
+from .trial import canonical_row, circuit_sha, failed_row, run_trial
 
 #: Progress callbacks receive one event dict per completed trial (plus
 #: the initial ``resume`` event and, for lease workers, a ``job`` event).

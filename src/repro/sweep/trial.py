@@ -173,6 +173,19 @@ def _run_attack(trial: Trial, result) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # the trial itself
 # ----------------------------------------------------------------------
+def failed_row(trial: Trial, exc: BaseException) -> Dict[str, Any]:
+    """A ``status: "failed"`` row for a trial that never produced one."""
+    return {
+        "schema": RESULT_SCHEMA,
+        "trial": trial.identity(),
+        "netlist_sha": None,
+        "status": "failed",
+        "error": f"{type(exc).__name__}: {exc}",
+        "metrics": None,
+        "timing": {},
+    }
+
+
 def run_trial(trial: Trial) -> Dict[str, Any]:
     """Execute one trial and return its result row.
 
@@ -202,21 +215,12 @@ def run_trial(trial: Trial) -> Dict[str, Any]:
                 except BaseException as exc:  # noqa: BLE001 - failure is data here
                     if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                         raise
-                    trial_span.set(
-                        status="failed", error=f"{type(exc).__name__}: {exc}"
+                    row = failed_row(trial, exc)
+                    row["netlist_sha"] = _SHA_MEMO.get(
+                        (trial.circuit, trial.gen_seed)
                     )
-                    row = {
-                        "schema": RESULT_SCHEMA,
-                        "trial": trial.identity(),
-                        "netlist_sha": _SHA_MEMO.get(
-                            (trial.circuit, trial.gen_seed)
-                        ),
-                        "status": "failed",
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "traceback": traceback.format_exc(limit=8),
-                        "metrics": None,
-                        "timing": {},
-                    }
+                    row["traceback"] = traceback.format_exc(limit=8)
+                    trial_span.set(status="failed", error=row["error"])
     finally:
         elapsed = clock.elapsed()
     row["timing"]["trial_seconds"] = elapsed

@@ -284,6 +284,71 @@ class TestBruteForce:
         assert len(result.survivors) == len(candidate_configs(2))
         assert verify_key(foundry, result.found, hybrid)
 
+    @staticmethod
+    def _masked_and_dead() -> Netlist:
+        """``g`` is masked by a constant zero, ``d`` reads nothing, and
+        ``h`` is observable at the flip-flop ``q`` and the output ``z``."""
+        n = Netlist("masked_dead")
+        n.add_input("a")
+        n.add_input("b")
+        n.add_input("c")
+        n.add_gate("na", GateType.NOT, ["a"])
+        n.add_gate("zero", GateType.AND, ["a", "na"])
+        n.add_gate("g", GateType.XOR, ["a", "b"])
+        n.add_gate("m", GateType.AND, ["g", "zero"])
+        n.add_gate("y", GateType.OR, ["m", "b"])
+        n.add_gate("d", GateType.NAND, ["b", "c"])
+        n.add_gate("h", GateType.NOR, ["c", "q"])
+        n.add_gate("q", GateType.DFF, ["h"])
+        n.add_gate("z", GateType.XOR, ["h", "a"])
+        n.add_output("y")
+        n.add_output("z")
+        return n
+
+    @pytest.mark.parametrize(
+        "case", ["masked", "dead", "masked+fixed", "masked+free", "s27"]
+    )
+    def test_cone_verdict_matches_whole_circuit(self, s27, case):
+        """The survivors' equivalence is proved on their LUTs' cone alone;
+        the verdict must be the whole-circuit one, for several survivors
+        whether or not they are interchangeable."""
+        if case == "s27":
+            hybrid, foundry, record = lock(s27, ["G8", "G13"])
+            free = ["G8", "G13"]
+        else:
+            base = self._masked_and_dead()
+            names = {
+                "masked": ["g"],
+                "dead": ["d"],
+                "masked+fixed": ["g", "h"],
+                "masked+free": ["g", "h"],
+            }[case]
+            hybrid, foundry, record = lock(base, names)
+            free = ["h"] if case == "masked+free" else []
+            free += [n for n in names if n in ("g", "d")]
+        survivors = [
+            {
+                name: config if name in free else record.configs[name]
+                for name in record.configs
+            }
+            for config in candidate_configs(2)
+        ]
+
+        def programmed(hypothesis):
+            candidate = foundry.copy()
+            for name, config in hypothesis.items():
+                candidate.node(name).lut_config = config
+            return candidate
+
+        reference = programmed(survivors[0])
+        whole = all(
+            check_equivalence(reference, programmed(h)).equivalent
+            for h in survivors[1:]
+        )
+        attack = BruteForceAttack(foundry, ConfiguredOracle(hybrid, scan=True))
+        assert attack._interchangeable(foundry.copy(), survivors) == whole
+        assert whole == (case in ("masked", "dead", "masked+fixed"))
+
 
 class TestSatAttack:
     def test_recovers_functional_key(self, s27):

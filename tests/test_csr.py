@@ -18,7 +18,6 @@ from repro.netlist import GateType, Netlist, NetlistError
 from repro.netlist.csr import (
     SEQ_RANK,
     CombinationalLoopError,
-    CsrView,
     csr_view,
 )
 
@@ -151,22 +150,16 @@ class TestKernels:
             "a",
         ]
 
-    def test_reach_and_bitset(self):
-        view = csr_view(build_seq())
-        visited = view.forward_reach([2])  # g1 → ff → g2 → g3
-        assert view.ids_where(visited) == [2, 3, 4, 5]
-        assert view.names_where(visited) == ["g1", "ff", "g2", "g3"]
-        mask = CsrView.mask_of(visited)
-        assert mask == 0b111100
-        assert view.reachable(2, 5)
-        assert not view.reachable(5, 2)
-
     def test_guide_distances_and_rank(self):
         view = csr_view(build_seq())
         assert view.startpoint_dist() == [0, 0, 1, 0, 1, 2]
         # Endpoints: g3 (PO) and g1 (feeds ff); DFF fan-in never expanded.
         assert view.endpoint_dist() == [1, 1, 0, 2, 1, 0]
-        assert view.seq_rank() == [0, 0, 0, SEQ_RANK, 0, 0]
+        on, off = view.guide_keys(forwards=True)
+        assert off == [-1, -1, 0, -2, -1, 0]
+        assert on == [-1, -1, 0, SEQ_RANK - 2, -1, 0]
+        on, off = view.guide_keys(forwards=False)
+        assert on == [0, 0, -1, SEQ_RANK, -1, -2]
 
 
 class TestMemoization:

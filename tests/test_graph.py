@@ -10,6 +10,7 @@ from repro.netlist import (
     CombinationalLoopError,
     GateType,
     Netlist,
+    NetlistError,
     combinational_cone,
     combinational_gates_on,
     find_io_path,
@@ -22,8 +23,7 @@ from repro.netlist import (
     transitive_fanin,
     transitive_fanout,
 )
-from repro.check.checks_graph import nx_graph
-from repro.netlist.graph import PathGuide, reachable_between
+from repro.check.checks_graph import csr_guide, nx_graph
 
 
 class TestTopologicalOrder:
@@ -102,14 +102,60 @@ class TestReachability:
         cone = combinational_cone(tiny_seq, ["m"])
         assert cone == {"m", "reg1", "b"}
 
-    def test_reachable_between(self, tiny_seq):
-        assert reachable_between(tiny_seq, "a", "out")
-        assert not reachable_between(tiny_seq, "out", "a")
+
+class TestDanglingPins:
+    """The name walks over undriven references (``-1`` ids in the CSR
+    view): expanding a node with a dangling pin is an error, but a
+    startpoint the combinational cone stops at is never expanded."""
+
+    @staticmethod
+    def _dangling() -> Netlist:
+        n = Netlist()
+        n.add_input("a")
+        n.add_gate("g", GateType.AND, ["a", "ghost"])
+        n.add_gate("q", GateType.DFF, ["lost"])
+        n.add_gate("h", GateType.OR, ["q", "a"])
+        n.add_gate("r", GateType.NOT, ["ghost"])
+        n.add_gate("s", GateType.BUF, ["r"])
+        n.add_output("g")
+        n.add_output("h")
+        n.add_output("s")
+        return n
+
+    def test_transitive_fanin_raises_on_a_gates_dangling_pin(self):
+        n = self._dangling()
+        with pytest.raises(NetlistError, match="no net named 'ghost'"):
+            transitive_fanin(n, ["g"])
+        # The DFF's D pin dangles too, and the walk crosses flip-flops.
+        with pytest.raises(NetlistError, match="no net named 'lost'"):
+            transitive_fanin(n, ["h"])
+        assert transitive_fanin(n, ["a"]) == {"a"}
+
+    def test_combinational_cone_raises_for_gates_not_for_dff_d_pins(self):
+        n = self._dangling()
+        with pytest.raises(NetlistError, match="no net named 'ghost'"):
+            combinational_cone(n, ["g"])
+        with pytest.raises(NetlistError, match="no net named 'ghost'"):
+            combinational_cone(n, ["s"])
+        # The cone stops at q, so its dangling D pin is never expanded.
+        assert combinational_cone(n, ["h"]) == {"h", "q", "a"}
+        assert combinational_cone(n, ["q"]) == {"q"}
+
+    def test_transitive_fanout_of_an_unknown_root(self):
+        n = self._dangling()
+        assert transitive_fanout(n, ["ghost"]) == {"ghost", "g", "r", "s"}
+        assert transitive_fanout(n, ["lost"]) == {"lost", "q", "h"}
+        assert transitive_fanout(n, ["nowhere", "a"]) == {
+            "nowhere",
+            "a",
+            "g",
+            "h",
+        }
 
 
 class TestIOPaths:
     def test_find_path_through_pipeline(self, tiny_seq):
-        path = find_io_path(tiny_seq, "m", min_flip_flops=2)
+        path = find_io_path(tiny_seq, "m", random.Random(0), min_flip_flops=2)
         assert path is not None
         assert tiny_seq.node(path[0]).is_input
         assert path[-1] in tiny_seq.outputs
@@ -118,13 +164,15 @@ class TestIOPaths:
         assert "m" in path
 
     def test_no_path_when_requirement_too_high(self, tiny_comb):
-        assert find_io_path(tiny_comb, "t_and", min_flip_flops=1) is None
+        assert (
+            find_io_path(tiny_comb, "t_and", random.Random(0), min_flip_flops=1)
+            is None
+        )
 
     def test_path_is_simple(self, s641):
         rng = random.Random(0)
-        guide = PathGuide(s641)
         for component in rng.sample(s641.gates, 5):
-            path = find_io_path(s641, component, rng=rng, guide=guide)
+            path = find_io_path(s641, component, rng=rng)
             if path is None:
                 continue
             assert len(path) == len(set(path))
@@ -134,10 +182,7 @@ class TestIOPaths:
 
     def test_max_flip_flops_respected(self, s641):
         rng = random.Random(2)
-        guide = PathGuide(s641)
-        path = find_io_path(
-            s641, s641.gates[10], rng=rng, guide=guide, max_flip_flops=3
-        )
+        path = find_io_path(s641, s641.gates[10], rng=rng, max_flip_flops=3)
         if path is not None:
             ffs = sum(1 for p in path if s641.node(p).is_sequential)
             assert ffs <= 3
@@ -174,10 +219,12 @@ class TestNetworkx:
 
 
 class TestPathGuide:
+    """The BFS distances the path DFS ranks neighbours by."""
+
     def test_distances(self, tiny_seq):
-        guide = PathGuide(tiny_seq)
-        assert guide.to_startpoint["a"] == 0
-        assert guide.to_startpoint["x"] == 1
+        to_startpoint, to_endpoint = csr_guide(tiny_seq)
+        assert to_startpoint["a"] == 0
+        assert to_startpoint["x"] == 1
         # x feeds reg1 directly -> distance 0 to an endpoint.
-        assert guide.to_endpoint["x"] == 0
-        assert guide.to_endpoint["out"] == 0
+        assert to_endpoint["x"] == 0
+        assert to_endpoint["out"] == 0

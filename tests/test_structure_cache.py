@@ -23,8 +23,8 @@ from repro.netlist.cache import cached_keys, memoized
 from repro.locking.metrics import depth_to_output
 from repro.netlist import csr
 from repro.netlist.csr import csr_view
+from repro.check.checks_graph import csr_guide
 from repro.netlist.graph import (
-    PathGuide,
     combinational_order,
     flip_flop_depths,
     levelize,
@@ -299,7 +299,7 @@ def _consumer_facts(netlist: Netlist, timing: TimingAnalyzer) -> dict:
     names = view.names
     roots = sorted(netlist.outputs)[:2] + sorted(netlist.flip_flops)[:2]
     report = timing.analyze(netlist)
-    guide = PathGuide(netlist)
+    to_startpoint, to_endpoint = csr_guide(netlist)
     plain = _plain_gates(netlist)
     rng = random.Random(11)
     inputs = {pi: rng.getrandbits(64) for pi in sorted(netlist.inputs)}
@@ -348,8 +348,8 @@ def _consumer_facts(netlist: Netlist, timing: TimingAnalyzer) -> dict:
         },
         "ff depths": flip_flop_depths(netlist),
         "depth_to_output": dict(depth_to_output(netlist)),
-        "guide to_startpoint": guide.to_startpoint,
-        "guide to_endpoint": guide.to_endpoint,
+        "guide to_startpoint": to_startpoint,
+        "guide to_endpoint": to_endpoint,
         "activities": dict(estimate_activities(netlist)),
         "cone max delay (first 3)": timing.max_delay(netlist, as_lut=plain[:3]),
         "cone max delay (last 5)": timing.max_delay(netlist, as_lut=plain[-5:]),
