@@ -24,7 +24,6 @@ from ..netlist.graph import d_pins, sequential_depth, startpoints
 from ..netlist.netlist import Netlist, NetlistError
 from ..obs import add_counter
 from ..sim.logicsim import CombinationalSimulator
-from ..sim.seqsim import SequentialSimulator
 
 
 class OracleAccessError(RuntimeError):
@@ -168,6 +167,8 @@ class ConfiguredOracle:
         width: int = 1,
     ) -> List[Dict[str, int]]:
         """Reset the chip and clock an input sequence; observe POs only."""
+        from ..sim.seqsim import SequentialSimulator
+
         sim = SequentialSimulator(self.netlist, width=width)
         trace = []
         for inputs in input_sequence:

@@ -304,8 +304,8 @@ def _dict_dfs_to_boundary(
         rng.shuffle(nxt)
 
         def rank(n: str) -> Tuple[int, int]:
-            ff_rank = 1 if (netlist.node(n).is_sequential and budget_left) else 0
-            return (ff_rank, -distances.get(n, 1 << 20))
+            seq = n in netlist and netlist.node(n).is_sequential
+            return (1 if seq and budget_left else 0, -distances.get(n, 1 << 20))
 
         nxt.sort(key=rank)
         return nxt
@@ -331,7 +331,8 @@ def _dict_dfs_to_boundary(
             continue
         budget_left = n_ffs < max_ffs
         for nxt in neighbours(name, budget_left):
-            if nxt in on_path or nxt in avoid:
+            # A net nothing drives is never entered.
+            if nxt in on_path or nxt in avoid or nxt not in netlist:
                 continue
             bump = 1 if netlist.node(nxt).is_sequential else 0
             if bump and not budget_left:

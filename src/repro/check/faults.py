@@ -6,10 +6,11 @@ layer the checks guard (a stale compiled kernel, a stale netlist view,
 wiring kernels shared across different wiring, simulation code shared
 across different gate types, a lying SAT solver, a solver that drops
 clauses a growing formula gains, a non-canonical SAT-attack key, a
-tampered sweep-cache row, a path DFS that shuffles shared child lists
-in place, an oracle that forgets to bill memoized replays, a simplify
-pass that miswires a gate, a short ML match counter, an ML block fold
-that loses a training pattern, an ML scorer that overwrites
+tampered sweep-cache row, a path DFS that enters a run of
+single-neighbour nodes unchecked, an oracle that forgets to bill
+memoized replays, a simplify pass that miswires a gate, a short ML
+match counter, an ML block fold that loses a training pattern, an ML
+scorer that overwrites
 pattern-chunk counts, a key screen that skips an observation point, an
 implication schedule that misses config writes), runs the
 corresponding check family, and demands at least one divergence.  The
@@ -369,53 +370,50 @@ def _inject_kernel_share_collision() -> Callable[[], None]:
     return _install(compiled, "_kernel_key", lambda view: ())
 
 
-def _inject_dfs_shared_children_shuffled() -> Callable[[], None]:
-    """The path DFS's multi-child expansion loses its fresh slice: every
-    slice of the adjacency arrays it reads is one list shared by all its
-    readers, which the walk shuffles and sorts in place.  A node expanded
-    again, later in the walk or by a later walk over the same wiring,
-    starts from the previous expansion's order instead of the CSR order,
-    so the same rng selects other paths than the name-based DFS."""
-    from ..netlist import graph
+def _inject_dfs_run_skips_on_path_check() -> Callable[[], None]:
+    """The path DFS enters a run checking only its first node against the
+    path and ``avoid``: a later node of the run that is already on the
+    path, or avoided, is entered anyway.  The walk then returns paths
+    that repeat a node or cross the backward search's prefix, and the
+    same rng selects other paths than the name-based DFS."""
+    from ..netlist import csr
 
-    class SharedSlices(list):
-        def __init__(self, items):
-            super().__init__(items)
-            self.shared = {}
+    class HeadChecked(list):
+        """A run whose every node reads as its first to the walk's check
+        (iteration, which enters the run, is untouched)."""
 
         def __getitem__(self, item):
-            if not isinstance(item, slice):
-                return super().__getitem__(item)
-            key = (item.start, item.stop)
-            if key not in self.shared:
-                self.shared[key] = super().__getitem__(item)
-            return self.shared[key]
+            if isinstance(item, int) and item > 0:
+                item = 0
+            return super().__getitem__(item)
 
-    class SharedSliceView:
-        def __init__(self, view):
-            self.view = view
-            self.fanin_idx = SharedSlices(view.fanin_idx)
-            self.fanout_idx = SharedSlices(view.fanout_idx)
+    class UncheckedRuns(csr.DfsExpansions):
+        def _run(self, i, nxt):
+            kind, nodes, ff_at, interior = super()._run(i, nxt)
+            return kind, HeadChecked(nodes), ff_at, interior
 
-        def __getattr__(self, name):
-            return getattr(self.view, name)
+    original = csr.CsrView.dfs_expansions
+    # Keyed by id: each value holds its real table, so no id is reused
+    # meanwhile.
+    twins: Dict[int, tuple] = {}
 
-    original = graph.csr_view
-    # Keyed by id: each proxy holds its view, so no id is reused meanwhile.
-    proxies: Dict[int, SharedSliceView] = {}
+    def unchecked_expansions(view, forwards):
+        table = original(view, forwards)
+        twin = twins.get(id(table))
+        if twin is None:
+            twin = twins[id(table)] = (
+                table,
+                UncheckedRuns(
+                    table.ptr, table.idx, table.boundary, table.is_seq, *table.keys
+                ),
+            )
+        return twin[1]
 
-    def sharing_csr_view(netlist):
-        view = original(netlist)
-        proxy = proxies.get(id(view))
-        if proxy is None:
-            proxy = proxies[id(view)] = SharedSliceView(view)
-        return proxy
-
-    undo = _install(graph, "csr_view", sharing_csr_view)
+    undo = _install(csr.CsrView, "dfs_expansions", unchecked_expansions)
 
     def undo_and_forget() -> None:
         undo()
-        proxies.clear()
+        twins.clear()
 
     return undo_and_forget
 
@@ -535,11 +533,11 @@ FAULTS: List[Fault] = [
         inject=_inject_wiring_share_collision,
     ),
     Fault(
-        name="dfs-shared-children-shuffled",
+        name="dfs-run-skips-on-path-check",
         family="graph",
-        description="the path DFS shuffles and sorts shared child lists "
-        "in place instead of fresh slices",
-        inject=_inject_dfs_shared_children_shuffled,
+        description="the path DFS enters a run checking only its first "
+        "node against the path and the avoided nodes",
+        inject=_inject_dfs_run_skips_on_path_check,
     ),
     Fault(
         name="kernel-share-collision",

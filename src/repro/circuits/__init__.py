@@ -1,12 +1,8 @@
 """Benchmark circuits: embedded ISCAS'89 s27 and the synthetic suite."""
 
-from .arithmetic import (
-    ALU_OPS,
-    alu,
-    alu_reference,
-    equality_comparator,
-    ripple_carry_adder,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from .generator import CircuitSpec, generate, generate_family
 from .iscas import (
     PAPER_BENCHMARK_ORDER,
@@ -15,6 +11,28 @@ from .iscas import (
     benchmark_suite,
     load_benchmark,
     spec,
+)
+
+if TYPE_CHECKING:
+    from .arithmetic import (
+        ALU_OPS,
+        alu,
+        alu_reference,
+        equality_comparator,
+        ripple_carry_adder,
+    )
+
+# The arithmetic circuits serve examples and checks, never a trial: they
+# load on first use.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "ALU_OPS": ".arithmetic",
+        "alu": ".arithmetic",
+        "alu_reference": ".arithmetic",
+        "equality_comparator": ".arithmetic",
+        "ripple_carry_adder": ".arithmetic",
+    },
 )
 
 __all__ = [

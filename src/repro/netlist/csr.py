@@ -24,7 +24,7 @@ snapshot per structure revision:
   *combinational-cut* view, forward/backward cone-of-influence whose
   cost is proportional to the cone (ids are collected during the walk,
   never by re-scanning all nodes), startpoint/endpoint BFS distances
-  and the path DFS's sort keys and child lists, and
+  and the path DFS's sort keys and expansion tables, and
   saturating flip-flop-depth relaxation over the *sequential* view,
   forwards (depth from an input) and backwards (the paper's D_i).
 
@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import weakref
 from collections import deque
+from itertools import product
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs import add_counter, span
@@ -74,6 +75,17 @@ MAX_TRACKED_FF_DEPTH = 32
 #: node's preference bump must dominate any closeness value, and closeness
 #: magnitudes are bounded by the graph diameter (far below 2**20).
 SEQ_RANK = 1 << 21
+
+#: The path DFS's closeness key of a node no BFS reaches, and of a
+#: dangling (``-1``) neighbour.
+UNREACHABLE_KEY = -(1 << 20)
+
+#: Kinds of a :class:`DfsExpansions` entry.  The first three are runs and
+#: name how the run ends.
+RUN_DEAD, RUN_BOUNDARY, RUN_EXPAND, ORDER, WIDE = range(5)
+
+#: Widest node whose expansion orders are tabulated: 2 * 4! lists.
+MAX_ORDER_WIDTH = 4
 
 
 class CsrView:
@@ -570,7 +582,7 @@ class CsrView:
         """Per-node packed sort keys for the path DFS, per direction:
         ``(with_ff_preference, without)``.  The closeness term is minus
         the BFS distance to an endpoint (forwards) or from a startpoint
-        (backwards), ``-2**20`` when unreachable; a DFF adds
+        (backwards), :data:`UNREACHABLE_KEY` when unreachable; a DFF adds
         :data:`SEQ_RANK` to it in the first list.  Packing
         ``ff_rank * SEQ_RANK + closeness`` into one int keeps the ordering
         of the historical ``(ff_rank, closeness)`` tuples while letting
@@ -579,7 +591,7 @@ class CsrView:
         cached = wiring.keys_fwd if forwards else wiring.keys_bwd
         if cached is None:
             dist = self.endpoint_dist() if forwards else self.startpoint_dist()
-            plain = [-d if d >= 0 else -(1 << 20) for d in dist]
+            plain = [-d if d >= 0 else UNREACHABLE_KEY for d in dist]
             budget = [SEQ_RANK * ff + c for ff, c in zip(self.is_seq, plain)]
             cached = (budget, plain)
             if forwards:
@@ -588,31 +600,141 @@ class CsrView:
                 wiring.keys_bwd = cached
         return cached
 
-    def dfs_children(self, forwards: bool) -> List[Optional[List[int]]]:
-        """Per-node child lists for the path DFS, per direction.
-
-        Entry *i* is node *i*'s fan-out (forwards) or fan-in (backwards)
-        slice when it holds at most one id, else ``None``.  A list that
-        short is neither shuffled nor sorted, so the walk pushes the
-        shared list itself; a longer one it slices, shuffles and sorts
-        afresh on every expansion.  The lists are shared by every walk
-        over this wiring — never mutate one."""
+    def dfs_expansions(self, forwards: bool) -> "DfsExpansions":
+        """The path DFS's expansion table for one direction, shared by
+        every walk over this wiring (see :class:`DfsExpansions`)."""
         wiring = self.wiring
-        table = wiring.children_fwd if forwards else wiring.children_bwd
+        table = wiring.expand_fwd if forwards else wiring.expand_bwd
         if table is None:
+            keys_on, keys_off = self.guide_keys(forwards)
             if forwards:
-                ptr, idx = self.fanout_ptr, self.fanout_idx
+                table = DfsExpansions(
+                    self.fanout_ptr, self.fanout_idx, self.is_po,
+                    self.is_seq, keys_on, keys_off,
+                )
+                wiring.expand_fwd = table
             else:
-                ptr, idx = self.fanin_ptr, self.fanin_idx
-            table = [
-                idx[b:e] if e - b < 2 else None
-                for b, e in zip(ptr, ptr[1:])
-            ]
-            if forwards:
-                wiring.children_fwd = table
-            else:
-                wiring.children_bwd = table
+                table = DfsExpansions(
+                    self.fanin_ptr, self.fanin_idx, self.is_input,
+                    self.is_seq, keys_on, keys_off,
+                )
+                wiring.expand_bwd = table
         return table
+
+
+def shuffle_plan(length: int) -> Tuple[Tuple[int, int, int], ...]:
+    """The Fisher–Yates slots of a *length*-entry shuffle, last first:
+    ``(i, i + 1, (i + 1).bit_length())`` per slot *i*."""
+    return tuple((i, i + 1, (i + 1).bit_length()) for i in range(length - 1, 0, -1))
+
+
+#: Shuffle plans by list length.  No node of the Table I circuits has
+#: more than 54 neighbours; longer lists plan on the fly.
+SHUFFLE_PLANS = tuple(shuffle_plan(length) for length in range(65))
+
+class DfsExpansions:
+    """What the path DFS does when it expands each node, in one
+    direction; entry *i* is built on node *i*'s first expansion and
+    never written again.
+
+    * A node with at most one neighbour expands into a **run**
+      ``(kind, nodes, ff_positions, interior)``: the chain of nodes the
+      walk enters one after another, without a draw, by following
+      single-neighbour links.  *nodes* stops at a boundary node
+      (``RUN_BOUNDARY``, the boundary included), at a node with two or
+      more neighbours (``RUN_EXPAND``, that node included) or where the
+      chain dies (``RUN_DEAD``: a node with no neighbours, included, or
+      before a dangling ``-1`` or a link back into the chain or to the
+      expanded node).  *ff_positions* are the indices of the flip-flops
+      in *nodes*.  *interior* is the walk's stack record of a
+      ``RUN_EXPAND`` run's nodes but the last, ``(nodes[:-1], -2 -
+      their flip-flops)``, or ``None`` when there are none.
+    * A node with 2 to :data:`MAX_ORDER_WIDTH` neighbours is an
+      ``(ORDER, lists_on, lists_off, plan)`` entry: the neighbour list
+      after the shuffle and the stable guide-key sort, for every outcome
+      of the shuffle's draws, with and without the flip-flop bump.  The
+      outcome of the draws of *plan* (:data:`SHUFFLE_PLANS`) indexes the
+      lists as a mixed-radix number, the first draw most significant.
+    * A wider node is ``(WIDE,)``: the walk shuffles and sorts a fresh
+      slice.
+
+    Every list is shared by every walk over this wiring; never mutate
+    one.
+    """
+
+    __slots__ = ("entries", "ptr", "idx", "boundary", "is_seq", "keys")
+
+    def __init__(
+        self,
+        ptr: List[int],
+        idx: List[int],
+        boundary: bytearray,
+        is_seq: bytearray,
+        keys_on: List[int],
+        keys_off: List[int],
+    ):
+        self.entries: List[Optional[tuple]] = [None] * (len(ptr) - 1)
+        self.ptr = ptr
+        self.idx = idx
+        self.boundary = boundary
+        self.is_seq = is_seq
+        self.keys = (keys_on, keys_off)
+
+    def build(self, i: int) -> tuple:
+        """Build, store and return entry *i*."""
+        b, e = self.ptr[i], self.ptr[i + 1]
+        if e - b < 2:
+            entry = self._run(i, self.idx[b] if e > b else -1)
+        elif e - b <= MAX_ORDER_WIDTH:
+            entry = self._orders(self.idx[b:e])
+        else:
+            entry = _WIDE
+        self.entries[i] = entry
+        return entry
+
+    def _run(self, i: int, nxt: int) -> tuple:
+        ptr, idx, boundary = self.ptr, self.idx, self.boundary
+        nodes: List[int] = []
+        seen = {i}
+        kind = RUN_DEAD
+        while nxt >= 0 and nxt not in seen:
+            nodes.append(nxt)
+            seen.add(nxt)
+            if boundary[nxt]:
+                kind = RUN_BOUNDARY
+                break
+            b, e = ptr[nxt], ptr[nxt + 1]
+            if e - b != 1:
+                if e > b:
+                    kind = RUN_EXPAND
+                break
+            nxt = idx[b]
+        is_seq = self.is_seq
+        interior = None
+        if kind == RUN_EXPAND and len(nodes) > 1:
+            interior = (nodes[:-1], -2 - sum(is_seq[j] for j in nodes[:-1]))
+        return (
+            kind,
+            nodes,
+            [p for p, j in enumerate(nodes) if is_seq[j]],
+            interior,
+        )
+
+    def _orders(self, ids: List[int]) -> tuple:
+        plan = SHUFFLE_PLANS[len(ids)]
+        lists: Tuple[List[List[int]], List[List[int]]] = ([], [])
+        for draws in product(*(range(n) for _, n, _ in plan)):
+            order = ids[:]
+            for (slot, _, _), j in zip(plan, draws):
+                order[slot], order[j] = order[j], order[slot]
+            for keys, out in zip(self.keys, lists):
+                out.append(
+                    sorted(order, key=lambda j: keys[j] if j >= 0 else UNREACHABLE_KEY)
+                )
+        return ORDER, lists[0], lists[1], plan
+
+
+_WIDE = (WIDE,)
 
 
 class Wiring:
@@ -620,7 +742,7 @@ class Wiring:
     wiring.
 
     The fan-out CSR, topological order, levels, flip-flop depths, D_i,
-    the BFS guide distances, the DFS sort keys and child lists read
+    the BFS guide distances, the DFS sort keys and expansion tables read
     nothing but the fan-in lists and which nodes are inputs, flip-flops
     and outputs.  A copy of a netlist, or the same netlist after a
     gate-type rewrite such as LUT insertion, has the same wiring, so
@@ -644,8 +766,8 @@ class Wiring:
         "end_dist",
         "keys_fwd",
         "keys_bwd",
-        "children_fwd",
-        "children_bwd",
+        "expand_fwd",
+        "expand_bwd",
         "kernels",
         "__weakref__",
     )
@@ -663,8 +785,8 @@ class Wiring:
         self.end_dist: Optional[List[int]] = None
         self.keys_fwd: Optional[Tuple[List[int], List[int]]] = None
         self.keys_bwd: Optional[Tuple[List[int], List[int]]] = None
-        self.children_fwd: Optional[List[Optional[List[int]]]] = None
-        self.children_bwd: Optional[List[Optional[List[int]]]] = None
+        self.expand_fwd: Optional[DfsExpansions] = None
+        self.expand_bwd: Optional[DfsExpansions] = None
         self.kernels: Dict[tuple, Dict[str, Any]] = {}
 
 

@@ -21,7 +21,17 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..obs import add_counter
 from .cache import memoized
-from .csr import MAX_TRACKED_FF_DEPTH, CombinationalLoopError, csr_view
+from .csr import (
+    MAX_TRACKED_FF_DEPTH,
+    ORDER,
+    RUN_BOUNDARY,
+    RUN_EXPAND,
+    SHUFFLE_PLANS,
+    UNREACHABLE_KEY,
+    CombinationalLoopError,
+    csr_view,
+    shuffle_plan,
+)
 from .netlist import Netlist, NetlistError
 
 __all__ = [
@@ -254,17 +264,6 @@ def find_io_path(
     return prefix[:-1] + suffix
 
 
-def _shuffle_plan(length: int) -> Tuple[Tuple[int, int, int], ...]:
-    """The Fisher–Yates slots of a *length*-entry shuffle, last first:
-    ``(i, i + 1, (i + 1).bit_length())`` per slot *i*."""
-    return tuple((i, i + 1, (i + 1).bit_length()) for i in range(length - 1, 0, -1))
-
-
-#: Shuffle plans by list length.  No node of the Table I circuits has
-#: more than 54 neighbours; longer lists plan on the fly.
-_SHUFFLE_PLANS = tuple(_shuffle_plan(length) for length in range(65))
-
-
 def _shuffle_ids(ids: List[int], getrandbits) -> None:
     """Shuffle *ids* in place, drawing exactly what ``random.Random.shuffle``
     draws from the generator whose ``getrandbits`` is given.
@@ -275,15 +274,19 @@ def _shuffle_ids(ids: List[int], getrandbits) -> None:
     it is out of range.  Lists of 0 or 1 entries draw nothing.
     """
     length = len(ids)
-    if length < len(_SHUFFLE_PLANS):
-        plan = _SHUFFLE_PLANS[length]
+    if length < len(SHUFFLE_PLANS):
+        plan = SHUFFLE_PLANS[length]
     else:
-        plan = _shuffle_plan(length)
+        plan = shuffle_plan(length)
     for i, n, k in plan:
         j = getrandbits(k)
         while j >= n:
             j = getrandbits(k)
         ids[i], ids[j] = ids[j], ids[i]
+
+
+#: The children of a node the walk backtracks from at once.
+_NO_KIDS: Tuple[int, ...] = ()
 
 
 def _dfs_to_boundary(
@@ -307,7 +310,10 @@ def _dfs_to_boundary(
     are identical to the historical name-based walk, so the same ``rng``
     selects the same paths.  The walk must never prune: one skipped
     expansion skips its shuffle and shifts every later draw of the shared
-    ``rng``.
+    ``rng``.  Each expansion reads the node's entry in the wiring's
+    expansion table (:class:`~repro.netlist.csr.DfsExpansions`): a chain
+    of single-neighbour nodes is entered as one run, and a node of 2–4
+    neighbours looks its sorted order up from its draws.
     """
     view = csr_view(netlist)
     start_id = view.id_of(start)
@@ -327,28 +333,32 @@ def _dfs_to_boundary(
     # Neighbour preference is a stable ascending sort by the packed
     # (ff_rank, closeness) key after the rng shuffle — the walk pops from
     # the end, so the best candidate sorts last.  ``key_on`` ranks with
-    # the flip-flop bump (FF budget left), ``key_off`` without.
+    # the flip-flop bump (FF budget left), ``key_off`` without.  Nodes up
+    # to MAX_ORDER_WIDTH neighbours look the sorted order up in the
+    # expansion table; only wider ones sort here.
     keys_on, keys_off = view.guide_keys(forwards)
     if view.dangling:
         # A dangling fan-in id is -1, so index -1 must hold the rank the
         # name-based walk gives a missing net.
-        keys_on = keys_on + [-(1 << 20)]
-        keys_off = keys_off + [-(1 << 20)]
+        keys_on = keys_on + [UNREACHABLE_KEY]
+        keys_off = keys_off + [UNREACHABLE_KEY]
     key_on = keys_on.__getitem__
     key_off = keys_off.__getitem__
     getrandbits = rng.getrandbits
     shuffle = _shuffle_ids
-    # Nodes with 0 or 1 neighbours (most of them) expand to a list shared
-    # by every walk over this wiring, which the walk must never write;
-    # the rest get a fresh slice to shuffle and sort.
-    children = view.dfs_children(forwards)
+    table = view.dfs_expansions(forwards)
+    entries = table.entries
+    build = table.build
+    # ffs never drops below 0, so a negative cap reads as 0.
+    max_ffs = max(max_ffs, 0)
 
     # Backtracking DFS.  States are visited in exactly the order the
     # historical snapshot-copying stack popped them (children expand
     # best-last, so the traversal walks each node's most preferred
     # subtree to exhaustion before its next sibling), but the current
     # path and FF count are maintained incrementally.  ``suspended``
-    # holds each ancestor's (children, next index from the end).
+    # holds each ancestor's (children, next index from the end); a run's
+    # interior, entered whole, is one ``(nodes, -2 - flip-flops)`` entry.
     best: Optional[List[int]] = None
     best_ffs = -1
     steps = 1
@@ -356,19 +366,91 @@ def _dfs_to_boundary(
     if boundary[start_id]:
         best, best_ffs = [start_id], 0
     else:
-        path: List[int] = [start_id]
-        blocked[start_id] = 1
+        path: List[int] = []
         ffs = 0
-        suspended: List[Tuple[List[int], int]] = []
-        j = start_id
-        while j >= 0:
-            # Expand j, the node just entered.
-            kids = children[j]
-            if kids is None:
-                kids = adj_idx[adj_ptr[j] : adj_ptr[j + 1]]
-                shuffle(kids, getrandbits)
-                kids.sort(key=key_on if ffs < max_ffs else key_off)
-            ptr = len(kids) - 1
+        suspended: List[Tuple[Sequence[int], int]] = []
+        kids: Sequence[int] = _NO_KIDS
+        ptr = -1
+        # The start's flip-flop is not counted.
+        j, bump = start_id, 0
+        while True:
+            # Expand j, entered (counted) but not on the path yet.
+            entry = entries[j] or build(j)
+            kind = entry[0]
+            if kind <= RUN_EXPAND:
+                # A run: node by node the walk would enter it without a
+                # draw, so it is entered whole, up to the first node on
+                # the path or avoided, or the flip-flop past the cap.
+                # Unless it leads on to a wider node, j and the run are
+                # left again at once, so neither is pushed.
+                run, ff_at = entry[1], entry[2]
+                n_ff = len(ff_at)
+                cut = len(run)
+                room = max_ffs - ffs - bump
+                if room < n_ff:
+                    cut = ff_at[room]
+                for k in range(cut):
+                    if blocked[run[k]]:
+                        cut = k
+                        break
+                steps += cut
+                if steps > max_steps:
+                    exhausted = True
+                    break
+                if cut == len(run):
+                    if kind == RUN_EXPAND:
+                        suspended.append((kids, ptr))
+                        path.append(j)
+                        blocked[j] = 1
+                        ffs += bump
+                        interior = entry[3]
+                        if interior is not None:
+                            suspended.append(interior)
+                            for k in interior[0]:
+                                blocked[k] = 1
+                            path += interior[0]
+                            ffs -= interior[1] + 2
+                        # The run's last node expands next, as entered
+                        # from a single-entry list.
+                        kids, ptr = _NO_KIDS, -1
+                        j = run[-1]
+                        bump = is_seq[j]
+                        entry = entries[j] or build(j)
+                        kind = entry[0]
+                    elif kind == RUN_BOUNDARY:
+                        nf = ffs + bump + n_ff
+                        if nf > best_ffs:
+                            best = path + [j] + run
+                            best_ffs = nf
+                        if nf >= want_ffs:
+                            break
+            if kind > RUN_EXPAND:
+                suspended.append((kids, ptr))
+                path.append(j)
+                blocked[j] = 1
+                ffs += bump
+                if kind == ORDER:
+                    # The draws _shuffle_ids makes, folded into the index
+                    # of the order they produce.  Two neighbours (most
+                    # nodes) draw once, from plan ((1, 2, 2),).
+                    plan = entry[3]
+                    if len(plan) == 1:
+                        index = getrandbits(2)
+                        while index > 1:
+                            index = getrandbits(2)
+                    else:
+                        index = 0
+                        for _, n, k in plan:
+                            r = getrandbits(k)
+                            while r >= n:
+                                r = getrandbits(k)
+                            index = index * n + r
+                    kids = entry[1 if ffs < max_ffs else 2][index]
+                else:
+                    kids = adj_idx[adj_ptr[j] : adj_ptr[j + 1]]
+                    shuffle(kids, getrandbits)
+                    kids.sort(key=key_on if ffs < max_ffs else key_off)
+                ptr = len(kids) - 1
             # Find the next node to enter, backtracking as needed; the
             # walk ends with j = -1.
             while True:
@@ -377,6 +459,13 @@ def _dfs_to_boundary(
                         j = -1
                         break
                     kids, ptr = suspended.pop()
+                    if ptr < -1:
+                        # Leave a run's interior whole.
+                        del path[-len(kids) :]
+                        for left in kids:
+                            blocked[left] = 0
+                        ffs += ptr + 2
+                        continue
                     left = path.pop()
                     blocked[left] = 0
                     ffs -= is_seq[left]
@@ -402,10 +491,8 @@ def _dfs_to_boundary(
                         j = -1
                         break
                     continue
-                suspended.append((kids, ptr))
-                path.append(j)
-                blocked[j] = 1
-                ffs += bump
+                break
+            if j < 0:
                 break
     if exhausted:
         add_counter("paths.budget_exhausted")

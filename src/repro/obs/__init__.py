@@ -30,6 +30,9 @@ See ``docs/OBSERVABILITY.md`` for the span/counter model and how to read
 a trace of a testing attack.
 """
 
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from .core import (
     NULL_SPAN,
     Recorder,
@@ -44,11 +47,25 @@ from .core import (
     span,
     use_recorder,
 )
-from .export import (
-    render_text,
-    summarize_chrome_trace,
-    to_chrome_trace,
-    to_json,
+
+if TYPE_CHECKING:
+    from .export import (
+        render_text,
+        summarize_chrome_trace,
+        to_chrome_trace,
+        to_json,
+    )
+
+# Exporters render a finished trace, never inside a trial: they load on
+# first use.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "render_text": ".export",
+        "summarize_chrome_trace": ".export",
+        "to_chrome_trace": ".export",
+        "to_json": ".export",
+    },
 )
 
 __all__ = [

@@ -30,7 +30,6 @@ from .keybatch import (
     screen_hypotheses,
     surviving_lanes,
 )
-from .seqsim import SequentialSimulator, ToggleStats, functional_match
 from .justify import (
     Implication,
     is_observable,
@@ -48,12 +47,18 @@ if TYPE_CHECKING:
         fault_coverage,
         random_pattern_coverage,
     )
+    from .seqsim import SequentialSimulator, ToggleStats, functional_match
     from .vcd import VcdWriter, dump_vcd
 
-# Fault simulation and VCD dumps run in no trial: they load on first use.
+# Fault simulation and VCD dumps run in no trial, and the sequential
+# simulator only in simulation-based activity estimation and
+# functional-mode oracle queries: they load on first use.
 __getattr__ = lazy_exports(
     __name__,
     {
+        "SequentialSimulator": ".seqsim",
+        "ToggleStats": ".seqsim",
+        "functional_match": ".seqsim",
         "CoverageReport": ".faults",
         "Fault": ".faults",
         "FaultSimulator": ".faults",

@@ -35,7 +35,6 @@ Quickstart::
 from typing import TYPE_CHECKING
 
 from .._lazy import lazy_exports
-from .backends import WorkStealingJob, work_stealing_worker
 from .cache import RESULT_SCHEMA, ResultCache, netlist_sha, trial_key
 from .runner import (
     SweepResult,
@@ -54,6 +53,7 @@ from .spec import (
 from .trial import canonical_row, circuit_sha, load_circuit, run_trial
 
 if TYPE_CHECKING:
+    from .backends import WorkStealingJob, work_stealing_worker
     from .aggregate import (
         RunningStat,
         StreamSummary,
@@ -65,11 +65,14 @@ if TYPE_CHECKING:
         summarize,
     )
 
-# The aggregates fold rows after a sweep, never inside a trial: they load
-# on first use.
+# The aggregates fold rows after a sweep, never inside a trial, and the
+# lease workers run only when a sweep asks for them: both load on first
+# use.
 __getattr__ = lazy_exports(
     __name__,
     {
+        "WorkStealingJob": ".backends",
+        "work_stealing_worker": ".backends",
         "RunningStat": ".aggregate",
         "StreamSummary": ".aggregate",
         "group_rows": ".aggregate",

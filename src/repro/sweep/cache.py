@@ -38,7 +38,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import socket
 import tempfile
 import time
 from pathlib import Path
@@ -85,6 +84,8 @@ def _holder_is_gone(lease: Dict[str, Any]) -> bool:
     longer exists.  Holders on other hosts, live pids (a recycled pid
     looks live too) and leases without host/pid fields are left to the
     expiry."""
+    import socket  # leases only: serial sweeps never load it
+
     pid = lease.get("pid")
     if lease.get("host") != socket.gethostname() or type(pid) is not int:
         return False
@@ -289,6 +290,8 @@ class ResultCache:
         or was SIGKILLed mid-trial) — is *broken* instead: see
         :meth:`_break_lease`.
         """
+        import socket  # leases only: serial sweeps never load it
+
         path = self._lease_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         lease = {

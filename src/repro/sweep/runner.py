@@ -38,6 +38,7 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -57,15 +58,12 @@ from ..obs import (
     set_gauge,
     span,
 )
-from .backends import (
-    LEASE_TTL,
-    WorkStealingJob,
-    new_job_id,
-    run_lease_workers,
-)
 from .cache import ResultCache, trial_key
 from .spec import SweepSpec, Trial
 from .trial import canonical_row, circuit_sha, failed_row, run_trial
+
+if TYPE_CHECKING:
+    from .backends import WorkStealingJob
 
 #: Progress callbacks receive one event dict per completed trial (plus
 #: the initial ``resume`` event and, for lease workers, a ``job`` event).
@@ -261,6 +259,14 @@ class SweepRunner:
     ) -> Iterator[Tuple[int, Trial, Dict[str, Any]]]:
         """Run the pending trials on ``self.workers`` lease workers over
         the result cache (a temporary one when the runner has none)."""
+        # Serial sweeps never load the lease machinery (or socket).
+        from .backends import (
+            LEASE_TTL,
+            WorkStealingJob,
+            new_job_id,
+            run_lease_workers,
+        )
+
         scratch = (
             tempfile.TemporaryDirectory(prefix="repro-sweep-")
             if self.cache is None

@@ -38,6 +38,12 @@ OFF_PATH = (
     "multiprocessing",
     "repro.dataflow.engine",
     "repro.dataflow.verify",
+    "repro.obs.export",
+    "repro.lut.lutcell",
+    "repro.sweep.backends",
+    "socket",
+    "repro.circuits.arithmetic",
+    "repro.sim.seqsim",
 )
 
 PACKAGES = (

@@ -15,6 +15,7 @@ packing and the three-valued implication were rewritten.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -23,12 +24,21 @@ import pytest
 from repro.analysis import PathFinder, signal_probabilities
 from repro.analysis.sta import TimingAnalyzer
 from repro.attacks import candidate_configs
-from repro.circuits import load_benchmark
+from repro.check.checks_graph import _dict_dfs_to_boundary, csr_guide
+from repro.circuits import PAPER_BENCHMARK_ORDER, load_benchmark
 from repro.lut import HybridMapper
 from repro.locking import DependentSelection, depth_to_output
 from repro.netlist import GateType, Netlist
-from repro.netlist.csr import csr_view
-from repro.netlist.graph import _shuffle_ids, find_io_path
+from repro.netlist.csr import (
+    MAX_ORDER_WIDTH,
+    ORDER,
+    RUN_BOUNDARY,
+    RUN_DEAD,
+    RUN_EXPAND,
+    WIDE,
+    csr_view,
+)
+from repro.netlist.graph import _dfs_to_boundary, _shuffle_ids, find_io_path
 from repro.netlist.transform import replace_gates_with_luts
 from repro.sim import CombinationalSimulator, reference_evaluate, score_keys
 from repro.sweep import SweepRunner, SweepSpec, canonical_row
@@ -133,36 +143,111 @@ def test_dfs_over_dangling_fanin_is_pinned(s641):
     assert _digest((found, rng.getstate())) == DANGLING_DFS_DIGEST
 
 
-def _assert_child_tables_fresh(view) -> None:
-    """Both DFS child tables hold a fresh CSR slice for every node with at
-    most one neighbour, and ``None`` for every other node."""
+def _adjacency(view, forwards):
+    if forwards:
+        return view.fanout_ptr, view.fanout_idx, view.is_po
+    return view.fanin_ptr, view.fanin_idx, view.is_input
+
+
+def _fresh_run(view, forwards, i):
+    """Node *i*'s run, followed link by link over the CSR arrays."""
+    ptr, idx, boundary = _adjacency(view, forwards)
+    nodes, kind = [], RUN_DEAD
+    nxt = idx[ptr[i]] if ptr[i + 1] > ptr[i] else -1
+    while nxt >= 0 and nxt != i and nxt not in nodes:
+        nodes.append(nxt)
+        width = ptr[nxt + 1] - ptr[nxt]
+        if boundary[nxt]:
+            kind = RUN_BOUNDARY
+        elif width > 1:
+            kind = RUN_EXPAND
+        elif width == 1:
+            nxt = idx[ptr[nxt]]
+            continue
+        break
+    return kind, nodes, [p for p, j in enumerate(nodes) if view.is_seq[j]]
+
+
+def _scripted(draws):
+    """A ``getrandbits`` that returns *draws* in turn."""
+    it = iter(draws)
+    return lambda _k: next(it)
+
+
+def _fresh_orders(view, forwards, i):
+    """Node *i*'s sorted child list under both key sets for every draw
+    outcome, in mixed-radix order (first draw most significant): a fresh
+    slice after ``_shuffle_ids`` fed those draws, then the stable sort."""
+    ptr, idx, _ = _adjacency(view, forwards)
+    ids = idx[ptr[i] : ptr[i + 1]]
+    keys = view.guide_keys(forwards)
+    ranges = [range(n) for n in range(len(ids), 1, -1)]
+    out = ([], [])
+    for draws in itertools.product(*ranges):
+        order = list(ids)
+        _shuffle_ids(order, _scripted(draws))
+        for key, lists in zip(keys, out):
+            lists.append(sorted(order, key=lambda j: key[j] if j >= 0 else -(1 << 20)))
+    return out
+
+
+def _assert_expansions_fresh(view, build_all=False) -> None:
+    """Every built entry of both expansion tables (every entry, with
+    *build_all*) equals a fresh derivation from the CSR arrays."""
     for forwards in (False, True):
-        if forwards:
-            ptr, idx = view.fanout_ptr, view.fanout_idx
-        else:
-            ptr, idx = view.fanin_ptr, view.fanin_idx
-        table = view.dfs_children(forwards)
-        assert len(table) == view.n
-        for i, kids in enumerate(table):
-            fresh = idx[ptr[i] : ptr[i + 1]]
-            assert kids == (fresh if len(fresh) < 2 else None), (forwards, i)
+        table = view.dfs_expansions(forwards)
+        ptr = _adjacency(view, forwards)[0]
+        assert len(table.entries) == view.n
+        for i in range(view.n):
+            entry = table.entries[i]
+            if entry is None:
+                if not build_all:
+                    continue
+                entry = table.build(i)
+            assert table.entries[i] is entry
+            width = ptr[i + 1] - ptr[i]
+            if width < 2:
+                assert entry[:3] == _fresh_run(view, forwards, i), (forwards, i)
+                kind, nodes = entry[0], entry[1]
+                if kind == RUN_EXPAND and len(nodes) > 1:
+                    interior = nodes[:-1]
+                    n_ff = sum(view.is_seq[j] for j in interior)
+                    assert entry[3] == (interior, -2 - n_ff)
+                else:
+                    assert entry[3] is None
+            elif width <= MAX_ORDER_WIDTH:
+                assert entry[0] == ORDER
+                fresh = _fresh_orders(view, forwards, i)
+                assert (entry[1], entry[2]) == fresh, (forwards, i)
+            else:
+                assert entry == (WIDE,)
 
 
-def test_dfs_child_tables_stay_fresh_after_collect_paths():
+def test_expansion_tables_stay_fresh_after_collect_paths():
     netlist = load_benchmark("s1238")
     PathFinder(netlist, seed=0).collect_paths()
-    wiring = csr_view(netlist).wiring
-    assert wiring.children_fwd is not None and wiring.children_bwd is not None
-    _assert_child_tables_fresh(csr_view(netlist))
+    view = csr_view(netlist)
+    wiring = view.wiring
+    assert wiring.expand_fwd is not None and wiring.expand_bwd is not None
+    # The walks built entries of every kind; each still equals a fresh one.
+    built = {
+        entry[0]
+        for table in (wiring.expand_fwd, wiring.expand_bwd)
+        for entry in table.entries
+        if entry is not None
+    }
+    assert built == {RUN_DEAD, RUN_BOUNDARY, RUN_EXPAND, ORDER, WIDE}
+    _assert_expansions_fresh(view)
+    _assert_expansions_fresh(view, build_all=True)
 
 
-def test_rewired_copy_gets_its_own_child_tables():
+def test_rewired_copy_gets_its_own_expansion_tables():
     netlist = load_benchmark("s1238")
     view = csr_view(netlist)
-    tables = [view.dfs_children(forwards) for forwards in (False, True)]
+    tables = [view.dfs_expansions(forwards) for forwards in (False, True)]
     twin = csr_view(netlist.copy())
-    assert [twin.dfs_children(f) for f in (False, True)] == tables
-    assert twin.dfs_children(False) is tables[0]
+    assert [twin.dfs_expansions(f) for f in (False, True)] == tables
+    assert twin.dfs_expansions(False) is tables[0]
 
     rewired = netlist.copy()
     gate = next(g for g in rewired.gates if rewired.node(g).n_inputs == 1)
@@ -172,12 +257,162 @@ def test_rewired_copy_gets_its_own_child_tables():
     other = csr_view(rewired)
     assert other.wiring is not view.wiring
     for forwards, table in zip((False, True), tables):
-        assert other.dfs_children(forwards) is not table
-    _assert_child_tables_fresh(other)
-    _assert_child_tables_fresh(view)
+        assert other.dfs_expansions(forwards) is not table
     i = other.index[gate]
-    assert other.dfs_children(False)[i] == [other.index[driver]]
-    assert tables[0][i] != other.dfs_children(False)[i]
+    assert other.dfs_expansions(False).build(i)[1] == [other.index[driver]]
+    assert tables[0].build(i)[1] != [other.index[driver]]
+    _assert_expansions_fresh(other, build_all=True)
+    _assert_expansions_fresh(view, build_all=True)
+
+
+@pytest.mark.parametrize("circuit", PAPER_BENCHMARK_ORDER)
+def test_order_tables_equal_a_fresh_shuffle_and_sort(circuit):
+    """Every tabulated order of every 2-4 neighbour node, both directions
+    and key sets, is the fresh slice after ``_shuffle_ids`` fed that
+    outcome's draws and the stable key sort."""
+    view = csr_view(load_benchmark(circuit))
+    widths = set()
+    for forwards in (False, True):
+        table = view.dfs_expansions(forwards)
+        ptr = _adjacency(view, forwards)[0]
+        for i in range(view.n):
+            width = ptr[i + 1] - ptr[i]
+            if 2 <= width <= MAX_ORDER_WIDTH:
+                widths.add(width)
+                entry = table.entries[i] or table.build(i)
+                assert (entry[1], entry[2]) == _fresh_orders(view, forwards, i)
+    assert widths == {2, 3, 4}
+
+
+@pytest.mark.parametrize("width", range(2, MAX_ORDER_WIDTH + 1))
+def test_order_lookup_draws_what_random_shuffle_draws(width):
+    """A forward walk from a node with *width* outputs as readers enters
+    the last of its looked-up order and stops: that reader and the rng
+    state must be what ``Random.shuffle`` leaves."""
+    netlist = Netlist("star")
+    netlist.add_input("a")
+    netlist.add_gate("s", GateType.BUF, ["a"])
+    readers = [f"r{k}" for k in range(width)]
+    for name in readers:
+        netlist.add_gate(name, GateType.NOT, ["s"])
+        netlist.add_output(name)
+    for seed in range(200):
+        rng = random.Random(seed)
+        path, _ = _dfs_to_boundary(netlist, "s", True, rng, want_ffs=0)
+        reference = random.Random(seed)
+        expected = netlist.fanout("s")
+        reference.shuffle(expected)
+        assert path == ["s", expected[-1]], seed
+        assert rng.getstate() == reference.getstate(), seed
+
+
+def _race_spec(netlist, start, forwards, seed, **limits):
+    """Run the CSR walk and the name-based spec from one seed: the same
+    path and flip-flop count, and the same draws."""
+    avoid = set(limits.pop("avoid", ()))
+    max_steps = limits.pop("max_steps", 50_000)
+    max_ffs = limits.pop("max_ffs", 10)
+    want_ffs = limits.pop("want_ffs", max_ffs + 1)
+    assert not limits
+    spec_rng = random.Random(seed)
+    expected = _dict_dfs_to_boundary(
+        netlist, start, forwards, spec_rng, avoid,
+        csr_guide(netlist)[1 if forwards else 0],
+        want_ffs=want_ffs, max_ffs=max_ffs, max_steps=max_steps,
+    )
+    rng = random.Random(seed)
+    got = _dfs_to_boundary(
+        netlist, start, forwards, rng, max_steps=max_steps, avoid=avoid,
+        want_ffs=want_ffs, max_ffs=max_ffs,
+    )
+    where = (netlist.name, start, forwards, seed, max_steps, max_ffs, want_ffs)
+    assert got == expected, where
+    assert rng.getstate() == spec_rng.getstate(), where
+
+
+@pytest.mark.parametrize("circuit", ["s27", "s641", "s1238"])
+def test_dfs_budget_and_cap_cuts_race_the_spec(circuit):
+    """Every budget of 1-120 steps cuts the walk where the name-based
+    spec stops, inside a run or between nodes, at every cap."""
+    netlist = load_benchmark(circuit)
+    pick = random.Random(circuit)
+    starts = pick.sample(sorted(netlist.gates), 3)
+    for start in starts:
+        for forwards in (False, True):
+            for max_ffs in (0, 2, 16):
+                for max_steps in range(1, 121):
+                    _race_spec(
+                        netlist, start, forwards, seed=max_steps,
+                        max_steps=max_steps, max_ffs=max_ffs,
+                    )
+
+
+def _ring_and_chains() -> Netlist:
+    """Hand-built runs: a ring of single-neighbour flip-flops and
+    buffers, a primary output with a reader in the middle of a chain,
+    and a chain ending in a dangling pin."""
+    n = Netlist("runs")
+    for pi in ("a", "b"):
+        n.add_input(pi)
+    # Ring r1 -> k1 -> r2 -> k2 -> r3 -> k3 -> r1; r2 also feeds x.
+    n.add_gate("r1", GateType.DFF, ["k3"])
+    n.add_gate("k1", GateType.BUF, ["r1"])
+    n.add_gate("r2", GateType.DFF, ["k1"])
+    n.add_gate("k2", GateType.BUF, ["r2"])
+    n.add_gate("r3", GateType.DFF, ["k2"])
+    n.add_gate("k3", GateType.BUF, ["r3"])
+    n.add_gate("x", GateType.AND, ["a", "r2"])
+    # Chain a -> c1 -> c2 (an output) -> c3 -> q -> c4 (an output).
+    n.add_gate("c1", GateType.NOT, ["a"])
+    n.add_gate("c2", GateType.BUF, ["c1"])
+    n.add_gate("c3", GateType.NOT, ["c2"])
+    n.add_gate("q", GateType.DFF, ["c3"])
+    n.add_gate("c4", GateType.BUF, ["q"])
+    # Chain d1 -> d2 -> p from a net nothing drives.
+    n.add_gate("d1", GateType.BUF, ["b"])
+    n.add_gate("d2", GateType.NOT, ["d1"])
+    n.add_gate("p", GateType.DFF, ["d2"])
+    n.add_gate("y", GateType.OR, ["x", "p", "c3"])
+    for po in ("x", "c2", "c4", "y"):
+        n.add_output(po)
+    n.node("d1").fanin[0] = "ghost"
+    n.touch_structure()
+    return n
+
+
+def test_dfs_runs_race_the_spec_on_hand_built_chains():
+    netlist = _ring_and_chains()
+    for start in sorted(netlist.gates):
+        for forwards in (False, True):
+            for max_ffs in (0, 1, 2, 16):
+                for max_steps in (1, 2, 3, 4, 5, 7, 9, 50_000):
+                    for avoid in ((), ("k2",), ("c2",), ("d2", "k1")):
+                        if start in avoid:
+                            continue
+                        _race_spec(
+                            netlist, start, forwards, seed=max_steps,
+                            max_steps=max_steps, max_ffs=max_ffs, avoid=avoid,
+                        )
+
+
+def test_dfs_avoiding_a_run_interior_races_the_spec(s641):
+    """``avoid`` holds the second node of a run the walk would enter."""
+    view = csr_view(s641)
+    raced = 0
+    for forwards in (False, True):
+        table = view.dfs_expansions(forwards)
+        for name in sorted(s641.gates):
+            entry = table.build(view.index[name])
+            if entry[0] > RUN_EXPAND or len(entry[1]) < 3:
+                continue
+            avoid = {view.names[entry[1][1]]}
+            for max_steps in (3, 50_000):
+                _race_spec(
+                    s641, name, forwards, seed=raced,
+                    max_steps=max_steps, max_ffs=2, avoid=avoid,
+                )
+            raced += 1
+    assert raced > 20
 
 
 #: Hashes of every net's exact one-probability (``float.hex``) on s641,

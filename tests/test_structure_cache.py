@@ -22,7 +22,7 @@ from repro.netlist import GateType, Netlist
 from repro.netlist.cache import cached_keys, memoized
 from repro.locking.metrics import depth_to_output
 from repro.netlist import csr
-from repro.netlist.csr import csr_view
+from repro.netlist.csr import ORDER, WIDE, csr_view
 from repro.check.checks_graph import csr_guide
 from repro.netlist.graph import (
     combinational_order,
@@ -292,6 +292,28 @@ MUTATORS = {
 }
 
 
+def _all_expansions(view, forwards: bool) -> list:
+    """Every entry of the view's DFS expansion table, building the
+    missing ones."""
+    table = view.dfs_expansions(forwards)
+    return [entry or table.build(i) for i, entry in enumerate(table.entries)]
+
+
+def _entry_names(names, entry) -> tuple:
+    """An expansion-table entry with its node ids read as names."""
+
+    def named(ids):
+        return [names[j] if j >= 0 else None for j in ids]
+
+    kind = entry[0]
+    if kind == ORDER:
+        return kind, [named(o) for o in entry[1]], [named(o) for o in entry[2]]
+    if kind == WIDE:
+        return (kind,)
+    interior = entry[3] and (named(entry[3][0]), entry[3][1])
+    return kind, named(entry[1]), entry[2], interior
+
+
 def _consumer_facts(netlist: Netlist, timing: TimingAnalyzer) -> dict:
     """What every memoized consumer answers about *netlist*, by name;
     *timing* keeps its per-view base arrivals across calls."""
@@ -319,12 +341,10 @@ def _consumer_facts(netlist: Netlist, timing: TimingAnalyzer) -> dict:
         "csr fan-out": {
             names[i]: view.names_of(view.fanout_ids(i)) for i in range(view.n)
         },
-        "csr dfs child lists": {
-            (names[i], forwards): None
-            if kids is None
-            else [names[j] if j >= 0 else None for j in kids]
+        "csr dfs expansions": {
+            (names[i], forwards): _entry_names(names, entry)
             for forwards in (False, True)
-            for i, kids in enumerate(view.dfs_children(forwards))
+            for i, entry in enumerate(_all_expansions(view, forwards))
         },
         "csr topo_order": view.names_of(view.topo_order()),
         "csr levels": dict(zip(names, view.levels())),
