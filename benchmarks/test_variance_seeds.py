@@ -14,8 +14,7 @@ import statistics
 
 import pytest
 
-from repro.reporting import format_table
-from repro.sweep import SweepSpec, group_rows, run_sweep
+from repro.sweep import SweepSpec, group_rows, render_table, run_sweep
 
 from conftest import bench_workers
 
@@ -45,26 +44,15 @@ def test_seed_variance(benchmark):
                 [o["area_overhead_pct"] for o in overheads],
                 [o["n_stt"] for o in overheads],
             )
-        return stats
+        return stats, result.ok_rows()
 
-    stats = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rows = []
-    for algorithm, (perf, power, area, counts) in stats.items():
-        rows.append(
-            (
-                algorithm,
-                f"{statistics.mean(perf):.1f}±{statistics.stdev(perf):.1f}",
-                f"{statistics.mean(power):.1f}±{statistics.stdev(power):.1f}",
-                f"{statistics.mean(area):.1f}±{statistics.stdev(area):.1f}",
-                f"{statistics.mean(counts):.1f}±{statistics.stdev(counts):.1f}",
-            )
-        )
+    stats, rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print()
     print(
-        format_table(
-            ["algorithm", "delay % (μ±σ)", "power % (μ±σ)", "area % (μ±σ)", "#STT (μ±σ)"],
+        render_table(
             rows,
-            title=f"selection randomness across {len(SEEDS)} seeds ({CIRCUIT})",
+            by=("algorithm",),
+            title=f"selection randomness across {len(SEEDS)} seeds ({CIRCUIT}), μ±σ",
         )
     )
 

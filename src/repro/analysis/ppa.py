@@ -37,17 +37,6 @@ class OverheadReport:
     n_stt: int
     size: int
 
-    def as_row(self) -> "tuple[str, str, float, float, float, int, int]":
-        return (
-            self.circuit,
-            self.algorithm,
-            self.performance_degradation_pct,
-            self.power_overhead_pct,
-            self.area_overhead_pct,
-            self.n_stt,
-            self.size,
-        )
-
 
 class PpaAnalyzer:
     """One-stop PPA evaluation bound to a CMOS + STT library pair."""

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..netlist.gates import CANDIDATE_TYPES, GateType, truth_table
+from ..netlist.gates import GateType, candidate_tables, truth_table
 from ..netlist.netlist import Netlist
 from ..obs import span
 from ..sim.keybatch import (
@@ -74,10 +74,7 @@ def candidate_configs(n_inputs: int) -> List[int]:
             truth_table(GateType.NOT, 1),
             truth_table(GateType.BUF, 1),
         ]
-    seen: Dict[int, None] = {}
-    for gate_type in CANDIDATE_TYPES:
-        seen.setdefault(truth_table(gate_type, n_inputs), None)
-    return list(seen)
+    return list(dict.fromkeys(candidate_tables(n_inputs).values()))
 
 
 class BruteForceAttack:

@@ -21,14 +21,9 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from . import lock_design
 from .analysis.ppa import PpaAnalyzer
-from .attacks import (
-    BruteForceAttack,
-    ConfiguredOracle,
-    MlAttack,
-    SatAttack,
-    TestingAttack,
-)
+from .attacks import ATTACKS, ConfiguredOracle, run_attack
 from .circuits import PAPER_BENCHMARK_ORDER, load_benchmark
 from .locking import ALGORITHMS, SecurityAnalyzer
 from .lut import HybridMapper, bitstream
@@ -95,17 +90,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_lock(args: argparse.Namespace) -> int:
     netlist = _load(args.circuit)
-    try:
-        algorithm_cls = ALGORITHMS[args.algorithm]
-    except KeyError:
-        raise SystemExit(
-            f"error: unknown algorithm {args.algorithm!r}; "
-            f"choose from {sorted(ALGORITHMS)}"
-        )
-    algorithm = algorithm_cls(
-        seed=args.seed, decoy_inputs=args.decoys, absorb=args.absorb
+    result = lock_design(
+        netlist,
+        args.algorithm,
+        seed=args.seed,
+        decoy_inputs=args.decoys,
+        absorb=args.absorb,
     )
-    result = algorithm.run(netlist)
     out = Path(args.out or f"{netlist.name}_{args.algorithm}.bench")
     bench_io.dump(result.hybrid, out)
     foundry_path = out.with_name(out.stem + "_foundry.bench")
@@ -156,52 +147,21 @@ def format_cell_years(security, formula: str) -> str:
 def cmd_attack(args: argparse.Namespace) -> int:
     foundry = _load(args.foundry)
     provisioned = _load(args.provisioned)
-    oracle = ConfiguredOracle(provisioned, scan=not args.no_scan)
-    if args.attack == "testing":
-        attack = TestingAttack(foundry, oracle, seed=args.seed)
-        # (the testing attack's deduction lanes batch inherently; the
-        # --batch-width knob applies to the hypothesis-sweeping attacks)
-        result = attack.run()
-        print(
-            f"testing attack: {len(result.resolved)} resolved, "
-            f"{len(result.unresolved)} unresolved, "
-            f"{result.test_clocks} test clocks"
-        )
-        return 0 if result.success else 1
-    if args.attack == "brute":
-        attack = BruteForceAttack(
-            foundry, oracle, seed=args.seed, batch_width=args.batch_width
-        )
-        result = attack.run()
-        print(
-            f"brute force: tested {result.hypotheses_tested} of "
-            f"{result.hypotheses_total} hypotheses, "
-            f"{'KEY FOUND' if result.success else 'failed'}, "
-            f"{result.test_clocks} test clocks"
-        )
-        return 0 if result.success else 1
-    if args.attack == "sat":
-        attack = SatAttack(foundry, oracle)
-        result = attack.run()
-        print(
-            f"sat attack: {result.iterations} iterations, "
-            f"{'KEY FOUND' if result.success else 'gave up'}, "
-            f"{result.test_clocks} test clocks"
-        )
-        return 0 if result.success else 1
-    if args.attack == "ml":
-        attack = MlAttack(
-            foundry, oracle, seed=args.seed, batch_width=args.batch_width
-        )
-        result = attack.run()
-        print(
-            f"ml attack: {result.iterations} iterations over "
-            f"{result.key_bits} key bits, best agreement "
-            f"{result.best_agreement:.3f}, "
-            f"{'KEY FOUND' if result.success else 'failed'}"
-        )
-        return 0 if result.success else 1
-    raise SystemExit(f"error: unknown attack {args.attack!r}")
+    row = run_attack(
+        args.attack,
+        foundry,
+        ConfiguredOracle(provisioned, scan=not args.no_scan),
+        seed=args.seed,
+        batch_width=args.batch_width,
+    )
+    label = ATTACKS[row.pop("attack")].label
+    success = row.pop("success")
+    details = ", ".join(
+        f"{key} {value:.3f}" if isinstance(value, float) else f"{key} {value}"
+        for key, value in row.items()
+    )
+    print(f"{label}: {'KEY FOUND' if success else 'failed'} ({details})")
+    return 0 if success else 1
 
 
 def cmd_program(args: argparse.Namespace) -> int:
@@ -319,15 +279,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
     netlist = _load(args.circuit)
     if args.algorithm:
-        try:
-            algorithm_cls = ALGORITHMS[args.algorithm]
-        except KeyError:
-            raise SystemExit(
-                f"error: unknown algorithm {args.algorithm!r}; "
-                f"choose from {sorted(ALGORITHMS)}"
-            )
-        result = algorithm_cls(seed=args.seed).run(netlist)
-        target = result.hybrid
+        target = lock_design(netlist, args.algorithm, seed=args.seed).hybrid
     else:
         target = netlist
         if not target.luts:
@@ -718,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("foundry")
     p_attack.add_argument("provisioned", help="oracle: the configured chip")
     p_attack.add_argument(
-        "--attack", default="sat", choices=["testing", "brute", "sat", "ml"]
+        "--attack", default="sat", choices=list(ATTACKS)
     )
     p_attack.add_argument("--seed", type=int, default=0)
     p_attack.add_argument("--no-scan", action="store_true")
@@ -780,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--attacks",
         default="none",
-        help="comma list of none/testing/brute/sat/ml",
+        help=f"comma list of {'/'.join(('none', *ATTACKS))}",
     )
     p_sweep.add_argument("--analyses", default="ppa,security")
     p_sweep.add_argument("--gen-seed", type=int, default=2016)

@@ -9,13 +9,10 @@ if TYPE_CHECKING:
     from . import bitstream
     from .lutcell import (
         LutConfigError,
-        config_from_gate,
         config_mask,
         config_rows,
         depends_on_pin,
         expanded_candidate_space,
-        hamming_distance,
-        meaningful_configs,
         permute_pins,
         restrict_pin,
         support,
@@ -31,13 +28,10 @@ __getattr__ = lazy_exports(
     {
         "bitstream": ".bitstream",
         "LutConfigError": ".lutcell",
-        "config_from_gate": ".lutcell",
         "config_mask": ".lutcell",
         "config_rows": ".lutcell",
         "depends_on_pin": ".lutcell",
         "expanded_candidate_space": ".lutcell",
-        "hamming_distance": ".lutcell",
-        "meaningful_configs": ".lutcell",
         "permute_pins": ".lutcell",
         "restrict_pin": ".lutcell",
         "support": ".lutcell",
@@ -48,13 +42,10 @@ __getattr__ = lazy_exports(
 
 __all__ = [
     "LutConfigError",
-    "config_from_gate",
     "config_mask",
     "config_rows",
     "depends_on_pin",
     "expanded_candidate_space",
-    "hamming_distance",
-    "meaningful_configs",
     "permute_pins",
     "restrict_pin",
     "support",

@@ -5,19 +5,18 @@ the output for the input combination *row* (pin 0 = LSB of the row index) —
 the same encoding :mod:`repro.netlist.gates` uses for truth tables.  The
 functions here support the paper's search-space-expansion measures:
 widening a function with don't-care pins, permuting pins, and enumerating
-the "meaningful" candidate functions an attacker must consider.
+the expanded candidate space an attacker must consider.  The candidate
+gate functions themselves, and the similarity of two tables, are
+:func:`repro.netlist.gates.candidate_tables` and
+:func:`repro.netlist.gates.similarity`.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Sequence, Set
+from typing import List, Sequence, Set
 
-from ..netlist.gates import (
-    CANDIDATE_TYPES,
-    GateType,
-    truth_table,
-)
+from ..netlist.gates import CANDIDATE_TYPES, truth_table
 
 
 class LutConfigError(ValueError):
@@ -41,9 +40,6 @@ def validate_config(config: int, n_inputs: int) -> int:
     return config
 
 
-def config_from_gate(gate_type: GateType, n_inputs: int) -> int:
-    """Configuration implementing a primitive gate."""
-    return truth_table(gate_type, n_inputs)
 
 
 def widen_config(config: int, n_inputs: int, extra: int) -> int:
@@ -111,10 +107,6 @@ def restrict_pin(config: int, n_inputs: int, pin: int, value: int) -> int:
     return out
 
 
-def meaningful_configs(n_inputs: int) -> Dict[GateType, int]:
-    """The candidate gate functions of the paper (Section IV-A.3): the
-    6 standard types at the LUT's full fan-in."""
-    return {g: truth_table(g, n_inputs) for g in CANDIDATE_TYPES}
 
 
 def expanded_candidate_space(n_inputs: int, max_base_inputs: int = None) -> Set[int]:
@@ -136,10 +128,3 @@ def expanded_candidate_space(n_inputs: int, max_base_inputs: int = None) -> Set[
             for order in itertools.permutations(range(n_inputs)):
                 space.add(permute_pins(widened, n_inputs, list(order)))
     return space
-
-
-def hamming_distance(config_a: int, config_b: int, n_inputs: int) -> int:
-    """Rows on which two configurations disagree."""
-    validate_config(config_a, n_inputs)
-    validate_config(config_b, n_inputs)
-    return bin(config_a ^ config_b).count("1")

@@ -144,8 +144,9 @@ class Netlist:
 
     def touch_structure(self) -> None:
         """Record an out-of-band structural mutation (callers that edit
-        ``node.fanin`` / ``_fanout`` / ``outputs`` directly must call this;
-        gate types change only through :meth:`set_gate_type`)."""
+        ``node.fanin`` / ``outputs`` directly must call this; gate types
+        and the fan-out map change only through :meth:`set_gate_type` and
+        the other mutators here)."""
         self._structure_revision += 1
 
     # ------------------------------------------------------------------

@@ -97,16 +97,13 @@ def widen_lut_with_decoys(
             f"need {extra_inputs}, have {len(candidate_nets)}"
         )
     decoys = rng.sample(list(candidate_nets), extra_inputs)
-    for decoy in decoys:
-        old_rows = 1 << node.n_inputs
-        if node.lut_config is not None:
-            # Replicate the table: the new MSB pin is a don't-care.
-            node.lut_config = node.lut_config | (node.lut_config << old_rows)
-        node.fanin.append(decoy)
-        netlist._fanout.setdefault(decoy, set()).add(name)
+    if node.lut_config is not None:
+        # Replicate the table once per decoy: each new MSB pin is a
+        # don't-care.
+        for width in range(node.n_inputs, node.n_inputs + extra_inputs):
+            node.lut_config |= node.lut_config << (1 << width)
+    netlist.set_gate_type(name, GateType.LUT, fanin=node.fanin + decoys)
     node.attrs["decoy_pins"] = node.attrs.get("decoy_pins", 0) + len(decoys)
-    if decoys:
-        netlist.touch_structure()
     return decoys
 
 
@@ -155,13 +152,8 @@ def absorb_fanin_gate(netlist: Netlist, lut_name: str, pin: int) -> str:
             if (lut.lut_config >> old_row) & 1:
                 new_config |= 1 << row
         lut.lut_config = new_config
-    for old_src in lut.fanin:
-        netlist._fanout.get(old_src, set()).discard(lut_name)
-    lut.fanin = new_fanin
-    for new_src in new_fanin:
-        netlist._fanout.setdefault(new_src, set()).add(lut_name)
+    netlist.set_gate_type(lut_name, GateType.LUT, fanin=new_fanin)
     lut.attrs["absorbed"] = list(lut.attrs.get("absorbed", [])) + [src_name]
-    netlist.touch_structure()
     netlist.remove_node(src_name)
     return src_name
 

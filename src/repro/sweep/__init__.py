@@ -10,8 +10,7 @@ grid into a first-class object:
   (``workers=1``) or on N lease workers (:mod:`repro.sweep.backends`)
   that claim trials from the result cache and may also join from other
   hosts — identical canonical rows either way.
-  :meth:`SweepRunner.stream` yields rows as they complete, feeding
-  :class:`StreamSummary` incremental aggregates.
+  :meth:`SweepRunner.stream` yields rows as they complete.
 * :class:`ResultCache` is a content-addressed on-disk row store keyed by
   (netlist content hash, algorithm + params, seed, attack, code version):
   interrupted sweeps resume, unchanged trials are served from cache.  It
@@ -55,8 +54,6 @@ from .trial import canonical_row, circuit_sha, load_circuit, run_trial
 if TYPE_CHECKING:
     from .backends import WorkStealingJob, work_stealing_worker
     from .aggregate import (
-        RunningStat,
-        StreamSummary,
         group_rows,
         overhead_report,
         render_csv,
@@ -73,8 +70,6 @@ __getattr__ = lazy_exports(
     {
         "WorkStealingJob": ".backends",
         "work_stealing_worker": ".backends",
-        "RunningStat": ".aggregate",
-        "StreamSummary": ".aggregate",
         "group_rows": ".aggregate",
         "overhead_report": ".aggregate",
         "render_csv": ".aggregate",
@@ -89,8 +84,6 @@ __all__ = [
     "KNOWN_ATTACKS",
     "RESULT_SCHEMA",
     "ResultCache",
-    "RunningStat",
-    "StreamSummary",
     "SweepResult",
     "SweepRunner",
     "SweepSpec",

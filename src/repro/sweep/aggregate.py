@@ -12,46 +12,33 @@ import csv
 import io
 import statistics
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Mapping, Sequence, Tuple
 
 from ..analysis.ppa import OverheadReport
 from ..locking.metrics import SecurityReport
 from ..reporting import format_table
 
 
+def _report(cls, row: Mapping[str, Any], block: str, analysis: str):
+    """A row's *block* is the report dataclass's fields but the trial's
+    ``circuit`` and ``algorithm`` (see :mod:`repro.sweep.trial`)."""
+    data = (row.get("metrics") or {}).get(block)
+    if data is None:
+        raise ValueError(f"row has no {analysis!r} analysis to rebuild from")
+    trial = row["trial"]
+    return cls(circuit=trial["circuit"], algorithm=trial["algorithm"], **data)
+
+
 def overhead_report(row: Mapping[str, Any]) -> OverheadReport:
     """Rebuild the Table I :class:`OverheadReport` from an ``ok`` row that
     ran the ``ppa`` analysis."""
-    data = (row.get("metrics") or {}).get("overhead")
-    if data is None:
-        raise ValueError("row has no 'ppa' analysis to rebuild from")
-    return OverheadReport(
-        circuit=row["trial"]["circuit"],
-        algorithm=row["trial"]["algorithm"],
-        performance_degradation_pct=data["performance_degradation_pct"],
-        power_overhead_pct=data["power_overhead_pct"],
-        area_overhead_pct=data["area_overhead_pct"],
-        n_stt=data["n_stt"],
-        size=data["size"],
-    )
+    return _report(OverheadReport, row, "overhead", "ppa")
 
 
 def security_report(row: Mapping[str, Any]) -> SecurityReport:
     """Rebuild the Fig. 3 :class:`SecurityReport` from an ``ok`` row that
     ran the ``security`` analysis."""
-    data = (row.get("metrics") or {}).get("security")
-    if data is None:
-        raise ValueError("row has no 'security' analysis to rebuild from")
-    return SecurityReport(
-        circuit=row["trial"]["circuit"],
-        algorithm=row["trial"]["algorithm"],
-        n_missing=data["n_missing"],
-        accessible_inputs=data["accessible_inputs"],
-        circuit_depth=data["circuit_depth"],
-        log10_n_indep=data["log10_n_indep"],
-        log10_n_dep=data["log10_n_dep"],
-        log10_n_bf=data["log10_n_bf"],
-    )
+    return _report(SecurityReport, row, "security", "security")
 
 
 def group_rows(
@@ -66,8 +53,9 @@ def group_rows(
     return groups
 
 
-def _metric(row: Mapping[str, Any], path: str) -> Optional[float]:
-    node: Any = row.get("metrics") or {}
+def _lookup(row: Mapping[str, Any], path: str) -> Any:
+    """The value at a dotted *path* of *row*, or ``None`` if it has none."""
+    node: Any = row
     for part in path.split("."):
         if not isinstance(node, Mapping) or part not in node:
             return None
@@ -84,143 +72,40 @@ def mean_std(values: Sequence[float]) -> str:
     return f"{statistics.mean(values):.1f}±{statistics.stdev(values):.1f}"
 
 
-#: Default summary columns: (header, metrics path) pairs.
+#: Default summary columns: (header, row path) pairs.
 SUMMARY_COLUMNS: Tuple[Tuple[str, str], ...] = (
-    ("delay %", "overhead.performance_degradation_pct"),
-    ("power %", "overhead.power_overhead_pct"),
-    ("area %", "overhead.area_overhead_pct"),
-    ("#STT", "n_stt"),
+    ("delay %", "metrics.overhead.performance_degradation_pct"),
+    ("power %", "metrics.overhead.power_overhead_pct"),
+    ("area %", "metrics.overhead.area_overhead_pct"),
+    ("#STT", "metrics.n_stt"),
 )
 
+#: Appended when some row ran an attack.
 ATTACK_COLUMNS: Tuple[Tuple[str, str], ...] = (
-    ("atk ok", "attack.success"),
-    ("queries", "attack.oracle_queries"),
-    ("clocks", "attack.test_clocks"),
+    ("atk ok", "metrics.attack.success"),
+    ("queries", "metrics.attack.oracle_queries"),
+    ("clocks", "metrics.attack.test_clocks"),
 )
-
-
-class RunningStat:
-    """Streaming mean/stdev (Welford), rendered like :func:`mean_std`.
-
-    One instance per (group, column) cell lets :class:`StreamSummary`
-    aggregate a sweep row-by-row without ever materialising the groups —
-    the memory cost is one small object per *output* cell, independent of
-    trial count.
-    """
-
-    __slots__ = ("n", "mean", "m2")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def add(self, value: float) -> None:
-        self.n += 1
-        delta = value - self.mean
-        self.mean += delta / self.n
-        self.m2 += delta * (value - self.mean)
-
-    def stdev(self) -> float:
-        """Sample standard deviation (matches ``statistics.stdev``)."""
-        if self.n < 2:
-            return 0.0
-        return (self.m2 / (self.n - 1)) ** 0.5
-
-    def render(self) -> str:
-        if self.n == 0:
-            return "-"
-        if self.n == 1:
-            return f"{self.mean:.1f}"
-        return f"{self.mean:.1f}±{self.stdev():.1f}"
-
-
-class StreamSummary:
-    """Incremental grouped summary fed one row at a time.
-
-    The streaming counterpart of :func:`summarize` (which is now a thin
-    wrapper over this class, so the two can never drift apart): feed it
-    ``(index, row)`` pairs straight off :meth:`SweepRunner.stream` and
-    render at the end.  Non-ok rows are counted but excluded from the
-    aggregates, exactly like the batch path.
-    """
-
-    def __init__(
-        self,
-        by: Sequence[str] = ("circuit", "algorithm"),
-        columns: Optional[Sequence[Tuple[str, str]]] = None,
-    ) -> None:
-        self.by = tuple(by)
-        self._explicit_columns = (
-            list(columns) if columns is not None else None
-        )
-        # With default columns the attack block is included lazily: it
-        # appears iff any ok row carried an attack metric, decided at
-        # render time (stats for it are tracked unconditionally).
-        self._tracked: List[Tuple[str, str]] = (
-            self._explicit_columns
-            if self._explicit_columns is not None
-            else list(SUMMARY_COLUMNS) + list(ATTACK_COLUMNS)
-        )
-        self._has_attack = False
-        self._groups: "OrderedDict[Tuple, Dict[str, Any]]" = OrderedDict()
-        self.rows_seen = 0
-        self.ok_rows = 0
-
-    def add(self, row: Mapping[str, Any]) -> None:
-        self.rows_seen += 1
-        if row.get("status") != "ok":
-            return
-        self.ok_rows += 1
-        if _metric(row, "attack.attack"):
-            self._has_attack = True
-        key = tuple(row["trial"][field] for field in self.by)
-        group = self._groups.get(key)
-        if group is None:
-            group = {
-                "count": 0,
-                "stats": [RunningStat() for _ in self._tracked],
-            }
-            self._groups[key] = group
-        group["count"] += 1
-        for stat, (_, path) in zip(group["stats"], self._tracked):
-            value = _metric(row, path)
-            if value is not None:
-                stat.add(float(value))
-
-    def _visible(self) -> List[int]:
-        """Indices of tracked columns that make it into the output."""
-        if self._explicit_columns is not None or self._has_attack:
-            return list(range(len(self._tracked)))
-        return list(range(len(SUMMARY_COLUMNS)))
-
-    def result(self) -> Tuple[List[str], List[Tuple[Any, ...]]]:
-        visible = self._visible()
-        headers = [
-            *self.by,
-            "trials",
-            *(self._tracked[i][0] for i in visible),
-        ]
-        out: List[Tuple[Any, ...]] = []
-        for key, group in self._groups.items():
-            cells: List[Any] = [*key, group["count"]]
-            for i in visible:
-                cells.append(group["stats"][i].render())
-            out.append(tuple(cells))
-        return headers, out
 
 
 def summarize(
     rows: Iterable[Mapping[str, Any]],
     by: Sequence[str] = ("circuit", "algorithm"),
-    columns: Optional[Sequence[Tuple[str, str]]] = None,
 ) -> Tuple[List[str], List[Tuple[Any, ...]]]:
     """Aggregate ok-rows into (headers, table rows): one output row per
-    group, metric cells averaged (μ±σ across seeds where n > 1)."""
-    summary = StreamSummary(by=by, columns=columns)
-    for row in rows:
-        summary.add(row)
-    return summary.result()
+    group, each metric cell ``μ±σ`` over the group's rows that have it."""
+    ok_rows = [row for row in rows if row.get("status") == "ok"]
+    columns = SUMMARY_COLUMNS
+    if any(_lookup(row, "metrics.attack") for row in ok_rows):
+        columns += ATTACK_COLUMNS
+    table: List[Tuple[Any, ...]] = []
+    for key, group in group_rows(ok_rows, by).items():
+        cells: List[Any] = [*key, len(group)]
+        for _, path in columns:
+            values = [_lookup(row, path) for row in group]
+            cells.append(mean_std([float(v) for v in values if v is not None]))
+        table.append(tuple(cells))
+    return [*by, "trials", *(header for header, _ in columns)], table
 
 
 def render_table(
@@ -259,20 +144,12 @@ _CSV_FIELDS: Tuple[Tuple[str, str], ...] = (
 )
 
 
-def _row_path(row: Mapping[str, Any], path: str) -> Any:
-    node: Any = row
-    for part in path.split("."):
-        if not isinstance(node, Mapping) or node.get(part) is None:
-            return ""
-        node = node[part]
-    return node
-
-
 def render_csv(rows: Sequence[Mapping[str, Any]]) -> str:
     """Flatten rows (including failed ones) to CSV."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow([header for header, _ in _CSV_FIELDS])
     for row in rows:
-        writer.writerow([_row_path(row, path) for _, path in _CSV_FIELDS])
+        values = (_lookup(row, path) for _, path in _CSV_FIELDS)
+        writer.writerow(["" if v is None else v for v in values])
     return buffer.getvalue()

@@ -9,11 +9,10 @@ Design:
   a run without a ``cache_dir`` gives them a temporary store that is
   deleted afterwards, so nothing persists.
 * **Streaming** — :meth:`SweepRunner.stream` yields ``(index, row)``
-  pairs in completion order as trials finish, feeding incremental
-  aggregates (:class:`repro.sweep.aggregate.StreamSummary`) so a 100x
-  trial count never has to hold every row in memory at once.
+  pairs in completion order as trials finish, for progress reporting
+  and for callers that act on each row as it lands.
   :meth:`SweepRunner.run` consumes the stream and reassembles spec
-  order for callers that want the classic :class:`SweepResult`.
+  order into the :class:`SweepResult` every summary renders from.
 * **Graceful failure** — a trial that raises becomes a ``failed`` row;
   a lease worker that *dies* leaves a lease that is broken (at once on
   its host, where its pid is gone, elsewhere at expiry), and a survivor

@@ -33,11 +33,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
+from ..attacks import ATTACKS
+
 #: Analyses a trial can record (in addition to the selection itself).
 KNOWN_ANALYSES = ("ppa", "security")
 
 #: Attack grid values; ``"none"`` runs selection + analyses only.
-KNOWN_ATTACKS = ("none", "testing", "brute", "sat", "ml")
+KNOWN_ATTACKS = ("none", *ATTACKS)
 
 
 def canonical_json(value: Any) -> str:

@@ -27,9 +27,11 @@ result cache both rest on.
 from __future__ import annotations
 
 import traceback
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
+from .. import lock_design
 from ..netlist import bench_io
 from ..netlist.csr import csr_view
 from ..netlist.netlist import Netlist
@@ -100,77 +102,6 @@ def _security_analyzer():
 
 
 # ----------------------------------------------------------------------
-# attack stage
-# ----------------------------------------------------------------------
-def _run_attack(trial: Trial, result) -> Dict[str, Any]:
-    """Run the trial's attack against the provisioned oracle; return the
-    attack's metric row (a plain dict)."""
-    from ..attacks import (
-        BruteForceAttack,
-        ConfiguredOracle,
-        MlAttack,
-        SatAttack,
-        TestingAttack,
-        verify_key,
-    )
-
-    params = {k: v for k, v in trial.attack_params}
-    foundry = result.foundry_view()
-    oracle = ConfiguredOracle(result.hybrid, scan=True)
-    seed = trial.attack_seed
-    if trial.attack == "testing":
-        outcome = TestingAttack(foundry, oracle, seed=seed, **params).run()
-        return {
-            "attack": "testing",
-            "success": outcome.success,
-            "resolved": len(outcome.resolved),
-            "unresolved": len(outcome.unresolved),
-            "oracle_queries": outcome.oracle_queries,
-            "test_clocks": outcome.test_clocks,
-        }
-    if trial.attack == "brute":
-        outcome = BruteForceAttack(foundry, oracle, seed=seed, **params).run()
-        return {
-            "attack": "brute",
-            "success": outcome.success,
-            "hypotheses_tested": outcome.hypotheses_tested,
-            "hypotheses_total": outcome.hypotheses_total,
-            "exhausted_budget": outcome.exhausted_budget,
-            "oracle_queries": outcome.oracle_queries,
-            "test_clocks": outcome.test_clocks,
-        }
-    if trial.attack == "sat":
-        outcome = SatAttack(foundry, oracle, **params).run()
-        row: Dict[str, Any] = {
-            "attack": "sat",
-            "success": outcome.success,
-            "iterations": outcome.iterations,
-            "gave_up": outcome.gave_up,
-            "solver_conflicts": outcome.solver_conflicts,
-            "oracle_queries": outcome.oracle_queries,
-            "test_clocks": outcome.test_clocks,
-        }
-        if outcome.success:
-            row["key_verified"] = bool(
-                verify_key(foundry, outcome.key, result.hybrid)
-            )
-        return row
-    if trial.attack == "ml":
-        outcome = MlAttack(foundry, oracle, seed=seed, **params).run()
-        return {
-            "attack": "ml",
-            "success": outcome.success,
-            "iterations": outcome.iterations,
-            "restarts": outcome.restarts,
-            "best_agreement": outcome.best_agreement,
-            "key_bits": outcome.key_bits,
-            "oracle_queries": outcome.oracle_queries,
-            "test_clocks": outcome.test_clocks,
-        }
-    raise ValueError(f"unknown attack {trial.attack!r}")
-
-
-# ----------------------------------------------------------------------
 # the trial itself
 # ----------------------------------------------------------------------
 def failed_row(trial: Trial, exc: BaseException) -> Dict[str, Any]:
@@ -228,22 +159,25 @@ def run_trial(trial: Trial) -> Dict[str, Any]:
     return row
 
 
-def _run_trial_inner(trial: Trial) -> Dict[str, Any]:
-    from ..locking import ALGORITHMS
+def _report_block(report) -> Dict[str, Any]:
+    """A report dataclass as a row block: every field but the trial's own
+    ``circuit`` and ``algorithm`` (:mod:`repro.sweep.aggregate` puts them
+    back)."""
+    return {
+        f.name: getattr(report, f.name)
+        for f in fields(report)
+        if f.name not in ("circuit", "algorithm")
+    }
 
+
+def _run_trial_inner(trial: Trial) -> Dict[str, Any]:
     with span("trial.load", circuit=trial.circuit):
         netlist = load_circuit(trial.circuit, trial.gen_seed)
         sha = circuit_sha(trial.circuit, trial.gen_seed)
-    try:
-        algorithm_cls = ALGORITHMS[trial.algorithm]
-    except KeyError:
-        raise ValueError(
-            f"unknown algorithm {trial.algorithm!r}; "
-            f"choose from {sorted(ALGORITHMS)}"
-        ) from None
-    algorithm = algorithm_cls(seed=trial.seed, **{k: v for k, v in trial.params})
     with span("trial.lock", algorithm=trial.algorithm):
-        result = algorithm.run(netlist)
+        result = lock_design(
+            netlist, trial.algorithm, seed=trial.seed, **dict(trial.params)
+        )
 
     metrics: Dict[str, Any] = {
         "size": len(netlist.gates),
@@ -253,32 +187,25 @@ def _run_trial_inner(trial: Trial) -> Dict[str, Any]:
     }
     if "ppa" in trial.analyses:
         with span("trial.analysis.ppa"):
-            overhead = _ppa_analyzer().overhead(
-                netlist, result.hybrid, trial.algorithm
+            metrics["overhead"] = _report_block(
+                _ppa_analyzer().overhead(netlist, result.hybrid, trial.algorithm)
             )
-        metrics["overhead"] = {
-            "performance_degradation_pct": overhead.performance_degradation_pct,
-            "power_overhead_pct": overhead.power_overhead_pct,
-            "area_overhead_pct": overhead.area_overhead_pct,
-            "n_stt": overhead.n_stt,
-            "size": overhead.size,
-        }
     if "security" in trial.analyses:
         with span("trial.analysis.security"):
-            security = _security_analyzer().analyze(
-                result.hybrid, trial.algorithm
+            metrics["security"] = _report_block(
+                _security_analyzer().analyze(result.hybrid, trial.algorithm)
             )
-        metrics["security"] = {
-            "n_missing": security.n_missing,
-            "accessible_inputs": security.accessible_inputs,
-            "circuit_depth": security.circuit_depth,
-            "log10_n_indep": security.log10_n_indep,
-            "log10_n_dep": security.log10_n_dep,
-            "log10_n_bf": security.log10_n_bf,
-        }
     if trial.attack != "none":
+        from ..attacks import ConfiguredOracle, run_attack
+
         with span("trial.attack", attack=trial.attack):
-            metrics["attack"] = _run_attack(trial, result)
+            metrics["attack"] = run_attack(
+                trial.attack,
+                result.foundry_view(),
+                ConfiguredOracle(result.hybrid, scan=True),
+                seed=trial.attack_seed,
+                **dict(trial.attack_params),
+            )
 
     return {
         "schema": RESULT_SCHEMA,

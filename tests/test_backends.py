@@ -371,25 +371,3 @@ def test_streaming_yields_rows_in_completion_order(tmp_path):
     assert [r["trial"] for _, r in sorted(streamed)] == [
         r["trial"] for _, r in sorted(warm)
     ]
-
-
-def test_stream_summary_matches_batch_summarize(tmp_path):
-    from repro.sweep import StreamSummary, summarize
-
-    spec = SweepSpec(circuits=("s27",), seeds=(0, 1, 2), attacks=("none", "sat"))
-    result = run_sweep(spec, workers=1)
-    summary = StreamSummary()
-    for row in result.rows:
-        summary.add(row)
-    assert summary.result() == summarize(result.rows)
-    assert summary.ok_rows == len(result.ok_rows())
-
-    # Explicit columns and the no-attack default agree with batch too.
-    no_attack = run_sweep(
-        SweepSpec(circuits=("s27",), algorithms=("independent",)), workers=1
-    )
-    s2 = StreamSummary()
-    for row in no_attack.rows:
-        s2.add(row)
-    assert s2.result() == summarize(no_attack.rows)
-    assert "atk ok" not in s2.result()[0]

@@ -8,20 +8,23 @@ import pytest
 
 from repro.lut import (
     LutConfigError,
-    config_from_gate,
     config_mask,
     config_rows,
     depends_on_pin,
     expanded_candidate_space,
-    hamming_distance,
-    meaningful_configs,
     permute_pins,
     restrict_pin,
     support,
     validate_config,
     widen_config,
 )
-from repro.netlist import CANDIDATE_TYPES, GateType, truth_table
+from repro.netlist import (
+    CANDIDATE_TYPES,
+    GateType,
+    candidate_tables,
+    similarity,
+    truth_table,
+)
 
 
 class TestBasics:
@@ -37,23 +40,23 @@ class TestBasics:
             validate_config(-1, 2)
 
     def test_config_from_gate(self):
-        assert config_from_gate(GateType.AND, 2) == 0b1000
+        assert truth_table(GateType.AND, 2) == 0b1000
 
 
 class TestWiden:
     def test_widen_ignores_new_pins(self):
-        and2 = config_from_gate(GateType.AND, 2)
+        and2 = truth_table(GateType.AND, 2)
         wide = widen_config(and2, 2, 1)
         for row in range(8):
             low = row & 0b11
             assert (wide >> row) & 1 == (and2 >> low) & 1
 
     def test_widen_zero_is_identity(self):
-        x = config_from_gate(GateType.XOR, 2)
+        x = truth_table(GateType.XOR, 2)
         assert widen_config(x, 2, 0) == x
 
     def test_widen_twice(self):
-        x = config_from_gate(GateType.OR, 2)
+        x = truth_table(GateType.OR, 2)
         assert widen_config(x, 2, 2) == widen_config(widen_config(x, 2, 1), 3, 1)
 
     def test_negative_extra_rejected(self):
@@ -61,7 +64,7 @@ class TestWiden:
             widen_config(0b1000, 2, -1)
 
     def test_widened_pin_is_dont_care(self):
-        wide = widen_config(config_from_gate(GateType.NAND, 2), 2, 2)
+        wide = widen_config(truth_table(GateType.NAND, 2), 2, 2)
         assert not depends_on_pin(wide, 4, 2)
         assert not depends_on_pin(wide, 4, 3)
         assert depends_on_pin(wide, 4, 0)
@@ -69,10 +72,10 @@ class TestWiden:
 
 class TestSupport:
     def test_support_of_primitive(self):
-        assert support(config_from_gate(GateType.XOR, 3), 3) == [0, 1, 2]
+        assert support(truth_table(GateType.XOR, 3), 3) == [0, 1, 2]
 
     def test_support_after_widen(self):
-        wide = widen_config(config_from_gate(GateType.AND, 2), 2, 1)
+        wide = widen_config(truth_table(GateType.AND, 2), 2, 1)
         assert support(wide, 3) == [0, 1]
 
     def test_constant_has_empty_support(self):
@@ -86,7 +89,7 @@ class TestSupport:
 
 class TestPermute:
     def test_identity(self):
-        x = config_from_gate(GateType.NAND, 3)
+        x = truth_table(GateType.NAND, 3)
         assert permute_pins(x, 3, [0, 1, 2]) == x
 
     def test_symmetric_functions_invariant(self):
@@ -112,19 +115,19 @@ class TestPermute:
 
 class TestRestrict:
     def test_cofactors_of_and(self):
-        and2 = config_from_gate(GateType.AND, 2)
+        and2 = truth_table(GateType.AND, 2)
         assert restrict_pin(and2, 2, 0, 0) == 0b00  # a=0 -> const 0
         assert restrict_pin(and2, 2, 0, 1) == 0b10  # a=1 -> b
 
     def test_cofactors_of_xor(self):
-        xor2 = config_from_gate(GateType.XOR, 2)
+        xor2 = truth_table(GateType.XOR, 2)
         assert restrict_pin(xor2, 2, 1, 0) == 0b10  # b=0 -> a
         assert restrict_pin(xor2, 2, 1, 1) == 0b01  # b=1 -> NOT a
 
 
 class TestCandidateSpaces:
     def test_meaningful_configs(self):
-        configs = meaningful_configs(2)
+        configs = candidate_tables(2)
         assert len(configs) == 6
         assert configs[GateType.AND] == 0b1000
 
@@ -143,13 +146,14 @@ class TestCandidateSpaces:
 
 
 class TestHamming:
+    """The Hamming distance of two tables is their row count minus
+    :func:`similarity`."""
+
     def test_distance(self):
-        assert hamming_distance(0b1000, 0b0111, 2) == 4
-        assert hamming_distance(0b1010, 0b1010, 2) == 0
+        assert 4 - similarity(0b1000, 0b0111, 2) == 4
+        assert 4 - similarity(0b1010, 0b1010, 2) == 0
 
     def test_relation_to_similarity(self):
-        from repro.netlist import similarity
-
         a = truth_table(GateType.AND, 2)
         b = truth_table(GateType.NOR, 2)
-        assert similarity(a, b, 2) == 4 - hamming_distance(a, b, 2)
+        assert similarity(a, b, 2) == 4 - bin(a ^ b).count("1")

@@ -330,6 +330,7 @@ def _consumer_facts(netlist: Netlist, timing: TimingAnalyzer) -> dict:
         inputs, state, width=64
     )
     return {
+        "netlist fan-out": {n: netlist.fanout(n) for n in netlist.node_names()},
         "csr gate types": {
             names[i]: view.gate_types[i].value for i in range(view.n)
         },

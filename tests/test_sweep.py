@@ -321,6 +321,70 @@ def test_summarize_and_renderers():
     assert "independent" in csv_text
 
 
+#: Every cell of the summary of an s27 grid over three seeds with and
+#: without the SAT attack.  The attack columns average the SAT rows only.
+S27_SUMMARY_HEADERS = [
+    "circuit", "algorithm", "trials", "delay %", "power %", "area %", "#STT",
+    "atk ok", "queries", "clocks",
+]
+S27_SUMMARY_CELLS = [
+    ("s27", "independent", 6, "150.4±28.3", "96.0±9.5", "28.2±1.1",
+     "5.0±0.0", "1.0±0.0", "13.0±1.0", "13.0±1.0"),
+    ("s27", "dependent", 6, "193.1±48.6", "104.2±20.2", "32.2±4.9",
+     "5.3±1.0", "1.0±0.0", "14.3±6.4", "14.3±6.4"),
+    ("s27", "parametric", 6, "47.6±0.0", "14.6±0.0", "5.9±0.0",
+     "1.0±0.0", "1.0±0.0", "4.0±0.0", "4.0±0.0"),
+]
+S27_SUMMARY_TABLE = """\
+sweep summary
+circuit  algorithm    trials     delay %     power %    area %     #STT   atk ok   queries    clocks
+-------  -----------  ------  ----------  ----------  --------  -------  -------  --------  --------
+s27      independent       6  150.4±28.3    96.0±9.5  28.2±1.1  5.0±0.0  1.0±0.0  13.0±1.0  13.0±1.0
+s27      dependent         6  193.1±48.6  104.2±20.2  32.2±4.9  5.3±1.0  1.0±0.0  14.3±6.4  14.3±6.4
+s27      parametric        6    47.6±0.0    14.6±0.0   5.9±0.0  1.0±0.0  1.0±0.0   4.0±0.0   4.0±0.0"""
+
+
+def test_summary_cells_are_pinned():
+    result = run_sweep(
+        SweepSpec(circuits=("s27",), seeds=(0, 1, 2), attacks=("none", "sat")),
+        workers=1,
+    )
+    assert summarize(result.rows) == (S27_SUMMARY_HEADERS, S27_SUMMARY_CELLS)
+    assert render_table(result.rows) == S27_SUMMARY_TABLE
+    # Without an attack row the attack columns are left out.
+    no_attack = [r for r in result.rows if r["trial"]["attack"] == "none"]
+    headers, cells = summarize(no_attack)
+    assert headers == S27_SUMMARY_HEADERS[:7]
+    assert [c[:3] for c in cells] == [c[:2] + (3,) for c in S27_SUMMARY_CELLS]
+
+
+@pytest.mark.parametrize("algorithm", ["independent", "dependent", "parametric"])
+def test_cli_attack_and_sweep_trial_bill_the_same_sat_attack(
+    algorithm, tmp_path, monkeypatch, capsys
+):
+    from repro.attacks.sat_attack import SatAttack
+
+    outcomes = []
+    run = SatAttack.run
+
+    def recording_run(self):
+        outcomes.append(run(self))
+        return outcomes[-1]
+
+    monkeypatch.setattr(SatAttack, "run", recording_run)
+    out = tmp_path / "h.bench"
+    assert main(["lock", "s27", "--algorithm", algorithm, "--out", str(out)]) == 0
+    foundry = out.with_name("h_foundry.bench")
+    assert main(["attack", str(foundry), str(out), "--attack", "sat"]) == 0
+    assert "KEY FOUND" in capsys.readouterr().out
+    (cli,) = outcomes
+    row = run_trial(Trial("s27", algorithm, 0, attack="sat", analyses=()))
+    attack = row["metrics"]["attack"]
+    assert attack["key_verified"] is True
+    for field in ("iterations", "solver_conflicts", "oracle_queries", "test_clocks"):
+        assert attack[field] == getattr(cli, field), field
+
+
 # ----------------------------------------------------------------------
 # progress + CLI
 # ----------------------------------------------------------------------
