@@ -19,11 +19,12 @@ function, so power does not leak the secret either.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..netlist.cache import memoized
-from ..netlist.csr import csr_view
+from ..netlist.csr import CsrView, csr_view
 from ..netlist.gates import GateType
 from ..netlist.netlist import Netlist, NetlistError
 from ..techlib.cells import TechLibrary, cmos_90nm
@@ -182,6 +183,10 @@ class PowerReport:
         return self.dynamic_uw + self.leakage_uw
 
 
+#: A memoized total and the activities snapshot it was charged under.
+_Charged = Tuple[Mapping[str, float], float]
+
+
 class PowerAnalyzer:
     """Power engine bound to a CMOS + STT library pair."""
 
@@ -199,6 +204,11 @@ class PowerAnalyzer:
         # accounting uses gated reads while Fig. 1 characterizes free-running
         # reads.
         self.read_gating_factor = read_gating_factor
+        #: Each CSR view's total with the activities it was charged under
+        #: (see :meth:`charged_total_uw`); an entry dies with its view.
+        self._totals: "weakref.WeakKeyDictionary[CsrView, _Charged]" = (
+            weakref.WeakKeyDictionary()
+        )
 
     def analyze(
         self,
@@ -212,40 +222,57 @@ class PowerAnalyzer:
         *activities* defaults to the probabilistic estimate at
         *input_activity* (0.2 — a typical datapath figure; the paper sweeps
         α = 10 %/30 % in Fig. 1, and Table I sits between).
+
+        The walk runs over the CSR view in node order, with cells from a
+        per-call (gate type, arity) table; a LUT's fan-in activities are
+        read by pin, a dangling pin by its net name.  Every float is
+        computed in the same order as the per-node walk by name that
+        ``tests/test_kernel_exactness.py`` keeps as the reference, so
+        totals and the per-node dict equal it bit for bit.
         """
         freq = freq_ghz if freq_ghz is not None else self.tech.default_freq_ghz
         if activities is None:
             activities = estimate_activities(netlist, input_activity=input_activity)
+        view = csr_view(netlist)
+        names, gate_types = view.names, view.gate_types
+        is_input, is_seq, is_lut = view.is_input, view.is_seq, view.is_lut
+        fi_ptr, fi_idx, dangling = view.fanin_ptr, view.fanin_idx, view.dangling
+        get = activities.get
+        alphas = [get(name, 0.0) for name in names]
+        gating = self.read_gating_factor
+        cells: Dict[Tuple[GateType, int], tuple] = {}
         per_node: Dict[str, float] = {}
         dynamic = 0.0
         leakage = 0.0
-        for node in netlist:
-            if node.is_input:
+        for i in range(view.n):
+            if is_input[i]:
                 continue
-            alpha = activities.get(node.name, 0.0)
-            if node.gate_type is GateType.LUT:
-                cell = self.stt.lut(node.n_inputs)
-                fanin_alphas = [activities.get(src, 0.0) for src in node.fanin]
+            base, end = fi_ptr[i], fi_ptr[i + 1]
+            key = (gate_types[i], end - base)
+            entry = cells.get(key)
+            if entry is None:
+                if is_lut[i]:
+                    lut = self.stt.lut(key[1])
+                    entry = (lut.read_energy_pj, lut.standby_nw * 1e-3)
+                else:  # the library serves its flip-flop for DFF too
+                    cell = self.tech.cell(*key)
+                    entry = (cell.energy_sw_pj, cell.leakage_nw * 1e-3)
+                cells[key] = entry
+            energy, leak = entry
+            if is_lut[i]:
+                fanin_alphas = [
+                    alphas[j] if j >= 0 else get(dangling[(i, k - base)], 0.0)
+                    for k, j in enumerate(fi_idx[base:end], base)
+                ]
                 mean_alpha = (
                     sum(fanin_alphas) / len(fanin_alphas) if fanin_alphas else 0.0
                 )
-                dyn = (
-                    cell.read_energy_pj
-                    * mean_alpha
-                    * self.read_gating_factor
-                    * freq
-                    * 1e3
-                )
-                leak = cell.standby_nw * 1e-3
-            elif node.is_sequential:
-                cell = self.tech.dff
-                dyn = cell.energy_sw_pj * max(alpha, 0.5 * 0.2) * freq * 1e3
-                leak = cell.leakage_nw * 1e-3
+                dyn = energy * mean_alpha * gating * freq * 1e3
+            elif is_seq[i]:
+                dyn = energy * max(alphas[i], 0.5 * 0.2) * freq * 1e3
             else:
-                cell = self.tech.cell(node.gate_type, node.n_inputs)
-                dyn = cell.energy_sw_pj * alpha * freq * 1e3
-                leak = cell.leakage_nw * 1e-3
-            per_node[node.name] = dyn + leak
+                dyn = energy * alphas[i] * freq * 1e3
+            per_node[names[i]] = dyn + leak
             dynamic += dyn
             leakage += leak
         return PowerReport(
@@ -258,6 +285,24 @@ class PowerAnalyzer:
     def total_power_uw(self, netlist: Netlist, **kwargs: object) -> float:
         return self.analyze(netlist, **kwargs).total_uw
 
+    def charged_total_uw(
+        self, netlist: Netlist, activities: Mapping[str, float]
+    ) -> float:
+        """Total power of *netlist* charged under *activities*, computed
+        once per CSR view and activities snapshot.
+
+        :func:`estimate_activities` hands out one shared dict per structure
+        revision, input activity and LUT configs, so the snapshot's
+        identity is the key: the memo goes stale exactly when the view
+        or the snapshot does.
+        """
+        view = csr_view(netlist)
+        entry = self._totals.get(view)
+        if entry is None or entry[0] is not activities:
+            total = self.analyze(netlist, activities=activities).total_uw
+            entry = self._totals[view] = (activities, total)
+        return entry[1]
+
     def power_overhead_pct(
         self,
         original: Netlist,
@@ -269,11 +314,12 @@ class PowerAnalyzer:
         Both designs are charged under the *original* activity profile so
         the comparison isolates the replacement cost (LUT nodes fall back to
         their own nets' activities, which are unchanged by construction —
-        the hybrid is functionally identical).
+        the hybrid is functionally identical).  The original's total is
+        paid once per revision of it and activities snapshot.
         """
         acts = estimate_activities(original, input_activity=input_activity)
-        base = self.analyze(original, activities=acts)
-        new = self.analyze(hybrid, activities=acts)
-        if base.total_uw <= 0.0:
+        base = self.charged_total_uw(original, acts)
+        new = self.charged_total_uw(hybrid, acts)
+        if base <= 0.0:
             return 0.0
-        return (new.total_uw - base.total_uw) / base.total_uw * 100.0
+        return (new - base) / base * 100.0

@@ -145,6 +145,8 @@ def format_cell_years(security, formula: str) -> str:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
+    if args.attack == "sat" and args.no_scan:
+        raise SystemExit("error: the SAT attack requires scan access; drop --no-scan")
     foundry = _load(args.foundry)
     provisioned = _load(args.provisioned)
     row = run_attack(

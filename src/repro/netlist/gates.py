@@ -36,6 +36,11 @@ class GateType(enum.Enum):
     CONST0 = "CONST0"
     CONST1 = "CONST1"
 
+    # Members are singletons, so identity hashing is exact; it runs in C,
+    # where Enum's own ``hash(self._name_)`` is a Python-level call paid by
+    # every ``COMBINATIONAL_TYPES`` test and ``(GateType, arity)`` lookup.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
 

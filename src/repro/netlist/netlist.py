@@ -329,11 +329,25 @@ class Netlist:
     # whole-netlist operations
     # ------------------------------------------------------------------
     def copy(self, name: Optional[str] = None) -> "Netlist":
-        """Deep copy (nodes and output list are duplicated)."""
+        """Deep copy (nodes and output list are duplicated).
+
+        One loop does what :meth:`_add` does per node: the fan-out map is
+        rebuilt from the copied fan-ins, never copied, with keys in
+        ``_add``'s order, and the revision ends where per-node adds
+        would leave it.
+        """
         out = Netlist(name or self.name)
-        for node in self._nodes.values():
-            out._add(node.copy())
+        nodes, fanout = out._nodes, out._fanout
+        for key, node in self._nodes.items():
+            nodes[key] = dup = node.copy()
+            fanout.setdefault(key, set())
+            for src in dup.fanin:
+                readers = fanout.get(src)
+                if readers is None:
+                    readers = fanout[src] = set()
+                readers.add(key)
         out.outputs = list(self.outputs)
+        out._structure_revision = len(nodes)
         return out
 
     def validate(self) -> None:

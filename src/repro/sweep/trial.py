@@ -186,10 +186,12 @@ def _run_trial_inner(trial: Trial) -> Dict[str, Any]:
         "key_bits": result.provisioning.total_bits,
     }
     if "ppa" in trial.analyses:
-        with span("trial.analysis.ppa"):
+        with span("trial.analysis.ppa") as ppa_span:
+            ppa = _ppa_analyzer()
             metrics["overhead"] = _report_block(
-                _ppa_analyzer().overhead(netlist, result.hybrid, trial.algorithm)
+                ppa.overhead(netlist, result.hybrid, trial.algorithm)
             )
+            ppa_span.set(**ppa.totals(netlist, result.hybrid))
     if "security" in trial.analyses:
         with span("trial.analysis.security"):
             metrics["security"] = _report_block(

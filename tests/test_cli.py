@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 from repro.netlist import bench_io
 from repro.sat import check_equivalence
@@ -102,6 +108,27 @@ class TestAttackCommand:
         foundry = out.with_name("h_foundry.bench")
         main(["attack", str(foundry), str(out), "--attack", "brute"])
         assert "brute force" in capsys.readouterr().out
+
+    def test_sat_attack_without_scan_is_an_error_line(self, s27_file, tmp_path):
+        out = tmp_path / "h.bench"
+        main(["lock", str(s27_file), "--algorithm", "independent", "--out", str(out)])
+        foundry = out.with_name("h_foundry.bench")
+        src = Path(repro.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "attack", str(foundry),
+                str(out), "--attack", "sat", "--no-scan",
+            ],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert done.returncode == 1
+        assert done.stderr.strip() == (
+            "error: the SAT attack requires scan access; drop --no-scan"
+        )
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""
 
 
 class TestFlowCommand:

@@ -9,7 +9,9 @@ Table I rows.  These tests pin the draw itself against CPython's
 signal probabilities, with golden values recorded before the kernels
 were rewritten over the CSR view.  The attack grid is pinned by a hash of
 its canonical rows, recorded before the ML match counters, the config
-packing and the three-valued implication were rewritten.
+packing and the three-valued implication were rewritten; a small Table I
+grid likewise, recorded before area and power moved onto the CSR view,
+and both analyzers race today's name-based per-node walks.
 """
 
 from __future__ import annotations
@@ -21,7 +23,10 @@ import random
 
 import pytest
 
+from repro import lock_design
 from repro.analysis import PathFinder, signal_probabilities
+from repro.analysis.area import AreaAnalyzer
+from repro.analysis.power import PowerAnalyzer, estimate_activities
 from repro.analysis.sta import TimingAnalyzer
 from repro.attacks import candidate_configs
 from repro.check.checks_graph import _dict_dfs_to_boundary, csr_guide
@@ -624,3 +629,152 @@ def test_score_keys_counts_equal_a_direct_count(scored_lock, width):
         foundry, keys, patterns, labels, points, batch_width=width
     )
     assert counts == expected
+
+
+#: Hash of the canonical rows of a small Table I grid (s641, s820, s832
+#: x three algorithms, PPA and security analyses), per selection seed:
+#: every overhead and security float at full precision.
+PAPER_GRID_DIGESTS = {
+    0: "a7b306be603fb82b",
+    1: "ea8585f36021b7bb",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PAPER_GRID_DIGESTS))
+def test_paper_grid_rows_are_pinned(seed):
+    spec = SweepSpec(
+        circuits=("s641", "s820", "s832"),
+        algorithms=("independent", "dependent", "parametric"),
+        seeds=(seed,),
+        analyses=("ppa", "security"),
+        algorithm_params={"dependent": {"on_degenerate": "fallback"}},
+    )
+    rows = [canonical_row(row) for _, row in SweepRunner(workers=1).stream(spec)]
+    assert all(row["status"] == "ok" for row in rows)
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode())
+    assert digest.hexdigest()[:16] == PAPER_GRID_DIGESTS[seed]
+
+
+def _named_area(analyzer: AreaAnalyzer, netlist: Netlist):
+    """The name-based per-node area walk the CSR loop replaced."""
+    per_node = {}
+    cmos = stt_area = sequential = 0.0
+    for node in netlist:
+        if node.is_input:
+            continue
+        if node.gate_type is GateType.LUT:
+            area = analyzer.stt.lut(node.n_inputs).area_um2
+            stt_area += area
+        elif node.is_sequential:
+            area = analyzer.tech.dff.area_um2
+            sequential += area
+        else:
+            area = analyzer.tech.cell(node.gate_type, node.n_inputs).area_um2
+            cmos += area
+        per_node[node.name] = area
+    return cmos + stt_area + sequential, cmos, stt_area, sequential, per_node
+
+
+def _named_power(analyzer: PowerAnalyzer, netlist: Netlist, activities):
+    """The name-based per-node power walk the CSR loop replaced."""
+    freq = analyzer.tech.default_freq_ghz
+    per_node = {}
+    dynamic = leakage = 0.0
+    for node in netlist:
+        if node.is_input:
+            continue
+        alpha = activities.get(node.name, 0.0)
+        if node.gate_type is GateType.LUT:
+            cell = analyzer.stt.lut(node.n_inputs)
+            fanin_alphas = [activities.get(src, 0.0) for src in node.fanin]
+            mean_alpha = (
+                sum(fanin_alphas) / len(fanin_alphas) if fanin_alphas else 0.0
+            )
+            dyn = (
+                cell.read_energy_pj
+                * mean_alpha
+                * analyzer.read_gating_factor
+                * freq
+                * 1e3
+            )
+            leak = cell.standby_nw * 1e-3
+        elif node.is_sequential:
+            cell = analyzer.tech.dff
+            dyn = cell.energy_sw_pj * max(alpha, 0.5 * 0.2) * freq * 1e3
+            leak = cell.leakage_nw * 1e-3
+        else:
+            cell = analyzer.tech.cell(node.gate_type, node.n_inputs)
+            dyn = cell.energy_sw_pj * alpha * freq * 1e3
+            leak = cell.leakage_nw * 1e-3
+        per_node[node.name] = dyn + leak
+        dynamic += dyn
+        leakage += leak
+    return dynamic, leakage, per_node
+
+
+def _assert_area_power_exact(original: Netlist, netlists, own=True) -> None:
+    """Each of *netlists* against the name-based walks: its area, and its
+    power under the original's activities and (with *own*) under its
+    own; then the overheads of every one against *original* through
+    shared analyzers (so the original's totals come from their memos)."""
+    area, power = AreaAnalyzer(), PowerAnalyzer()
+    acts = estimate_activities(original, input_activity=0.2)
+    for netlist in netlists:
+        report = area.analyze(netlist)
+        total, cmos, stt_area, sequential, per_node = _named_area(area, netlist)
+        assert report.total_um2 == total, netlist.name
+        assert (report.cmos_um2, report.stt_um2, report.sequential_um2) == (
+            cmos, stt_area, sequential
+        )
+        assert list(report.per_node_um2.items()) == list(per_node.items())
+        charged = [acts, estimate_activities(netlist)] if own else [acts]
+        for activities in charged:
+            got = power.analyze(netlist, activities=activities)
+            dynamic, leakage, per_node = _named_power(power, netlist, activities)
+            assert (got.dynamic_uw, got.leakage_uw) == (dynamic, leakage)
+            assert got.total_uw == dynamic + leakage
+            assert list(got.per_node_uw.items()) == list(per_node.items())
+    base_area = _named_area(area, original)[0]
+    base_power = sum(_named_power(power, original, acts)[:2])
+    for netlist in netlists:
+        new_area = _named_area(area, netlist)[0]
+        new_power = sum(_named_power(power, netlist, acts)[:2])
+        assert area.area_overhead_pct(original, netlist) == (
+            (new_area - base_area) / base_area * 100.0
+        )
+        assert power.power_overhead_pct(original, netlist) == (
+            (new_power - base_power) / base_power * 100.0
+        )
+
+
+@pytest.mark.parametrize(
+    "circuit", ["s641", "s820", "s832", "s953", "s1196", "s1238", "s1488"]
+)
+def test_area_and_power_equal_the_named_walks(circuit):
+    original = load_benchmark(circuit)
+    netlists = [original]
+    for options in ({"decoy_inputs": 2}, {"absorb": True}):
+        result = lock_design(original, "independent", seed=3, **options)
+        netlists += [result.hybrid, result.foundry_view()]
+    _assert_area_power_exact(original, netlists)
+
+
+def test_area_and_power_with_a_dangling_lut_pin(s641):
+    result = lock_design(s641, "independent", seed=3, decoy_inputs=2)
+    broken = result.hybrid.copy()
+    for lut in sorted(broken.luts)[:3]:
+        node = broken.node(lut)
+        node.fanin[-1] = f"ghost_{lut}"
+    broken.touch_structure()
+    view = csr_view(broken)
+    assert any(view.is_lut[i] for i, _ in view.dangling)
+    # No activity estimate of its own: a dangling reader never levelizes.
+    _assert_area_power_exact(s641, [broken], own=False)
+    # A dangling pin is charged the activity its net name has.
+    acts = dict(estimate_activities(s641))
+    acts.update({f"ghost_{lut}": 0.37 for lut in sorted(broken.luts)[:2]})
+    power = PowerAnalyzer()
+    got = power.analyze(broken, activities=acts)
+    dynamic, leakage, per_node = _named_power(power, broken, acts)
+    assert (got.dynamic_uw, got.leakage_uw) == (dynamic, leakage)
+    assert list(got.per_node_uw.items()) == list(per_node.items())

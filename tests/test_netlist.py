@@ -180,6 +180,34 @@ class TestCopy:
         c.node("g").attrs["tag"] = 2
         assert n.node("g").attrs["tag"] == 1
 
+    @staticmethod
+    def _added_one_by_one(netlist: Netlist) -> Netlist:
+        """The construction ``copy()`` replaces: one ``_add`` per node."""
+        out = Netlist(netlist.name)
+        for node in netlist:
+            out._add(node.copy())
+        out.outputs = list(netlist.outputs)
+        return out
+
+    def test_copy_fanout_map_equals_per_node_adds(self, s641):
+        from repro import lock_design
+
+        forward = Netlist("forward")  # readers before drivers, and ghosts
+        forward.add_gate("r1", GateType.DFF, ["g2"])
+        forward.add_input("a")
+        forward.add_gate("g1", GateType.AND, ["a", "ghost", "r1", "a"])
+        forward.add_gate("g2", GateType.OR, ["g1", "phantom"])
+        forward.add_output("g2")
+        hybrid = lock_design(s641, "independent", seed=1, decoy_inputs=2).hybrid
+        for netlist in (build_simple(), forward, s641, hybrid):
+            c = netlist.copy()
+            ref = self._added_one_by_one(netlist)
+            assert list(c._fanout.items()) == list(ref._fanout.items())
+            assert all(c._fanout[k] is not netlist._fanout[k] for k in c._fanout)
+            assert c.structure_revision == ref.structure_revision
+            assert [vars(n) for n in c] == [vars(n) for n in ref]
+            assert c.outputs == ref.outputs
+
     def test_stats(self, s27):
         stats = s27.stats()
         assert (stats.n_inputs, stats.n_outputs) == (4, 1)

@@ -520,6 +520,41 @@ def test_parametric_guard_counters_agree_with_the_lock(circuit, seed, monkeypatc
 
 
 @pytest.mark.parametrize("algorithm", ["independent", "dependent", "parametric"])
+def test_ppa_span_attributes_reproduce_the_row_overheads(algorithm):
+    from repro.sweep import Trial, run_trial
+
+    for seed in (0, 1):  # the second trial reads the original's memos
+        row = run_trial(
+            Trial(
+                circuit="s820",
+                algorithm=algorithm,
+                seed=seed,
+                analyses=("ppa",),
+                params=(("on_degenerate", "fallback"),)
+                if algorithm == "dependent"
+                else (),
+            )
+        )
+        assert row["status"] == "ok"
+        row = json.loads(json.dumps(row))  # as the result cache stores it
+        (ppa,) = [
+            s for s in row["timing"]["obs"]["spans"]
+            if s["name"] == "trial.analysis.ppa"
+        ]
+        attrs = ppa["attrs"]
+        overhead = row["metrics"]["overhead"]
+
+        def pct(kind):
+            base, new = attrs[f"base_{kind}"], attrs[f"hybrid_{kind}"]
+            return (new - base) / base * 100.0
+
+        assert overhead["performance_degradation_pct"] == max(0.0, pct("delay_ns"))
+        assert overhead["power_overhead_pct"] == pct("power_uw")
+        assert overhead["area_overhead_pct"] == pct("area_um2")
+        assert attrs["hybrid_area_um2"] > attrs["base_area_um2"] > 0.0
+
+
+@pytest.mark.parametrize("algorithm", ["independent", "dependent", "parametric"])
 def test_second_trial_of_a_circuit_shares_every_wiring(algorithm):
     from repro.sweep import Trial, run_trial
 

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import random
 import weakref
+from typing import Tuple
 
 import pytest
 
-from repro.analysis.power import estimate_activities
+from repro.analysis.area import AreaAnalyzer
+from repro.analysis.power import PowerAnalyzer, estimate_activities
 from repro.analysis.sta import TimingAnalyzer
 from repro.circuits.generator import CircuitSpec, generate
 from repro.dataflow.cones import extract_key_cone
@@ -314,9 +316,19 @@ def _entry_names(names, entry) -> tuple:
     return kind, named(entry[1]), entry[2], interior
 
 
-def _consumer_facts(netlist: Netlist, timing: TimingAnalyzer) -> dict:
+def _consumer_facts(
+    netlist: Netlist,
+    timing: TimingAnalyzer,
+    twin: Netlist,
+    area: AreaAnalyzer,
+    powers: Tuple[PowerAnalyzer, PowerAnalyzer],
+) -> dict:
     """What every memoized consumer answers about *netlist*, by name;
-    *timing* keeps its per-view base arrivals across calls."""
+    *timing*, *area* and *powers* keep their per-view memos across calls.
+    The overheads are measured against *twin* in both directions, so
+    *netlist* is once the original and once the hybrid.  Each power
+    direction has its own analyzer: *netlist*'s memo slot then always
+    holds the same direction's activities snapshot."""
     view = csr_view(netlist)
     names = view.names
     roots = sorted(netlist.outputs)[:2] + sorted(netlist.flip_flops)[:2]
@@ -374,6 +386,14 @@ def _consumer_facts(netlist: Netlist, timing: TimingAnalyzer) -> dict:
         "activities": dict(estimate_activities(netlist)),
         "cone max delay (first 3)": timing.max_delay(netlist, as_lut=plain[:3]),
         "cone max delay (last 5)": timing.max_delay(netlist, as_lut=plain[-5:]),
+        "area overhead": (
+            area.area_overhead_pct(netlist, twin),
+            area.area_overhead_pct(twin, netlist),
+        ),
+        "power overhead": (
+            powers[0].power_overhead_pct(netlist, twin),
+            powers[1].power_overhead_pct(twin, netlist),
+        ),
     }
 
 
@@ -382,24 +402,30 @@ class TestFreshRebuild:
     were warm must answer exactly what it answers on ``netlist.copy()``
     computed from nothing: no cached view, an empty wiring-share table
     (else the copy would read the warm side's kernels) and a new timing
-    analyzer."""
+    analyzer.  The area and power analyzers are shared by all three
+    calls, so a per-view total served to the wrong view or under stale
+    activities shows up as a warm/fresh difference."""
 
     @pytest.mark.parametrize("mutator", sorted(MUTATORS))
     def test_warm_views_match_a_fresh_copy(self, mutator, monkeypatch):
         netlist = _fresh_base()
-        timing = TimingAnalyzer()
-        before = _consumer_facts(netlist, timing)  # warm every view
+        twin = netlist.copy()
+        timing, area = TimingAnalyzer(), AreaAnalyzer()
+        powers = PowerAnalyzer(), PowerAnalyzer()
+        before = _consumer_facts(netlist, timing, twin, area, powers)  # warm all
         revision = netlist.structure_revision
         MUTATORS[mutator](netlist)
         if mutator == "lut_config write":
             assert netlist.structure_revision == revision
         else:
             assert netlist.structure_revision > revision
-        warm = _consumer_facts(netlist, timing)
+        warm = _consumer_facts(netlist, timing, twin, area, powers)
         with monkeypatch.context() as patch:
             patch.setattr(csr, "_WIRINGS", weakref.WeakValueDictionary())
             fresh_netlist = netlist.copy()
-            fresh = _consumer_facts(fresh_netlist, TimingAnalyzer())
+            fresh = _consumer_facts(
+                fresh_netlist, TimingAnalyzer(), twin, area, powers
+            )
             assert csr_view(fresh_netlist).wiring is not csr_view(netlist).wiring
         for fact in fresh:
             assert warm[fact] == fresh[fact], fact
@@ -429,7 +455,13 @@ class TestFreshRebuild:
 
     def test_trial_delay_equals_delay_of_a_replaced_copy(self):
         netlist = _fresh_base()
-        _consumer_facts(netlist, TimingAnalyzer())
+        _consumer_facts(
+            netlist,
+            TimingAnalyzer(),
+            netlist.copy(),
+            AreaAnalyzer(),
+            (PowerAnalyzer(), PowerAnalyzer()),
+        )
         timing = TimingAnalyzer()
         names = [
             g
