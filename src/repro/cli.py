@@ -457,37 +457,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 1 if result.stats.failed else 0
 
 
-def cmd_sweep_worker(args: argparse.Namespace) -> int:
-    from .sweep.backends import default_owner, work_stealing_worker
-    from .sweep.cache import ResultCache
-
-    cache = ResultCache(args.cache_dir, reap_tmp_ttl=None)
-    job_id = args.job
-    if not job_id:
-        jobs_root = cache.root / "jobs"
-        candidates = (
-            [p for p in jobs_root.iterdir() if (p / "manifest.json").exists()]
-            if jobs_root.is_dir()
-            else []
-        )
-        if not candidates:
-            raise SystemExit(f"error: no lease jobs under {jobs_root}")
-        job_id = max(
-            candidates, key=lambda p: (p / "manifest.json").stat().st_mtime
-        ).name
-    owner = args.owner or default_owner("cli")
-    print(
-        f"[worker] {owner} joining job {job_id} at {cache.root}",
-        file=sys.stderr,
-        flush=True,
-    )
-    executed = work_stealing_worker(
-        cache.root, job_id, owner, poll_interval=args.poll
-    )
-    print(f"[worker] {owner} executed {executed} trials", file=sys.stderr)
-    return 0
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     from .check import (
         MINI_SUITE,
@@ -777,30 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress per-trial progress"
     )
     p_sweep.set_defaults(func=cmd_sweep)
-
-    p_worker = sub.add_parser(
-        "sweep-worker",
-        parents=[common],
-        help="join a lease-worker sweep job as an extra worker "
-        "(runs on any host sharing the cache directory)",
-    )
-    p_worker.add_argument(
-        "--cache-dir",
-        default=".sweep-cache",
-        help="the shared result store the job was started against",
-    )
-    p_worker.add_argument(
-        "--job",
-        default=None,
-        help="job id under <cache>/jobs/ (default: the newest)",
-    )
-    p_worker.add_argument(
-        "--owner", default=None, help="worker identity for lease accounting"
-    )
-    p_worker.add_argument(
-        "--poll", type=float, default=0.05, help="poll interval seconds"
-    )
-    p_worker.set_defaults(func=cmd_sweep_worker)
 
     p_lint = sub.add_parser(
         "lint", parents=[common], help="static analysis: structural/security/timing rules"

@@ -20,12 +20,6 @@ from .metrics import (
 )
 
 if TYPE_CHECKING:
-    from .budget import (
-        BudgetPlan,
-        plan_parametric,
-        required_missing_gates,
-        years_to_clocks,
-    )
     from .flow import (
         AuditPolicy,
         FlowReport,
@@ -34,15 +28,11 @@ if TYPE_CHECKING:
         SecurityRequirement,
     )
 
-# The Fig. 2 flow (and through it the lint engine) and the budget planner
-# run in no trial: they load on first use.
+# The Fig. 2 flow (and through it the lint engine) runs in no trial: it
+# loads on first use.
 __getattr__ = lazy_exports(
     __name__,
     {
-        "BudgetPlan": ".budget",
-        "plan_parametric": ".budget",
-        "required_missing_gates": ".budget",
-        "years_to_clocks": ".budget",
         "AuditPolicy": ".flow",
         "FlowReport": ".flow",
         "SecurityDrivenFlow": ".flow",
@@ -58,10 +48,6 @@ ALGORITHMS = {
 }
 
 __all__ = [
-    "BudgetPlan",
-    "plan_parametric",
-    "required_missing_gates",
-    "years_to_clocks",
     "AuditPolicy",
     "FlowReport",
     "SecurityDrivenFlow",

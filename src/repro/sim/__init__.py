@@ -48,11 +48,10 @@ if TYPE_CHECKING:
         random_pattern_coverage,
     )
     from .seqsim import SequentialSimulator, ToggleStats, functional_match
-    from .vcd import VcdWriter, dump_vcd
 
-# Fault simulation and VCD dumps run in no trial, and the sequential
-# simulator only in simulation-based activity estimation and
-# functional-mode oracle queries: they load on first use.
+# Fault simulation runs in no trial, and the sequential simulator only in
+# simulation-based activity estimation and functional-mode oracle
+# queries: they load on first use.
 __getattr__ = lazy_exports(
     __name__,
     {
@@ -65,8 +64,6 @@ __getattr__ = lazy_exports(
         "enumerate_faults": ".faults",
         "fault_coverage": ".faults",
         "random_pattern_coverage": ".faults",
-        "VcdWriter": ".vcd",
-        "dump_vcd": ".vcd",
     },
 )
 
@@ -105,6 +102,4 @@ __all__ = [
     "justify",
     "justify_and_propagate",
     "random_observable_pattern",
-    "VcdWriter",
-    "dump_vcd",
 ]

@@ -7,9 +7,9 @@ grid into a first-class object:
 * :class:`SweepSpec` declares the grid; it expands into independent,
   deterministically seeded :class:`Trial` cells.
 * :class:`SweepRunner` / :func:`run_sweep` execute trials inline
-  (``workers=1``) or on N lease workers (:mod:`repro.sweep.backends`)
-  that claim trials from the result cache and may also join from other
-  hosts — identical canonical rows either way.
+  (``workers=1``) or on N local lease workers
+  (:mod:`repro.sweep.backends`) that claim trials from the result cache —
+  identical canonical rows either way.
   :meth:`SweepRunner.stream` yields rows as they complete.
 * :class:`ResultCache` is a content-addressed on-disk row store keyed by
   (netlist content hash, algorithm + params, seed, attack, code version):
@@ -19,8 +19,7 @@ grid into a first-class object:
 * :mod:`repro.sweep.aggregate` folds rows back into the
   :mod:`repro.reporting` tables and the analysis report dataclasses.
 
-See ``docs/SWEEP.md`` for the executors, the lease protocol and the
-``sweep-worker`` recipe.
+See ``docs/SWEEP.md`` for the executors and the lease protocol.
 
 Quickstart::
 
@@ -52,7 +51,7 @@ from .spec import (
 from .trial import canonical_row, circuit_sha, load_circuit, run_trial
 
 if TYPE_CHECKING:
-    from .backends import WorkStealingJob, work_stealing_worker
+    from .backends import WorkStealingJob
     from .aggregate import (
         group_rows,
         overhead_report,
@@ -69,7 +68,6 @@ __getattr__ = lazy_exports(
     __name__,
     {
         "WorkStealingJob": ".backends",
-        "work_stealing_worker": ".backends",
         "group_rows": ".aggregate",
         "overhead_report": ".aggregate",
         "render_csv": ".aggregate",
@@ -105,5 +103,4 @@ __all__ = [
     "security_report",
     "summarize",
     "trial_key",
-    "work_stealing_worker",
 ]

@@ -2,21 +2,20 @@
 
 The runner (:mod:`repro.sweep.runner`) runs trials inline when
 ``workers == 1``; with more workers it hands the pending trials to this
-module.  N independent worker *processes* claim trials directly from the
-shared :class:`ResultCache` via atomic lock-file leases
-(:meth:`ResultCache.try_lease`).  Workers may also run on other hosts
-pointed at the same directory (``repro-lock sweep-worker``); the
-coordinator only writes the job manifest, polls the store for completed
-rows, and streams them out.  A worker that dies mid-trial simply stops —
-its lease is broken as soon as a worker on its host sees that its pid
-is gone (anywhere else, once it *expires*) and that worker re-claims the
-trial, which is what makes the sweep crash-proof without any worker-to-coordinator
-channel beyond the filesystem.
+module.  N independent local worker *processes*, each handed the
+:class:`WorkStealingJob`, claim trials directly from the shared
+:class:`ResultCache` via atomic lock-file leases
+(:meth:`ResultCache.try_lease`); the coordinator polls the store for
+completed rows and streams them out.  A worker that dies mid-trial
+simply stops — its lease is broken as soon as another worker sees that
+its pid is gone (a lease stamped by another host, once it *expires*)
+and that worker re-claims the trial, which is what makes the sweep
+crash-proof without any worker-to-coordinator channel beyond the
+filesystem.
 
-Job layout, under ``<cache>/jobs/<job_id>/``:
+Job layout, under ``<cache>/jobs/<job_id>/``, deleted when the run ends
+(a killed coordinator may leave it behind; nothing reads it again):
 
-* ``manifest.json`` — the trial list (index, content key, identity) and
-  whether the job resumes (see :meth:`WorkStealingJob.is_complete`);
 * ``done/<key>`` — an empty marker per trial this job completed;
 * ``failed/<key>.json`` — failed rows (kept out of the result cache so a
   later resume retries them, but still visible to the coordinator);
@@ -28,6 +27,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import socket
 import time
 from dataclasses import dataclass
@@ -49,66 +49,24 @@ POLL_INTERVAL = 0.05
 
 @dataclass
 class WorkStealingJob:
-    """One lease job's on-disk state under the shared cache."""
+    """One lease job: its pending trials and their state under the
+    shared cache."""
 
     cache: ResultCache
     job_id: str
     lease_ttl: float
-    entries: List[Dict[str, Any]]
+    #: ``(index, key, trial)`` per pending trial.
+    entries: List[Tuple[int, str, Trial]]
     #: False for a ``resume=False`` run: rows already cached before the
     #: job started must be recomputed, so only this job's own ``done/``
     #: markers count as completion.
     resume: bool = True
+    #: The claims read by :meth:`close`, once the directory is gone.
+    closed_claims: Optional[List[Dict[str, Any]]] = None
 
     @property
     def root(self) -> Path:
         return self.cache.job_dir(self.job_id)
-
-    @classmethod
-    def create(
-        cls,
-        cache: ResultCache,
-        job_id: str,
-        pending: Sequence[Tuple[int, Trial]],
-        keys: Dict[int, str],
-        lease_ttl: float,
-        resume: bool = True,
-    ) -> "WorkStealingJob":
-        entries = [
-            {"index": index, "key": keys[index], "trial": trial.identity()}
-            for index, trial in pending
-        ]
-        job = cls(
-            cache=cache,
-            job_id=job_id,
-            lease_ttl=lease_ttl,
-            entries=entries,
-            resume=resume,
-        )
-        atomic_write_json(
-            job.root / "manifest.json",
-            {
-                "job_id": job_id,
-                "created": time.time(),
-                "lease_ttl": lease_ttl,
-                "resume": resume,
-                "trials": entries,
-            },
-        )
-        return job
-
-    @classmethod
-    def open(cls, cache: ResultCache, job_id: str) -> "WorkStealingJob":
-        manifest = json.loads(
-            (cache.job_dir(job_id) / "manifest.json").read_text()
-        )
-        return cls(
-            cache=cache,
-            job_id=job_id,
-            lease_ttl=float(manifest["lease_ttl"]),
-            entries=list(manifest["trials"]),
-            resume=bool(manifest.get("resume", True)),
-        )
 
     # -- failed rows (never cached: a later resume retries them) --------
     def failed_path(self, key: str) -> Path:
@@ -151,15 +109,15 @@ class WorkStealingJob:
 
     # -- lease accounting ------------------------------------------------
     def record_claim(
-        self, owner: str, entry: Dict[str, Any], status: str
+        self, owner: str, index: int, key: str, status: str
     ) -> None:
         path = self.root / "claims" / f"{owner}.jsonl"
         path.parent.mkdir(parents=True, exist_ok=True)
         line = json.dumps(
             {
                 "owner": owner,
-                "index": entry["index"],
-                "key": entry["key"],
+                "index": index,
+                "key": key,
                 "status": status,
                 "time": time.time(),
             },
@@ -172,6 +130,8 @@ class WorkStealingJob:
 
     def claims(self) -> List[Dict[str, Any]]:
         """Every execution claim recorded by any worker of this job."""
+        if self.closed_claims is not None:
+            return list(self.closed_claims)
         out: List[Dict[str, Any]] = []
         claims_dir = self.root / "claims"
         if not claims_dir.is_dir():
@@ -181,6 +141,56 @@ class WorkStealingJob:
                 if line.strip():
                     out.append(json.loads(line))
         return out
+
+    def close(self) -> None:
+        """Keep the claims in memory and delete the job's directory: once
+        the run ends nothing reads it."""
+        self.closed_claims = self.claims()
+        shutil.rmtree(self.root, ignore_errors=True)
+
+    # -- the worker loop -------------------------------------------------
+    def work(self, owner: str) -> int:
+        """Claim-and-execute loop of one lease worker; returns the number
+        of trials *owner* executed.
+
+        The loop scans the entries for incomplete trials, leases one,
+        runs it, persists the row (ok → result cache, failed → the job's
+        failed area), marks it done, records the claim, and releases the
+        lease.  When every trial is complete it exits; while the only
+        incomplete trials are leased by *other* live owners it sleeps and
+        rescans — if one of those owners died, its lease is broken (at
+        once if its pid is gone from this host, else at expiry) and the
+        rescan re-claims the trial.
+        """
+        executed = 0
+        while True:
+            progressed = False
+            incomplete = 0
+            for index, key, trial in self.entries:
+                if self.is_complete(key):
+                    continue
+                incomplete += 1
+                if not self.cache.try_lease(key, owner, self.lease_ttl):
+                    continue
+                try:
+                    if self.is_complete(key):
+                        continue  # finished by the lease's previous holder
+                    row = run_trial(trial)
+                    if row.get("status") == "ok":
+                        self.cache.put(key, row)
+                        self.mark_done(key)
+                    else:
+                        self.write_failed(key, row)
+                    status = str(row.get("status"))
+                    self.record_claim(owner, index, key, status)
+                    executed += 1
+                    progressed = True
+                finally:
+                    self.cache.release_lease(key)
+            if incomplete == 0:
+                return executed
+            if not progressed:
+                time.sleep(POLL_INTERVAL)
 
 
 def new_job_id(pending: Sequence[Tuple[int, Trial]]) -> str:
@@ -194,69 +204,12 @@ def default_owner(tag: str = "w0") -> str:
     return f"{socket.gethostname()}-{os.getpid()}-{tag}"
 
 
-def work_stealing_worker(
-    cache_root: Path,
-    job_id: str,
-    owner: str,
-    poll_interval: float = POLL_INTERVAL,
-) -> int:
-    """Claim-and-execute loop of one lease worker; returns the number of
-    trials this owner executed.
-
-    The loop scans the manifest for incomplete trials, leases one, runs
-    it, persists the row (ok → result cache, failed → the job's failed
-    area), marks it done, records the claim, and releases the lease.
-    When every trial is complete it exits; while the only incomplete
-    trials are leased by *other* live owners it sleeps and rescans — if
-    one of those owners died, its lease is broken (at once on its own
-    host, else at expiry) and the rescan re-claims
-    the trial.
-    """
-    cache = ResultCache(cache_root, reap_tmp_ttl=None)
-    job = WorkStealingJob.open(cache, job_id)
-    executed = 0
-    while True:
-        progressed = False
-        incomplete = 0
-        for entry in job.entries:
-            key = entry["key"]
-            if job.is_complete(key):
-                continue
-            incomplete += 1
-            if not cache.try_lease(key, owner, job.lease_ttl):
-                continue
-            try:
-                if job.is_complete(key):
-                    continue  # finished by the lease's previous holder
-                trial = Trial.from_identity(entry["trial"])
-                row = run_trial(trial)
-                if row.get("status") == "ok":
-                    cache.put(key, row)
-                    job.mark_done(key)
-                else:
-                    job.write_failed(key, row)
-                job.record_claim(owner, entry, str(row.get("status")))
-                executed += 1
-                progressed = True
-            finally:
-                cache.release_lease(key)
-        if incomplete == 0:
-            return executed
-        if not progressed:
-            time.sleep(poll_interval)
-
-
-def _worker_entry(cache_root: str, job_id: str, owner: str) -> None:
-    work_stealing_worker(Path(cache_root), job_id, owner)
-
-
 def run_lease_workers(
-    job: WorkStealingJob,
-    pending: Sequence[Tuple[int, Trial]],
-    workers: int,
+    job: WorkStealingJob, workers: int
 ) -> Iterator[Tuple[int, Trial, Dict[str, Any]]]:
     """Spawn *workers* local lease workers on *job* and yield
-    ``(index, trial, row)`` as rows land in the store.
+    ``(index, trial, row)`` as rows land in the store; the job's
+    directory is deleted once the workers have joined.
 
     If every spawned worker exits while trials are still incomplete (all
     of them crashed), the coordinator runs the worker loop itself, so
@@ -269,25 +222,24 @@ def run_lease_workers(
     procs: List[multiprocessing.Process] = []
     for n in range(workers):
         proc = multiprocessing.Process(
-            target=_worker_entry,
-            args=(str(job.cache.root), job.job_id, default_owner(f"w{n}")),
+            target=job.work,
+            args=(default_owner(f"w{n}"),),
             daemon=True,
             name=f"sweep-lease-{job.job_id}-w{n}",
         )
         proc.start()
         procs.append(proc)
-    keys = {entry["index"]: entry["key"] for entry in job.entries}
-    remaining: Dict[int, Trial] = dict(pending)
+    remaining = {index: (key, trial) for index, key, trial in job.entries}
     try:
         with span("sweep.steal", job=job.job_id, workers=workers) as steal_span:
             while remaining:
                 progressed = False
                 for index in sorted(remaining):
-                    row = job.read_row(keys[index])
+                    row = job.read_row(remaining[index][0])
                     if row is None:
                         continue
                     progressed = True
-                    yield index, remaining.pop(index), row
+                    yield index, remaining.pop(index)[1], row
                 if not remaining or progressed:
                     continue
                 if not any(p.is_alive() for p in procs):
@@ -296,9 +248,7 @@ def run_lease_workers(
                     # claim loop (the dead workers' leases are broken:
                     # their pids are gone from this host).
                     add_counter("sweep.steal.coordinator_fallbacks")
-                    work_stealing_worker(
-                        job.cache.root, job.job_id, default_owner("coordinator")
-                    )
+                    job.work(default_owner("coordinator"))
                     continue
                 time.sleep(POLL_INTERVAL)
             steal_span.set(claims=len(job.claims()))
@@ -310,3 +260,4 @@ def run_lease_workers(
             if proc.is_alive():  # pragma: no cover - defensive
                 proc.terminate()
                 proc.join(timeout=5.0)
+        job.close()

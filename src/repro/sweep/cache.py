@@ -23,14 +23,14 @@ to be provably dead (:data:`TMP_REAP_TTL_SECONDS`).
 Failed trials are deliberately **not** cached — a resume retries them.
 
 The cache doubles as the **shared coordination store** for the sweep's
-lease workers (:mod:`repro.sweep.backends`): workers on
-any host pointed at the same directory claim trials through atomic
-lock-file *leases* (``leases/<key>.lock``, created with
-``O_CREAT | O_EXCL`` so exactly one claimant wins) that carry an owner,
-its host and pid, and an expiry; a lease whose holder died (expired, or
-a pid of this host that no longer exists) is broken by the one breaker
-that wins an ``O_EXCL`` token for it, which overwrites it atomically,
-and the trial is re-claimed.
+lease workers (:mod:`repro.sweep.backends`): the workers of every sweep
+pointed at the same directory claim trials through atomic lock-file
+*leases* (``leases/<key>.lock``, created with ``O_CREAT | O_EXCL`` so
+exactly one claimant wins) that carry an owner, its host and pid, and an
+expiry; a lease whose holder died (expired, or a pid of this host that
+no longer exists) is broken by the one breaker that wins an ``O_EXCL``
+token for it, which overwrites it atomically, and the trial is
+re-claimed.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ TMP_REAP_TTL_SECONDS = 3600.0
 #: Subdirectory of the cache root holding lease files.
 LEASE_DIRNAME = "leases"
 
-#: Subdirectory of the cache root holding per-job manifests/claims.
+#: Subdirectory of the cache root holding each running job's state.
 JOBS_DIRNAME = "jobs"
 
 #: Seconds after which an unreadable lease or an orphaned break token
@@ -116,8 +116,9 @@ def trial_key(trial: Trial, netlist_hash: str) -> str:
 
 
 def atomic_write_json(path: Path, payload: Any) -> None:
-    """Write *payload* as JSON via temp file + ``os.replace`` (the same
-    crash-safe protocol the row store uses)."""
+    """Write *payload* as JSON via temp file + ``os.replace``: a writer
+    killed mid-write leaves the old file (or none) plus a ``.tmp-*``
+    orphan, never a torn one."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(
         dir=str(path.parent), prefix=".tmp-", suffix=".json"
@@ -138,20 +139,14 @@ def atomic_write_json(path: Path, payload: Any) -> None:
 class ResultCache:
     """On-disk row store; ``None``-safe (a disabled cache misses always).
 
-    ``reap_tmp_ttl`` controls orphan cleanup on open: ``.tmp-*`` files
-    older than that many seconds (leftovers of a writer SIGKILLed between
-    ``mkstemp`` and ``os.replace``) are deleted.  Pass ``None`` to skip
-    the scan (work-stealing workers opening the store many times).
+    Opening it deletes ``.tmp-*`` files older than
+    :data:`TMP_REAP_TTL_SECONDS` (leftovers of a writer SIGKILLed between
+    ``mkstemp`` and ``os.replace``).
     """
 
-    def __init__(
-        self,
-        cache_dir: Union[str, Path],
-        reap_tmp_ttl: Optional[float] = TMP_REAP_TTL_SECONDS,
-    ):
+    def __init__(self, cache_dir: Union[str, Path]):
         self.root = Path(cache_dir)
-        if reap_tmp_ttl is not None:
-            self.reap_stale_tmp(reap_tmp_ttl)
+        self.reap_stale_tmp()
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
@@ -232,22 +227,7 @@ class ResultCache:
         )
 
     def put(self, key: str, row: Dict[str, Any]) -> None:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(row, handle, sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write_json(self._path(key), row)
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).exists()
@@ -276,7 +256,7 @@ class ResultCache:
         return self.root / LEASE_DIRNAME / f"{key}.lock"
 
     def job_dir(self, job_id: str) -> Path:
-        """Directory holding one work-stealing job's manifest and claims."""
+        """Directory holding one running lease job's state."""
         return self.root / JOBS_DIRNAME / job_id
 
     def try_lease(self, key: str, owner: str, ttl: float) -> bool:

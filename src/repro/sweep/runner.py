@@ -130,8 +130,8 @@ class SweepRunner:
         self.stats = SweepStats()
         #: The lease job of the most recent lease-worker run (its claims
         #: record which owner executed each trial); ``None`` until one
-        #: runs.  Without a ``cache_dir`` the job's directory is deleted
-        #: with the temporary store when the run ends.
+        #: runs.  The job's directory is deleted when the run ends; its
+        #: claims stay readable here.
         self.last_job: Optional[WorkStealingJob] = None
         #: Root span of the in-flight run; worker span trees are merged
         #: under it (None while no traced run is active).
@@ -273,12 +273,11 @@ class SweepRunner:
         )
         with scratch as tmp:
             cache = self.cache if self.cache is not None else ResultCache(tmp)
-            job = WorkStealingJob.create(
+            job = WorkStealingJob(
                 cache,
                 new_job_id(pending),
-                pending,
-                {index: str(keys[index]) for index, _ in pending},
                 LEASE_TTL,
+                [(index, str(keys[index]), trial) for index, trial in pending],
                 resume=self.resume,
             )
             self.last_job = job
@@ -291,7 +290,7 @@ class SweepRunner:
                         "trials": len(pending),
                     }
                 )
-            yield from run_lease_workers(job, pending, self.workers)
+            yield from run_lease_workers(job, self.workers)
 
     def _merge_trial_trace(self, row: Dict[str, Any]) -> None:
         """Fold an *executed* trial's span tree (recorded in the worker,

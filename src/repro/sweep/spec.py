@@ -87,9 +87,9 @@ class Trial:
 
     @classmethod
     def from_identity(cls, identity: Mapping[str, Any]) -> "Trial":
-        """Rebuild a trial from its :meth:`identity` JSON — the inverse
-        used by work-stealing workers reading a job manifest.  Round-trip
-        exact: ``Trial.from_identity(t.identity()) == t``."""
+        """Rebuild a trial from its :meth:`identity` JSON, e.g. a row's
+        ``trial`` field, to replay it.  Round-trip exact:
+        ``Trial.from_identity(t.identity()) == t``."""
         return cls(
             circuit=identity["circuit"],
             algorithm=identity["algorithm"],

@@ -1,5 +1,5 @@
 """Lease workers: the lease protocol, lease-worker execution and
-accounting, multi-host workers, crash-resume after SIGKILL, and
+accounting, job cleanup, crash-resume after SIGKILL, and
 ``resume=False`` under lease workers."""
 
 from __future__ import annotations
@@ -20,11 +20,9 @@ from repro.sweep import (
     SweepRunner,
     SweepSpec,
     WorkStealingJob,
-    canonical_row,
     circuit_sha,
     run_sweep,
     trial_key,
-    work_stealing_worker,
 )
 
 SPEC = SweepSpec(
@@ -56,7 +54,7 @@ def _lease_from_reaped_child(cache, key):
         "import sys\n"
         "sys.path.insert(0, sys.argv[3])\n"
         "from repro.sweep import ResultCache\n"
-        "cache = ResultCache(sys.argv[1], reap_tmp_ttl=None)\n"
+        "cache = ResultCache(sys.argv[1])\n"
         "assert cache.try_lease(sys.argv[2], 'dead-worker', ttl=60.0)\n"
     )
     src_dir = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -177,30 +175,32 @@ def test_half_written_fresh_lease_is_not_broken(tmp_path):
 # ----------------------------------------------------------------------
 # job state
 # ----------------------------------------------------------------------
-def test_job_manifest_round_trip_and_claims(tmp_path):
+def test_job_claims_and_failed_rows(tmp_path):
     cache = ResultCache(tmp_path)
-    trials = SPEC.trials()
-    pending = list(enumerate(trials))
-    keys = {
-        i: trial_key(t, circuit_sha(t.circuit, t.gen_seed))
-        for i, t in pending
-    }
-    job = WorkStealingJob.create(cache, "job-t", pending, keys, lease_ttl=9.0)
-    clone = WorkStealingJob.open(cache, "job-t")
-    assert clone.lease_ttl == 9.0
-    assert clone.entries == job.entries
-    assert [e["index"] for e in clone.entries] == list(range(len(trials)))
+    entries = [
+        (i, trial_key(t, circuit_sha(t.circuit, t.gen_seed)), t)
+        for i, t in enumerate(SPEC.trials())
+    ]
+    keys = [key for _, key, _ in entries]
+    job = WorkStealingJob(cache, "job-t", 9.0, entries)
 
-    job.record_claim("w1", job.entries[0], "ok")
-    job.record_claim("w2", job.entries[1], "failed")
+    job.record_claim("w1", 0, keys[0], "ok")
+    job.record_claim("w2", 1, keys[1], "failed")
     claims = job.claims()
     assert {c["owner"] for c in claims} == {"w1", "w2"}
-    assert claims[0]["key"] in keys.values()
+    assert [(c["index"], c["key"]) for c in claims] == [
+        (0, keys[0]), (1, keys[1])
+    ]
 
     job.write_failed(keys[2], {"status": "failed", "error": "boom"})
     assert job.read_failed(keys[2])["error"] == "boom"
     assert job.is_complete(keys[2])
     assert not job.is_complete(keys[3])
+
+    # Closing deletes the job's directory; its claims stay readable.
+    job.close()
+    assert not job.root.exists()
+    assert job.claims() == claims
 
 
 # ----------------------------------------------------------------------
@@ -243,6 +243,20 @@ def test_work_stealing_rows_identical_to_serial_no_double_execution(
     assert warm.canonical_rows() == serial.canonical_rows()
 
 
+def test_finished_run_leaves_no_job_directory(tmp_path):
+    """Regression: every lease run left ``<cache>/jobs/<job_id>/`` (done
+    markers, claims) behind for good, and each ``resume=False`` run added
+    another.  The claims outlive the directory."""
+    for resume in (True, False):
+        runner = SweepRunner(workers=2, cache_dir=tmp_path, resume=resume)
+        result = runner.run(SPEC)
+        assert result.stats.executed == result.stats.total == 4
+        jobs = tmp_path / "jobs"
+        assert not jobs.exists() or list(jobs.iterdir()) == []
+        claims = runner.last_job.claims()
+        assert sorted(c["index"] for c in claims) == list(range(4))
+
+
 def test_work_stealing_failed_trials_not_cached_and_retried(tmp_path):
     spec = SweepSpec(
         circuits=("s27",), algorithms=("made_up_algo",), seeds=(0, 1)
@@ -253,8 +267,8 @@ def test_work_stealing_failed_trials_not_cached_and_retried(tmp_path):
     for row in result.rows:
         assert row["status"] == "failed" and "made_up_algo" in row["error"]
     assert len(ResultCache(tmp_path)) == 0  # failures never enter the cache
-    failed_files = list((runner.last_job.root / "failed").glob("*.json"))
-    assert len(failed_files) == 2
+    assert len(runner.last_job.claims()) == 2
+    assert not runner.last_job.root.exists()
 
     # A later job retries the failures (its failed/ area is per-job).
     retry_runner = SweepRunner(workers=2, cache_dir=tmp_path)
@@ -280,29 +294,6 @@ def test_no_resume_under_lease_workers_recomputes_every_trial(tmp_path):
     assert rerun.canonical_rows() == warm.canonical_rows()
 
 
-def test_external_worker_joins_via_shared_directory(tmp_path):
-    """Multi-host mode: a worker started elsewhere and pointed at the
-    shared directory (here: the loop the CLI's ``sweep-worker`` runs)
-    executes a job from its manifest alone, with no runner-spawned
-    workers."""
-    cache = ResultCache(tmp_path)
-    pending = list(enumerate(SPEC.trials()))
-    keys = {
-        i: trial_key(t, circuit_sha(t.circuit, t.gen_seed))
-        for i, t in pending
-    }
-    job = WorkStealingJob.create(cache, "job-ext", pending, keys, 60.0)
-    executed = work_stealing_worker(tmp_path, "job-ext", "other-host-w0")
-    assert executed == 4
-    assert {c["owner"] for c in job.claims()} == {"other-host-w0"}
-    assert len(job.claims()) == 4
-    rows = [job.read_row(keys[i]) for i, _ in pending]
-    assert all(row is not None and row["status"] == "ok" for row in rows)
-    assert [canonical_row(row) for row in rows] == (
-        run_sweep(SPEC).canonical_rows()
-    )
-
-
 def test_sigkilled_worker_lease_expires_and_trial_is_reclaimed(tmp_path):
     """Crash-resume: a worker SIGKILLed mid-lease never releases it; the
     lease must *expire*, the trial must be re-claimed by a survivor, and
@@ -319,7 +310,7 @@ def test_sigkilled_worker_lease_expires_and_trial_is_reclaimed(tmp_path):
         "import sys, time\n"
         "sys.path.insert(0, sys.argv[3])\n"
         "from repro.sweep import ResultCache\n"
-        "cache = ResultCache(sys.argv[1], reap_tmp_ttl=None)\n"
+        "cache = ResultCache(sys.argv[1])\n"
         "assert cache.try_lease(sys.argv[2], 'victim', ttl=float(sys.argv[4]))\n"
         "print('leased', flush=True)\n"
         "time.sleep(60)\n"

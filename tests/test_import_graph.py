@@ -42,7 +42,6 @@ OFF_PATH = (
     "repro.lut.lutcell",
     "repro.sweep.backends",
     "socket",
-    "repro.circuits.arithmetic",
     "repro.sim.seqsim",
 )
 
@@ -95,9 +94,8 @@ def test_trial_packages_leave_off_path_modules_unloaded():
 
 
 def test_cli_leaves_lint_engine_and_flow_unloaded():
-    """``repro-lock sweep`` and ``sweep-worker`` build the whole parser;
-    the lint engine and the Fig. 2 flow load only in the commands that
-    run them."""
+    """``repro-lock sweep`` builds the whole parser; the lint engine and
+    the Fig. 2 flow load only in the commands that run them."""
     deferred = ("repro.lint", "repro.locking.flow")
     assert _loaded_after("import repro.cli", deferred) == []
     assert _loaded_after(

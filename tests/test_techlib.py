@@ -10,7 +10,6 @@ from repro.techlib import (
     LibraryError,
     ReadMode,
     cmos_90nm,
-    liberty,
     stt_mtj_32nm,
 )
 
@@ -146,58 +145,3 @@ class TestFig1Calibration:
             FIG1_REFERENCE[gate]["energy_per_switching"], rel=0.02
         )
 
-
-class TestLiberty:
-    def test_cmos_roundtrip(self, cmos_lib):
-        text = liberty.dumps_tech(cmos_lib)
-        tech_libs, stt_libs = liberty.loads(text)
-        again = tech_libs["cmos90"]
-        assert not stt_libs
-        cell = again.cell(GateType.NAND, 2)
-        assert cell.delay_ns == pytest.approx(0.045)
-        assert again.dff.setup_ns == pytest.approx(cmos_lib.dff.setup_ns)
-
-    def test_stt_roundtrip(self, stt_lib):
-        text = liberty.dumps_stt(stt_lib)
-        _, stt_libs = liberty.loads(text)
-        again = stt_libs["stt32"]
-        assert again.lut(4).read_energy_pj == pytest.approx(
-            stt_lib.lut(4).read_energy_pj
-        )
-
-    def test_combined_file(self, cmos_lib, stt_lib, tmp_path):
-        path = tmp_path / "libs.lib"
-        liberty.dump(path, tech=cmos_lib, stt=stt_lib)
-        tech_libs, stt_libs = liberty.load(path)
-        assert "cmos90" in tech_libs and "stt32" in stt_libs
-
-    def test_comments_ignored(self):
-        text = (
-            "# a comment\n"
-            "library mini {\n"
-            "  cell X { type: NAND; inputs: 2; delay_ns: 1; "
-            "energy_sw_pj: 1; leakage_nw: 1; area_um2: 1; }\n"
-            "  dff D { delay_ns: 1; energy_sw_pj: 1; leakage_nw: 1; "
-            "area_um2: 1; }\n"
-            "}\n"
-        )
-        tech_libs, _ = liberty.loads(text)
-        assert tech_libs["mini"].cell(GateType.NAND, 2).delay_ns == 1.0
-
-    def test_missing_dff_rejected(self):
-        text = (
-            "library bad {\n"
-            "  cell X { type: NAND; inputs: 2; delay_ns: 1; "
-            "energy_sw_pj: 1; leakage_nw: 1; area_um2: 1; }\n"
-            "}\n"
-        )
-        with pytest.raises(liberty.LibertyFormatError, match="missing dff"):
-            liberty.loads(text)
-
-    def test_empty_rejected(self):
-        with pytest.raises(liberty.LibertyFormatError):
-            liberty.loads("nothing here")
-
-    def test_write_nothing_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            liberty.dump(tmp_path / "x.lib")
